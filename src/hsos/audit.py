@@ -27,12 +27,12 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
-from scipy.stats import qmc
+from scipy import special
 
 from . import forms as forms_mod
 from . import multiindex as mi
 from .forms import HermitianForm
+from .spheremin import unit_sphere_samples
 
 
 class WindowViolated(ValueError):
@@ -83,16 +83,6 @@ class RegimeParams:
 def default_epsilon(h: float) -> float:
     """The h^(1/3) policy, clamped to the admissible ceiling 1."""
     return min(1.0, h ** (1.0 / 3.0))
-
-
-def unit_sphere_samples(n: int, count: int) -> np.ndarray:
-    """Deterministic quasi-random points on the unit sphere of C^n."""
-    sampler = qmc.Halton(d=2 * n, scramble=False)
-    u = np.clip(sampler.random(count), 1e-12, 1 - 1e-12)
-    g = special.ndtri(u)
-    z = g[:, :n] + 1j * g[:, n:]
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    return z / norms
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +145,7 @@ def radial_I1(h: float, M: int, n: int) -> AuditReport:
     """
     if h <= 0 or M < 0 or n < 1:
         raise ValueError(f"invalid (h, M, n) = ({h}, {M}, {n})")
+    from scipy import integrate  # loaded on first use: only the audit suites need quadrature
     a = M + n
     lognorm = special.gammaln(a)
 
@@ -197,6 +188,7 @@ def tail_J(rho: float, delta: float) -> AuditReport:
     """
     if rho <= 0 or not (0 < delta < 1):
         raise ValueError(f"invalid (rho, delta) = ({rho}, {delta})")
+    from scipy import integrate
 
     def integrand(t):
         return math.exp(rho * (math.log(t) - t)) if t > 0 else 0.0
@@ -512,8 +504,7 @@ def empirical_h0(
     if h_grid is None:
         h_grid = default_h_grid()
     if lambda_value is None:
-        lam = forms_mod.lambda_min(form)
-        lambda_value = lam.value
+        lambda_value = forms_mod.lambda_min(form).value
     if big_lambda_value is None:
         big_lambda_value = forms_mod.big_lambda(form)
 

@@ -166,10 +166,10 @@ def bound_report(
     search_C: bool = True,
 ) -> BoundReport:
     """Compute all invariants and bounds, run the empirical scan, and record checks."""
+    from . import spheremin  # scipy.special loads on first use, as in forms.lambda_min
     forms_mod.require_valid(form)
     C = as_fraction(C)
-    lam = forms_mod.lambda_min(form)
-    sharp = forms_mod.lambda_sharp(form)
+    lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", forms_mod.NotDiagonalWarning)

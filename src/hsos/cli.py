@@ -19,6 +19,7 @@ from . import bounds as bounds_mod
 from . import formats
 from . import forms as forms_mod
 from . import multiplier as mult
+from . import spheremin
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -45,8 +46,7 @@ def _load_form(path):
 
 def cmd_analyze(args) -> int:
     form = _load_form(args.form)
-    lam = forms_mod.lambda_min(form, tol=args.tolerance)
-    sharp = forms_mod.lambda_sharp(form, tol=args.tolerance)
+    lam, sharp = spheremin.sphere_range(form, tol=args.tolerance)
     big = forms_mod.big_lambda(form)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", forms_mod.NotDiagonalWarning)
@@ -90,14 +90,12 @@ def cmd_certify(args) -> int:
     try:
         cert = mult.sos_decompose(form, args.N, mode=args.mode, size_cap=args.size_cap)
     except mult.NotPsdError as exc:
-        verdict = mult.is_psd(
-            mult.multiplier_matrix(form, args.N, size_cap=args.size_cap), mode="exact"
-        )
+        verdict = exc  # exact mode attaches its witness; floating mode has none, so factor exactly
+        if exc.witness is None:
+            verdict = mult.is_psd(mult.multiplier_matrix(form, args.N, size_cap=args.size_cap), mode="exact")
         witness_note = ""
         if verdict.witness is not None:
-            support = [
-                (i, str(w)) for i, w in enumerate(verdict.witness) if not w.is_zero
-            ]
+            support = [(i, str(w)) for i, w in enumerate(verdict.witness) if not w.is_zero]
             witness_note = f"; witness support {support}, value {verdict.witness_value}"
         _emit(
             args,
@@ -240,7 +238,8 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             if suite == "laplacian":
                 raise formats.ParseError("--suite laplacian requires --form")
         else:
-            reports.extend(audit_mod.check_laplacian_powers(form, samples=args.samples))
+            samples = 10_000 if args.samples is None else args.samples
+            reports.extend(audit_mod.check_laplacian_powers(form, samples=samples))
 
     if suite in ("radial", "all"):
         for M in [0, 1, 5, 10, 25, 50] if args.M is None else [args.M]:
@@ -279,7 +278,7 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
                         notes=f"window violated: {exc}",
                     )
                 )
-        mc_samples = min(args.samples if args.samples != 10_000 else 200_000, 2_000_000)
+        mc_samples = min(200_000 if args.samples is None else args.samples, 2_000_000)
         reports.append(
             audit_mod.mc_localization_check(
                 2, 6, 2, h=1.0 / 6.0, epsilon=0.3, samples=mc_samples, seed=args.seed
@@ -334,9 +333,9 @@ def cmd_audit(args) -> int:
                 {
                     "check": r.check_name,
                     "parameters": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in r.parameters.items()},
-                    "lhs": None if isinstance(r.lhs, float) and math.isnan(r.lhs) else r.lhs,
-                    "rhs": None if isinstance(r.rhs, float) and math.isnan(r.rhs) else r.rhs,
-                    "ratio": None if isinstance(r.ratio, float) and math.isnan(r.ratio) else r.ratio,
+                    "lhs": None if isinstance(r.lhs, float) and not math.isfinite(r.lhs) else r.lhs,
+                    "rhs": None if isinstance(r.rhs, float) and not math.isfinite(r.rhs) else r.rhs,
+                    "ratio": None if isinstance(r.ratio, float) and not math.isfinite(r.ratio) else r.ratio,
                     "pass": r.passed,
                     "notes": r.notes,
                 }
@@ -407,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, help="default 10000 (laplacian), 200000 (localization Monte-Carlo)")
     p.set_defaults(fn=cmd_audit)
 
     return parser

@@ -242,5 +242,5 @@ def save_certificate(cert: SosCertificate, path, form: Optional[HermitianForm] =
 
 
 def dumps_stable(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, no trailing spaces."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic RFC 8259 JSON (NaN and infinities raise ValueError): sorted keys, fixed separators."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

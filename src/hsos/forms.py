@@ -321,7 +321,7 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
 def lambda_min(form: HermitianForm, **options):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    See spheremin.minimize_on_sphere for options (seed, tol, grid_budget, ...).
+    See spheremin.minimize_on_sphere for options (tol, grid_budget, certify, ...).
     """
     from . import spheremin
 
@@ -329,10 +329,10 @@ def lambda_min(form: HermitianForm, **options):
 
 
 def lambda_sharp(form: HermitianForm, **options):
-    """sup of |f| on the unit sphere, via minimization of f and -f."""
+    """sup of |f| on the unit sphere; spheremin.sphere_range returns it with lambda_min."""
     from . import spheremin
 
-    return spheremin.sup_abs_on_sphere(form, **options)
+    return spheremin.sphere_range(form, **options)[1]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,10 @@ class SizeCapExceeded(RuntimeError):
 
 
 class NotPsdError(RuntimeError):
-    pass
+    def __init__(self, message: str, witness=None, witness_value=None):
+        self.witness = witness  # exact mode: v with <Mv, v> = witness_value < 0
+        self.witness_value = witness_value
+        super().__init__(message)
 
 
 class NumericalIndeterminate(RuntimeError):
@@ -304,10 +307,7 @@ class SosCertificate:
 def _positivity_probe(form: HermitianForm) -> float:
     from . import spheremin
 
-    pts = spheremin._starting_points(form.n, 32)
-    Z = np.array([p[: form.n] + 1j * p[form.n :] for p in pts])
-    Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
-    return float(forms_mod.evaluate_batch(form, Z).min())
+    return float(forms_mod.evaluate_batch(form, spheremin._starting_points(form.n, 32)).min())
 
 
 def minimal_sos_N(
@@ -354,7 +354,8 @@ def sos_decompose(
         processed, pivots, witness = _ldlt(matrix)
         if witness is not None:
             value = _witness_quadratic_value(matrix, witness)
-            raise NotPsdError(f"multiplier matrix at N={N} is not PSD; witness value {value}")
+            message = f"multiplier matrix at N={N} is not PSD; witness value {value}"
+            raise NotPsdError(message, _witness_tuple(matrix.dim, witness), value)
         squares = []
         for (k, col), d in zip(processed, pivots):
             coeffs: dict[mi.MultiIndex, QC] = {basis[k]: QC_ONE}

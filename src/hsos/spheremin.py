@@ -16,7 +16,6 @@ from itertools import product
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import forms
 from .forms import HermitianForm
@@ -51,14 +50,11 @@ class _Objective:
         self.A = np.array([k[0] for k in keys], dtype=np.int64).reshape(len(keys), form.n)
         self.B = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), form.n)
         self.C = np.array([complex(form.coeffs[k]) for k in keys])
-        self.empty = len(keys) == 0
 
     def _z(self, X: np.ndarray) -> np.ndarray:
         return X[:, : self.n] + 1j * X[:, self.n :]
 
     def value(self, X: np.ndarray) -> np.ndarray:
-        if self.empty:
-            return np.zeros(X.shape[0])
         z = self._z(X)
         za = np.prod(z[:, None, :] ** self.A[None, :, :], axis=2)
         zb = np.prod(np.conj(z)[:, None, :] ** self.B[None, :, :], axis=2)
@@ -67,8 +63,6 @@ class _Objective:
     def value_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         B_pts = X.shape[0]
         n = self.n
-        if self.empty:
-            return np.zeros(B_pts), np.zeros((B_pts, 2 * n))
         z = self._z(X)
         zc = np.conj(z)
         Zp = z[:, None, :] ** self.A[None, :, :]      # (B, K, n)
@@ -141,41 +135,49 @@ def _pgd_batch(obj: _Objective, X0: np.ndarray, max_iter: int, tol: float):
     return fx, X, converged
 
 
-def _starting_points(n: int, quasi_starts: int) -> list[np.ndarray]:
-    pts: list[np.ndarray] = []
-    for k in range(n):
-        e = np.zeros(2 * n)
-        e[k] = 1.0
-        pts.append(e)
-    # balanced points with a few deterministic phase patterns
-    for phases in list(product((1.0, 1j), repeat=n))[:8]:
-        z = np.array(phases, dtype=complex) / math.sqrt(n)
-        pts.append(np.concatenate([z.real, z.imag]))
-    if quasi_starts > 0:
-        sampler = qmc.Halton(d=2 * n, scramble=False)
-        u = sampler.random(quasi_starts)
-        u = np.clip(u, 1e-12, 1.0 - 1e-12)
-        gauss = ndtri(u)
-        for row in gauss:
-            nrm = np.linalg.norm(row)
-            if nrm > 0:
-                pts.append(row / nrm)
-    return pts
+def _halton(d: int, count: int) -> np.ndarray:
+    """The first `count` points of the unscrambled Halton sequence in [0, 1)^d.
+
+    Coordinate j is the radical inverse of the index in the j-th prime, digits added in scipy's order.
+    """
+    primes = [p for p in range(2, d * d + 3) if all(p % q for q in range(2, math.isqrt(p) + 1))][:d]
+    out = np.zeros((count, d))
+    for j, base in enumerate(primes):
+        index = np.arange(count)
+        weight = 1.0 / base
+        while index.any():
+            out[:, j] += (index % base) * weight
+            index //= base
+            weight /= base
+    return out
+
+
+def unit_sphere_samples(n: int, count: int) -> np.ndarray:
+    """Deterministic quasi-random points on the unit sphere of C^n: Halton, ndtri, normalize."""
+    g = ndtri(np.clip(_halton(2 * n, count), 1e-12, 1 - 1e-12))
+    z = g[:, :n] + 1j * g[:, n:]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _starting_points(n: int, quasi_starts: int) -> np.ndarray:
+    """Unit start points in C^n: the axes, balanced points with a few phase patterns, Halton samples."""
+    balanced = np.array(list(product((1.0, 1j), repeat=n))[:8]) / math.sqrt(n)
+    return np.concatenate([np.eye(n, dtype=complex), balanced, unit_sphere_samples(n, quasi_starts)])
 
 
 def _certified_grid(form: HermitianForm, grid_budget: int):
     """Coarse covering of the sphere by (moduli-angle, phase-angle) cells.
 
-    Returns (grid_min, covering_radius, points_used).  Every sphere point is
-    within covering_radius of an evaluated point (after removing the global
-    phase, which leaves f invariant), so grid_min - L * covering_radius
-    certifies a lower bound.
+    Returns (grid_min, grid_max, covering_radius, points_used).  Every sphere
+    point is within covering_radius of an evaluated point (after removing the
+    global phase, which leaves f invariant), so grid_min - L * covering_radius
+    certifies a lower bound on f and -grid_max - L * covering_radius one on -f.
     """
     n = form.n
     if n == 1:
         z = np.array([[1.0 + 0j]])
         val = float(forms.evaluate_batch(form, z)[0])
-        return val, 0.0, 1
+        return val, val, 0.0, 1
     axes = 2 * (n - 1)
     K = max(4, int(grid_budget ** (1.0 / axes)))
     dpsi = (math.pi / 2) / K
@@ -202,13 +204,46 @@ def _certified_grid(form: HermitianForm, grid_budget: int):
     for j in range(n - 1):
         Z[:, j] = Z[:, j] * np.exp(1j * thetas[:, j])
 
-    best = math.inf
+    grid_min, grid_max = math.inf, -math.inf
     chunk = 65536
     for lo in range(0, total, chunk):
         vals = forms.evaluate_batch(form, Z[lo : lo + chunk])
-        if vals.size:
-            best = min(best, float(vals.min()))
-    return best, cover, total
+        grid_min = min(grid_min, float(vals.min()))
+        grid_max = max(grid_max, float(vals.max()))
+    return grid_min, grid_max, cover, total
+
+
+def _sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify):
+    """Yield the minimum results of f and then of -f from one grid pass; -f runs only on demand."""
+    if form.is_zero:
+        e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
+        yield from [SphereMinResult(0.0, e, 0.0, True, True, 0, 0)] * 2
+        return
+
+    grid = _certified_grid(form, grid_budget) if certify and form.n <= 3 else None
+    obj = _Objective(form)
+    z0 = _starting_points(form.n, quasi_starts)
+    starts = np.concatenate([z0.real, z0.imag], axis=1)
+    for side in range(2):
+        if side:  # -f: exactly negated coefficients, and min(-f) = -max f on the same grid values
+            obj.C = -obj.C
+            grid = grid and (-grid[1], -grid[0], *grid[2:])
+        vals, X, conv = _pgd_batch(obj, starts, max_iter, tol)
+        best = int(np.argmin(vals))
+        best_val = float(vals[best])
+
+        grid_points = 0
+        uncertainty = math.inf
+        if grid is not None:
+            grid_min, _, cover, grid_points = grid
+            lower = grid_min - lipschitz_bound(form) * cover
+            best_val = min(best_val, grid_min)
+            uncertainty = max(0.0, best_val - lower)
+
+        z = tuple(complex(X[best, k], X[best, form.n + k]) for k in range(form.n))
+        yield SphereMinResult(
+            best_val, z, uncertainty, grid is not None, bool(conv.any()), len(starts), grid_points
+        )
 
 
 def minimize_on_sphere(
@@ -220,53 +255,27 @@ def minimize_on_sphere(
     certify: bool = True,
 ) -> SphereMinResult:
     """Multi-start projected gradient minimum of f on the unit sphere."""
-    if form.is_zero:
-        e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
-        return SphereMinResult(0.0, e, 0.0, True, True, 0, 0)
+    return next(_sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify))
 
-    obj = _Objective(form)
-    starts = np.array(_starting_points(form.n, quasi_starts))
-    vals, X, conv = _pgd_batch(obj, starts, max_iter, tol)
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    best_x = X[best]
-    any_converged = bool(conv.any())
 
-    grid_points = 0
-    uncertainty = math.inf
-    certified = False
-    if certify and form.n <= 3:
-        grid_min, cover, grid_points = _certified_grid(form, grid_budget)
-        lower = grid_min - lipschitz_bound(form) * cover
-        best_val = min(best_val, grid_min)
-        uncertainty = max(0.0, best_val - lower)
-        certified = True
-
-    z = tuple(complex(best_x[k], best_x[form.n + k]) for k in range(form.n))
-    return SphereMinResult(
-        best_val, z, uncertainty, certified, any_converged, len(starts), grid_points
+def sphere_range(
+    form: HermitianForm,
+    tol: float = 1e-9,
+    max_iter: int = 500,
+    quasi_starts: int = 64,
+    grid_budget: int = 160_000,
+    certify: bool = True,
+) -> tuple[SphereMinResult, SphereMinResult]:
+    """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same grid pass and a descent on -f."""
+    low, high = _sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify)
+    side = high if high.value <= low.value else low  # sup |f| = -min(min f, min -f)
+    sharp = SphereMinResult(
+        max(-side.value, 0.0),
+        side.minimizer,
+        max(low.uncertainty, high.uncertainty),
+        low.certified and high.certified,
+        low.converged and high.converged,
+        low.starts + high.starts,
+        low.grid_points,  # one grid pass serves both sides
     )
-
-
-def sup_abs_on_sphere(form: HermitianForm, **options) -> SphereMinResult:
-    """sup |f| on the sphere = max(-min(-f), -min(f))."""
-    neg = forms.scale(form, -1)
-    r_min = minimize_on_sphere(form, **options)
-    r_max = minimize_on_sphere(neg, **options)
-    sup_f = -r_max.value
-    inf_f = r_min.value
-    if sup_f >= -inf_f:
-        value, point = sup_f, r_max.minimizer
-    else:
-        value, point = -inf_f, r_min.minimizer
-    value = max(value, 0.0)
-    unc = max(r_min.uncertainty, r_max.uncertainty)
-    return SphereMinResult(
-        value,
-        point,
-        unc,
-        r_min.certified and r_max.certified,
-        r_min.converged and r_max.converged,
-        r_min.starts + r_max.starts,
-        r_min.grid_points + r_max.grid_points,
-    )
+    return low, sharp

@@ -75,7 +75,25 @@ def test_certify_roundtrip(capsys, fc1_path, tmp_path):
 def test_certify_not_psd(capsys, fc1_path):
     code, out, _ = run(capsys, ["certify", fc1_path, "0"])
     assert code == 1
-    assert "witness" in out
+    assert "witness support [(1, '1')], value -1" in out
+    for mode in ("exact", "float"):
+        code, out, _ = run(capsys, ["--json", "certify", fc1_path, "0", "--mode", mode])
+        assert code == 1
+        assert json.loads(out) == {
+            "N": 0, "command": "certify", "format_version": 1, "psd": False, "witness_value": "-1"
+        }
+
+
+def test_certify_not_psd_non_diagonal_witness(capsys, tmp_path):
+    # |z1|^4 + |z2|^4 + 3 (z1^2 z̄2^2 + z2^2 z̄1^2): Gram block [[1, 3], [3, 1]] at N = 0
+    form = forms.HermitianForm.from_terms(
+        2, 2, [((2, 0), (2, 0), 1), ((0, 2), (0, 2), 1), ((2, 0), (0, 2), 3), ((0, 2), (2, 0), 3)]
+    )
+    path = tmp_path / "indefinite.json"
+    formats.save_form(form, path)
+    code, out, _ = run(capsys, ["--json", "certify", str(path), "0"])
+    assert code == 1
+    assert json.loads(out)["witness_value"] == "-8"
 
 
 def test_certify_size_cap(capsys, fc1_path):
@@ -143,6 +161,30 @@ def test_audit_localization(capsys):
     )
     assert code == 0
     assert "sigma-window" in out and "localization-E" in out and "localization-mc" in out
+
+
+def test_audit_samples_option_is_honoured(capsys, fc1_path):
+    def samples(argv, check):
+        code, out, _ = run(capsys, ["--json", "audit", *argv])
+        assert code == 0
+        return [r["parameters"]["samples"] for r in json.loads(out)["reports"] if r["check"] == check]
+
+    assert samples(["--suite", "localization", "--samples", "10000"], "localization-mc") == [10_000]
+    assert samples(["--suite", "localization"], "localization-mc") == [200_000]
+    assert samples(["--suite", "laplacian", "--form", fc1_path], "laplacian-power-j0") == [10_000]
+    assert samples(["--suite", "laplacian", "--form", fc1_path, "--samples", "500"], "laplacian-power-j0") == [500]
+
+
+def test_audit_json_is_strict_when_values_overflow(capsys):
+    code, out, _ = run(capsys, ["--json", "audit", "--suite", "tails", "--rho", "2000", "--delta", "0.9"])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(out, parse_constant=reject)
+    tail = next(r for r in doc["reports"] if r["check"] == "tail-J")
+    assert tail["ratio"] is None
 
 
 def test_audit_laplacian_requires_form(capsys):

@@ -154,3 +154,9 @@ def test_stable_dump_is_deterministic():
     assert formats.dumps_stable(formats.form_to_dict(f)) == formats.dumps_stable(
         formats.form_to_dict(ridge_form())
     )
+
+
+def test_stable_dump_rejects_non_finite_numbers():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            formats.dumps_stable({"x": bad})

@@ -244,6 +244,21 @@ def test_decompose_not_psd_raises():
         mult.sos_decompose(forms.fc_form(1), 0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_not_psd_error_carries_exact_witness(seed):
+    rng = random.Random(seed)
+    form = forms.add_forms(forms.fc_form(3), random_hermitian_form(rng, 2, 2)) if seed else forms.fc_form(1)
+    matrix = mult.multiplier_matrix(form, 0)
+    with pytest.raises(mult.NotPsdError) as info:
+        mult.sos_decompose(form, 0)
+    v = info.value.witness
+    assert len(v) == matrix.dim
+    quadratic = sum((v[i].conj() * c * v[j] for (i, j), c in matrix.entries.items()), qc(0))
+    assert quadratic.im == 0
+    assert quadratic.re == info.value.witness_value < 0
+    assert info.value.witness_value == mult.is_psd(matrix).witness_value
+
+
 def test_verify_detects_perturbation():
     f = forms.fc_form(1)
     cert = mult.sos_decompose(f, 1)

@@ -1,0 +1,117 @@
+"""The two-sided sphere pass and the in-house Halton sampler."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hsos import cli, formats, forms, spheremin
+
+from conftest import random_hermitian_form
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_halton_matches_scipy_bit_for_bit(d):
+    from scipy.stats import qmc  # reference only; the package does not import scipy.stats
+
+    for count in (0, 1, 97, 5000):
+        assert np.array_equal(spheremin._halton(d, count), qmc.Halton(d=d, scramble=False).random(count))
+
+
+def test_halton_matches_scipy_long_run():
+    from scipy.stats import qmc
+
+    assert np.array_equal(spheremin._halton(8, 200_000), qmc.Halton(d=8, scramble=False).random(200_000))
+
+
+def test_unit_sphere_samples_on_sphere():
+    Z = spheremin.unit_sphere_samples(3, 500)
+    assert Z.shape == (500, 3)
+    assert np.allclose(np.linalg.norm(Z, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def _old_sup_abs(form, **options):
+    """The former composition: two full minimizations, of f and of an exactly scaled -f."""
+    r_min = spheremin.minimize_on_sphere(form, **options)
+    r_max = spheremin.minimize_on_sphere(forms.scale(form, -1), **options)
+    if -r_max.value >= -r_min.value:
+        value, point = -r_max.value, r_max.minimizer
+    else:
+        value, point = -r_min.value, r_min.minimizer
+    return r_min, r_max, max(value, 0.0), point
+
+
+SPHERE_FORMS = {
+    "fc_7_4 (n=2)": lambda: formats.load_form(SAMPLES / "fc_7_4.json"),
+    "polya_diag_n3_m2 (n=3, grid)": lambda: formats.load_form(SAMPLES / "polya_diag_n3_m2.json"),
+    "seeded n=4 (no grid)": lambda: random_hermitian_form(random.Random(7), 4, 2),
+    "indefinite n=2": lambda: forms.fc_form(3),
+    "zero": lambda: forms.HermitianForm.zero(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", SPHERE_FORMS)
+def test_sphere_range_matches_separate_minimizations(name):
+    form = SPHERE_FORMS[name]()
+    lam, sharp = spheremin.sphere_range(form)
+    r_min, r_max, value, point = _old_sup_abs(form)
+    assert lam == r_min
+    assert sharp.value == value and sharp.minimizer == point
+    assert sharp.uncertainty == max(r_min.uncertainty, r_max.uncertainty)
+    assert sharp.certified == (r_min.certified and r_max.certified)
+    assert sharp.converged == (r_min.converged and r_max.converged)
+    assert sharp.starts == r_min.starts + r_max.starts
+    assert sharp.grid_points == r_min.grid_points
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(spheremin, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spheremin, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["bounds", "--n-max", "3"]])
+def test_analyze_and_bounds_run_one_grid_and_two_descents(monkeypatch, capsys, argv):
+    grids = _count_calls(monkeypatch, "_certified_grid")
+    descents = _count_calls(monkeypatch, "_pgd_batch")
+    path = str(SAMPLES / "fc_7_4.json")
+    assert cli.main(["--json", argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert (len(grids), len(descents)) == (1, 2)
+
+
+def test_lambda_min_and_lambda_sharp_pass_counts():
+    form = forms.fc_form(1)
+    counts = {}
+    for fn in (forms.lambda_min, forms.lambda_sharp):
+        with pytest.MonkeyPatch.context() as mp:
+            grids = _count_calls(mp, "_certified_grid")
+            descents = _count_calls(mp, "_pgd_batch")
+            fn(form)
+        counts[fn.__name__] = (len(grids), len(descents))
+    assert counts == {"lambda_min": (1, 1), "lambda_sharp": (1, 2)}
+
+
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [("hsos.cli", ("scipy.stats", "scipy.integrate")), ("hsos", ("scipy",))],
+)
+def test_import_loads_no_unneeded_scipy(module, unwanted):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
