@@ -398,8 +398,8 @@ def check_sigma_window(params: RegimeParams) -> AuditReport:
 def basic_rhs(
     form: HermitianForm,
     params: RegimeParams,
-    lambda_value: Optional[float] = None,
-    big_lambda_value: Optional[float] = None,
+    lambda_value: float,
+    big_lambda_value: float,
     annulus_samples: int = 2000,
 ) -> tuple[float, AuditReport]:
     """Evaluate the right-hand side of the basic positivity inequality.
@@ -419,10 +419,6 @@ def basic_rhs(
             raise WindowViolated(
                 f"window fails at k = {m - j}: sigma_k = {params.sigma_at(m - j):.4f}, eps = {eps}"
             )
-    if lambda_value is None:
-        lambda_value = forms_mod.lambda_min(form).value
-    if big_lambda_value is None:
-        big_lambda_value = forms_mod.big_lambda(form)
 
     e_by_k = {k: exact_localization_E(h, M, k, eps, n) for k in range(m + 1)}
     base = n * m * m * h
@@ -492,8 +488,9 @@ def empirical_h0(
     form: HermitianForm,
     h_grid: Optional[Sequence[float]] = None,
     epsilon_fn: Callable[[float], float] = default_epsilon,
-    lambda_value: Optional[float] = None,
-    big_lambda_value: Optional[float] = None,
+    *,
+    lambda_value: float,
+    big_lambda_value: float,
 ) -> H0ScanResult:
     """Scan h downward for the largest grid value with positive basic RHS.
 
@@ -503,10 +500,6 @@ def empirical_h0(
     """
     if h_grid is None:
         h_grid = default_h_grid()
-    if lambda_value is None:
-        lambda_value = forms_mod.lambda_min(form).value
-    if big_lambda_value is None:
-        big_lambda_value = forms_mod.big_lambda(form)
 
     if lambda_value <= 0:
         return H0ScanResult(False, None, None, lambda_value, (), note="lambda <= 0: leading term cannot be positive")

@@ -48,12 +48,10 @@ def certified_N(form: HermitianForm, C, lambda_value: float, big_lambda_value: f
     return max(0, math.ceil(value))
 
 
-def powers_resnick_N(form: HermitianForm, lambda_value: Optional[float] = None) -> int:
+def powers_resnick_N(form: HermitianForm, lambda_value: float) -> int:
     """Smallest N > (m(m-1)/2) (diag_max/λ) - m; diagonal forms only."""
     if not forms_mod.is_diagonal(form):
         raise NotDiagonal("Powers-Resnick bound applies to diagonal forms only")
-    if lambda_value is None:
-        lambda_value = forms_mod.lambda_min(form).value
     if lambda_value <= 0:
         raise NonPositiveLambda(f"lambda = {lambda_value} must be positive")
     lt = float(forms_mod.lambda_tilde(form))
@@ -61,33 +59,19 @@ def powers_resnick_N(form: HermitianForm, lambda_value: Optional[float] = None) 
     return max(0, _smallest_int_greater(rhs))
 
 
-def to_yeung_N(
-    form: HermitianForm,
-    lambda_value: Optional[float] = None,
-    sharp_value: Optional[float] = None,
-) -> int:
+def to_yeung_N(form: HermitianForm, lambda_value: float, sharp_value: float) -> int:
     """ceil( n m (2m-1) Λ#/(ln 2 · λ) - n - m ), floored at 0."""
-    if lambda_value is None:
-        lambda_value = forms_mod.lambda_min(form).value
     if lambda_value <= 0:
         raise NonPositiveLambda(f"lambda = {lambda_value} must be positive")
-    if sharp_value is None:
-        sharp_value = forms_mod.lambda_sharp(form).value
     n, m = form.n, form.m
     rhs = n * m * (2 * m - 1) * sharp_value / (math.log(2.0) * lambda_value) - n - m
     return max(0, math.ceil(rhs))
 
 
-def nie_schweighofer_N(
-    form: HermitianForm,
-    c: float = 1.0,
-    lambda_value: Optional[float] = None,
-) -> Optional[int]:
+def nie_schweighofer_N(form: HermitianForm, c: float, lambda_value: float) -> Optional[int]:
     """Smallest N > c * exp(m^2 n^m (diag_max/λ))^c, None on double overflow."""
     if c <= 0:
         warnings.warn("c <= 0 gives a degenerate bound", UserWarning, stacklevel=2)
-    if lambda_value is None:
-        lambda_value = forms_mod.lambda_min(form).value
     if lambda_value <= 0:
         raise NonPositiveLambda(f"lambda = {lambda_value} must be positive")
     with warnings.catch_warnings():

@@ -110,15 +110,18 @@ def form_from_dict(data: dict) -> HermitianForm:
     return HermitianForm.from_terms(n, m, triples)
 
 
-def load_form(path) -> HermitianForm:
+def _read_json(path):
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}") from None
-    return form_from_dict(data)
+
+
+def load_form(path) -> HermitianForm:
+    return form_from_dict(_read_json(path))
 
 
 def save_form(form: HermitianForm, path) -> None:
@@ -186,6 +189,8 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     for name, v in (("n", n), ("m", m), ("N", N)):
         if not isinstance(v, int) or v < 0:
             raise ParseError(f"{name} must be a non-negative integer", "certificate")
+    if not isinstance(data["squares"], list):
+        raise ParseError("squares must be a list", "certificate")
     squares = []
     for si, sq in enumerate(data["squares"]):
         ctx = f"squares[{si}]"
@@ -194,12 +199,14 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         _expect_keys(sq, {"weight", "coefficients"}, {"weight", "coefficients"}, ctx)
         if mode == "exact":
             weight = parse_rational(sq["weight"], ctx)
-            if weight <= 0:
-                raise ParseError(f"weight must be positive, got {weight}", ctx)
-        else:
+        elif isinstance(sq["weight"], (int, float)):
             weight = float(sq["weight"])
-            if weight <= 0:
-                raise ParseError(f"weight must be positive, got {weight}", ctx)
+        else:
+            raise ParseError("floating certificate weights must be JSON numbers", ctx)
+        if weight <= 0:
+            raise ParseError(f"weight must be positive, got {weight}", ctx)
+        if not isinstance(sq["coefficients"], list):
+            raise ParseError("coefficients must be a list", ctx)
         coeffs: dict[mi.MultiIndex, object] = {}
         for ci, entry in enumerate(sq["coefficients"]):
             ectx = f"{ctx}.coefficients[{ci}]"
@@ -227,14 +234,7 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
 
 
 def load_certificate(path) -> tuple[SosCertificate, Optional[HermitianForm]]:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}") from None
-    return certificate_from_dict(data)
+    return certificate_from_dict(_read_json(path))
 
 
 def save_certificate(cert: SosCertificate, path, form: Optional[HermitianForm] = None) -> None:

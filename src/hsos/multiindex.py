@@ -49,22 +49,6 @@ def enumerate_degree(n: int, M: int) -> list[MultiIndex]:
     return list(iter_degree(n, M))
 
 
-def rank_of(alpha: Sequence[int]) -> int:
-    """Position of alpha within enumerate_degree(len(alpha), sum(alpha)).
-
-    Computed combinatorially in O(n * degree) without materializing the list.
-    """
-    a = validate_index(alpha)
-    n = len(a)
-    rank = 0
-    rem = sum(a)
-    for i in range(n - 1):
-        for k in range(rem, a[i], -1):
-            rank += dim_homogeneous(n - 1 - i, rem - k)
-        rem -= a[i]
-    return rank
-
-
 def factorial(k: int) -> int:
     if k < 0:
         raise ValueError("factorial of negative integer")

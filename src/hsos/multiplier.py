@@ -2,14 +2,17 @@
 
 The coefficient matrix of ||z||^(2N) f(z, z̄) over the degree-(m+N) monomial
 basis is hermitian; the shifted form is a sum of squares of holomorphic
-polynomials exactly when that matrix is positive semidefinite.  The exact path
-decides PSD by a pivoted rational LDL* factorization and extracts certificates
-sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0, which are then re-expanded
-and compared entrywise against the multiplier matrix.
+polynomials exactly when that matrix is positive semidefinite.  One exact
+kernel, a pivoted rational LDL* factorization of each connected block of the
+sparsity pattern, decides PSD, raises NotPsdError with an exactly checked
+witness, and yields certificates sum_j w_j |Q_j(z)|^2 with rational weights
+w_j > 0, which are then re-expanded and compared entrywise against the
+multiplier matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,14 +108,13 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
     if dim > size_cap:
         raise SizeCapExceeded(dim, size_cap)
     basis = tuple(mi.iter_degree(form.n, form.m + N))
+    position = {alpha: i for i, alpha in enumerate(basis)}
     entries: dict[tuple[int, int], QC] = {}
     nfact = mi.factorial(N)
     for mu in mi.iter_degree(form.n, N):
         w = Fraction(nfact, mi.index_factorial(mu))
         for (alpha, beta), c in form.coeffs.items():
-            i = mi.rank_of(mi.add(alpha, mu))
-            j = mi.rank_of(mi.add(beta, mu))
-            key = (i, j)
+            key = (position[mi.add(alpha, mu)], position[mi.add(beta, mu)])
             s = entries.get(key, QC_ZERO) + c * w
             if s.is_zero:
                 entries.pop(key, None)
@@ -130,12 +132,6 @@ class PsdVerdict:
     pivots: Optional[tuple[Fraction, ...]] = None  # positive pivots, exact mode
     rank: Optional[int] = None
     min_eigenvalue: Optional[float] = None         # floating mode
-    indeterminate: bool = False
-
-
-class _LdltFailure(Exception):
-    def __init__(self, witness: dict[int, QC]):
-        self.witness = witness
 
 
 def _witness_quadratic_value(matrix: MultiplierMatrix, v: dict[int, QC]) -> Fraction:
@@ -160,12 +156,36 @@ def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
     return v
 
 
-def _ldlt(matrix: MultiplierMatrix):
-    """Pivoted rational LDL* of a hermitian matrix, tuned for PSD decisions.
+def _components(rows: dict[int, dict[int, QC]]) -> list[set[int]]:
+    """Connected components of the sparsity pattern; rows holds the off-diagonal entries."""
+    seen: set[int] = set()
+    components = []
+    for start in rows:
+        if start in seen:
+            continue
+        seen.add(start)
+        block = [start]
+        for i in block:  # grows while it is walked: breadth-first search
+            for j in rows[i]:
+                if j not in seen:
+                    seen.add(j)
+                    block.append(j)
+        components.append(set(block))
+    return components
 
-    Returns (processed, pivots, witness) where processed is a list of
-    (pivot_index, column dict) in elimination order.  witness is None on
-    success; otherwise a dict v (original indexing) with <Mv, v> < 0.
+
+def _ldlt(matrix: MultiplierMatrix):
+    """Pivoted rational LDL* of a hermitian matrix, the one exact PSD kernel.
+
+    The pivot is the largest |diagonal| left, ties by index.  Eliminating it
+    updates only its own connected block of the sparsity pattern, so each
+    block keeps its own candidate pivot and a heap picks among the blocks'
+    candidates: the pivot order is the global one, at the cost of a scan of
+    one block per step (a diagonal matrix is dim blocks of size 1).
+
+    Returns (processed, pivots) where processed is a list of (pivot_index,
+    column dict) in elimination order.  A matrix that is not PSD raises
+    NotPsdError with a witness v whose value <Mv, v> < 0 is checked exactly.
     """
     diag: dict[int, Fraction] = {i: Fraction(0) for i in range(matrix.dim)}
     rows: dict[int, dict[int, QC]] = {i: {} for i in range(matrix.dim)}
@@ -177,25 +197,34 @@ def _ldlt(matrix: MultiplierMatrix):
         else:
             rows[i][j] = c
 
-    active = set(range(matrix.dim))
+    blocks = _components(rows)
+
+    def candidate(b: int):
+        k = min(blocks[b], key=lambda i: (-abs(diag[i]), i))
+        return -abs(diag[k]), k, b
+
+    heap = [candidate(b) for b in range(len(blocks))]
+    heapq.heapify(heap)
     processed: list[tuple[int, dict[int, QC]]] = []
     pivots: list[Fraction] = []
+    witness: Optional[dict[int, QC]] = None
 
-    while active:
-        k = min(active, key=lambda i: (-abs(diag[i]), i))  # largest |diagonal|, ties by index
+    while heap:
+        _, k, b = heapq.heappop(heap)
         dk = diag[k]
         if dk < 0:
-            v = _lift_through_columns(processed, {k: QC_ONE})
-            return processed, pivots, v
-        if dk == 0:
-            # every remaining diagonal vanishes; PSD forces the whole block to vanish
-            for i in sorted(active):
-                for j, c in rows[i].items():
-                    if j in active and not c.is_zero:
-                        u = {i: -c, j: QC_ONE}
-                        v = _lift_through_columns(processed, u)
-                        return processed, pivots, v
+            witness = {k: QC_ONE}
             break
+        if dk == 0:
+            # every remaining diagonal vanishes, so any nonzero entry c = S[i][j]
+            # of the remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2
+            rest = set().union(*blocks)
+            witness = next(
+                ({i: -c, j: QC_ONE} for i in sorted(rest) for j, c in rows[i].items() if j in rest and not c.is_zero),
+                None,
+            )
+            break
+        active = blocks[b]
         active.remove(k)
         krow = rows.pop(k)
         diag.pop(k)
@@ -215,8 +244,20 @@ def _ldlt(matrix: MultiplierMatrix):
                     rowi[j] = s
         processed.append((k, col))
         pivots.append(dk)
+        if active:
+            heapq.heappush(heap, candidate(b))
 
-    return processed, pivots, None
+    if witness is not None:
+        v = _lift_through_columns(processed, witness)
+        value = _witness_quadratic_value(matrix, v)
+        if value >= 0:
+            raise AssertionError("internal error: PSD witness failed exact verification")
+        raise NotPsdError(
+            f"multiplier matrix at N={matrix.N} is not PSD; witness value {value}",
+            tuple(v.get(i, QC_ZERO) for i in range(matrix.dim)),
+            value,
+        )
+    return processed, pivots
 
 
 def is_psd(
@@ -232,35 +273,11 @@ def is_psd(
     the band |eig| < tol * ||M||_F raise NumericalIndeterminate.
     """
     if mode == "exact":
-        if matrix.is_diagonal():
-            worst = None
-            for (i, _), c in matrix.entries.items():
-                if c.im != 0:
-                    raise ValueError("diagonal entry not real; matrix not hermitian")
-                if c.re < 0 and (worst is None or c.re < matrix.entry(*worst).re):
-                    worst = (i, i)
-            if worst is None:
-                pivots = tuple(
-                    sorted((c.re for c in matrix.entries.values() if c.re > 0), reverse=True)
-                )
-                return PsdVerdict(True, "exact", pivots=pivots, rank=len(pivots))
-            i = worst[0]
-            v = {i: QC_ONE}
-            return PsdVerdict(
-                False,
-                "exact",
-                witness=_witness_tuple(matrix.dim, v),
-                witness_value=matrix.entry(i, i).re,
-            )
-        processed, pivots, witness = _ldlt(matrix)
-        if witness is None:
-            return PsdVerdict(True, "exact", pivots=tuple(pivots), rank=len(pivots))
-        value = _witness_quadratic_value(matrix, witness)
-        if value >= 0:
-            raise AssertionError("internal error: PSD witness failed exact verification")
-        return PsdVerdict(
-            False, "exact", witness=_witness_tuple(matrix.dim, witness), witness_value=value
-        )
+        try:
+            _, pivots = _ldlt(matrix)
+        except NotPsdError as exc:
+            return PsdVerdict(False, "exact", witness=exc.witness, witness_value=exc.witness_value)
+        return PsdVerdict(True, "exact", pivots=tuple(pivots), rank=len(pivots))
 
     if mode != "float":
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,10 +293,6 @@ def is_psd(
     vec = eigvecs[:, 0]
     wit = tuple(qc(Fraction(float(x.real)), Fraction(float(x.imag))) for x in vec)
     return PsdVerdict(False, "float", witness=wit, min_eigenvalue=lam_min)
-
-
-def _witness_tuple(dim: int, v: dict[int, QC]) -> tuple[QC, ...]:
-    return tuple(v.get(i, QC_ZERO) for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -351,11 +364,7 @@ def sos_decompose(
     basis = matrix.basis
 
     if mode == "exact":
-        processed, pivots, witness = _ldlt(matrix)
-        if witness is not None:
-            value = _witness_quadratic_value(matrix, witness)
-            message = f"multiplier matrix at N={N} is not PSD; witness value {value}"
-            raise NotPsdError(message, _witness_tuple(matrix.dim, witness), value)
+        processed, pivots = _ldlt(matrix)
         squares = []
         for (k, col), d in zip(processed, pivots):
             coeffs: dict[mi.MultiIndex, QC] = {basis[k]: QC_ONE}
@@ -389,10 +398,11 @@ def sos_decompose(
 
 def expand_squares(cert: SosCertificate) -> dict[tuple[int, int], object]:
     """Coefficient matrix of sum_j w_j Q_j(z) conj(Q_j(z)) over the ranked basis."""
+    position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
     out: dict[tuple[int, int], object] = {}
     exact = cert.mode == "exact"
     for sq in cert.squares:
-        ranked = [(mi.rank_of(a), c) for a, c in sq.coefficients.items()]
+        ranked = [(position[a], c) for a, c in sq.coefficients.items()]
         for i, ci in ranked:
             for j, cj in ranked:
                 if exact:

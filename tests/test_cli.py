@@ -112,6 +112,20 @@ def test_verify_tampered(capsys, fc1_path, tmp_path):
     assert code == 1 and "fail" in out
 
 
+@pytest.mark.parametrize(
+    "mode, field, value",
+    [("exact", "squares", 7), ("exact", "coefficients", 7), ("float", "weight", "abc")],
+)
+def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path, mode, field, value):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify", fc1_path, "1", "--mode", mode, "--out", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    (doc if field == "squares" else doc["squares"][0])[field] = value
+    cert_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", str(cert_path)])
+    assert code == 2 and "input error" in err
+
+
 def test_search(capsys, fc1_path):
     code, out, _ = run(capsys, ["search", fc1_path, "--n-max", "10"])
     assert code == 0 and "minimal N = 1" in out

@@ -37,19 +37,6 @@ def test_dim_pascal_recurrence():
             )
 
 
-def test_rank_examples():
-    assert mi.rank_of((3, 0)) == 0
-    assert mi.rank_of((0, 3)) == 3
-    assert mi.enumerate_degree(3, 2)[mi.rank_of((1, 0, 1))] == (1, 0, 1)
-
-
-def test_rank_roundtrip():
-    for n in range(1, 5):
-        for M in range(0, 7):
-            for i, alpha in enumerate(mi.enumerate_degree(n, M)):
-                assert mi.rank_of(alpha) == i
-
-
 def test_factorial_multinomial():
     assert mi.factorial(0) == 1
     assert mi.multinomial((2, 0)) == 1
@@ -68,7 +55,7 @@ def test_multinomial_theorem():
 
 def test_validation():
     with pytest.raises(ValueError):
-        mi.rank_of((1, -1))
+        mi.validate_index((1, -1))
     with pytest.raises(ValueError):
         mi.factorial(-1)
     with pytest.raises(ValueError):

@@ -2,12 +2,15 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsos import forms, multiindex as mi, multiplier as mult
 from hsos.exact import qc
 
 from conftest import (
+    diag_n3_form,
     product_expansion_oracle,
     random_hermitian_form,
     random_sos_form,
@@ -139,6 +142,65 @@ def test_zero_pivot_with_nonzero_row_detected():
     verdict = mult.is_psd(mult.multiplier_matrix(f, 0))
     assert not verdict.is_psd
     assert verdict.witness_value < 0
+
+
+@pytest.mark.parametrize(
+    "c, N, psd", [(3, 0, False), (3, 1, False), (3, 2, False), (Fraction(1, 2), 3, True)]
+)
+def test_diagonal_matrix_verdict(c, N, psd):
+    matrix = mult.multiplier_matrix(diag_n3_form(c), N)
+    assert matrix.is_diagonal()
+    diagonal = [matrix.entry(i, i).re for i in range(matrix.dim)]
+    verdict = mult.is_psd(matrix)
+    assert verdict.is_psd == psd
+    if psd:
+        positive = sorted((d for d in diagonal if d > 0), reverse=True)
+        assert verdict.pivots == tuple(positive)
+        assert verdict.rank == len(positive) < matrix.dim  # zero diagonal entries present
+    else:
+        assert sum(d < 0 for d in diagonal) > 1
+        assert verdict.witness_value == min(diagonal)
+        support = [i for i, w in enumerate(verdict.witness) if not w.is_zero]
+        assert len(support) == 1 and diagonal[support[0]] == min(diagonal)
+
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _shifted_forms(draw):
+    """t * sum_a |z^a|^2 plus a few random hermitian terms, with a shift N."""
+    n, m, N = draw(st.integers(2, 4)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    basis = mi.enumerate_degree(n, m)
+    t = draw(st.integers(0, 3))
+    triples = [(a, a, qc(t)) for a in basis]
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+        if a == b:
+            triples.append((a, a, qc(draw(_rationals))))
+        else:
+            c = qc(draw(_rationals), draw(_rationals))
+            triples += [(a, b, c), (b, a, c.conj())]
+    return forms.HermitianForm.from_terms(n, m, triples), N
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shifted_forms())
+def test_exact_kernel_agrees_with_eigvalsh_and_proves_its_verdicts(case):
+    form, N = case
+    matrix = mult.multiplier_matrix(form, N)
+    verdict = mult.is_psd(matrix)
+    A = matrix.to_dense()
+    band = 1e-9 * np.linalg.norm(A)
+    lam_min = np.linalg.eigvalsh(A)[0]
+    if abs(lam_min) > band:
+        assert verdict.is_psd == (lam_min > 0)
+    if verdict.is_psd:
+        assert mult.sos_decompose(form, N).verified == "exact-pass"
+    else:
+        v = verdict.witness
+        quadratic = sum((v[i].conj() * c * v[j] for (i, j), c in matrix.entries.items()), qc(0))
+        assert quadratic == qc(verdict.witness_value) and verdict.witness_value < 0
 
 
 def test_exact_matches_float_on_clear_cases():
