@@ -9,6 +9,7 @@ rejected.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -114,10 +115,10 @@ def _read_json(path):
     path = Path(path)
     try:
         return json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or text that is not UTF-8
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def load_form(path) -> HermitianForm:
@@ -139,9 +140,14 @@ def _coeff_to_json(value, mode: str):
 def _coeff_from_json(re, im, mode: str, context: str):
     if mode == "exact":
         return qc(parse_rational(re, context), parse_rational(im, context))
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-        raise ParseError("floating certificate coefficients must be JSON numbers", context)
-    return complex(re, im)
+    return complex(_finite_float(re, "coefficients", context), _finite_float(im, "coefficients", context))
+
+
+def _finite_float(value, what: str, context: str) -> float:
+    """A JSON number as a finite float; json.loads also yields NaN, infinities and huge ints."""
+    if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ParseError(f"floating certificate {what} must be finite JSON numbers, got {value!r:.40}", context)
 
 
 def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = None) -> dict:
@@ -199,10 +205,8 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         _expect_keys(sq, {"weight", "coefficients"}, {"weight", "coefficients"}, ctx)
         if mode == "exact":
             weight = parse_rational(sq["weight"], ctx)
-        elif isinstance(sq["weight"], (int, float)):
-            weight = float(sq["weight"])
         else:
-            raise ParseError("floating certificate weights must be JSON numbers", ctx)
+            weight = _finite_float(sq["weight"], "weights", ctx)
         if weight <= 0:
             raise ParseError(f"weight must be positive, got {weight}", ctx)
         if not isinstance(sq["coefficients"], list):
@@ -229,6 +233,8 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     if "form" in data:
         form = form_from_dict(data["form"])
     elif "form_path" in data:
+        if not isinstance(data["form_path"], str):
+            raise ParseError("form_path must be a string", "certificate")
         form = load_form(data["form_path"])
     return cert, form
 

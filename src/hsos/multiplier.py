@@ -3,16 +3,17 @@
 The coefficient matrix of ||z||^(2N) f(z, z̄) over the degree-(m+N) monomial
 basis is hermitian; the shifted form is a sum of squares of holomorphic
 polynomials exactly when that matrix is positive semidefinite.  One exact
-kernel, a pivoted rational LDL* factorization of each connected block of the
-sparsity pattern, decides PSD, raises NotPsdError with an exactly checked
-witness, and yields certificates sum_j w_j |Q_j(z)|^2 with rational weights
-w_j > 0, which are then re-expanded and compared entrywise against the
-multiplier matrix.
+kernel, a pivoted LDL* factorization of each connected block of the sparsity
+pattern, computed fraction-free on the matrix scaled to Gaussian integers,
+decides PSD, raises NotPsdError with an exactly checked witness, and yields
+certificates sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0, which are
+then re-expanded and compared entrywise against the multiplier matrix.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,7 +157,7 @@ def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
     return v
 
 
-def _components(rows: dict[int, dict[int, QC]]) -> list[set[int]]:
+def _components(rows: dict[int, dict]) -> list[set[int]]:
     """Connected components of the sparsity pattern; rows holds the off-diagonal entries."""
     seen: set[int] = set()
     components = []
@@ -175,33 +176,39 @@ def _components(rows: dict[int, dict[int, QC]]) -> list[set[int]]:
 
 
 def _ldlt(matrix: MultiplierMatrix):
-    """Pivoted rational LDL* of a hermitian matrix, the one exact PSD kernel.
+    """Pivoted fraction-free LDL* of a hermitian matrix, the one exact PSD kernel.
 
-    The pivot is the largest |diagonal| left, ties by index.  Eliminating it
-    updates only its own connected block of the sparsity pattern, so each
-    block keeps its own candidate pivot and a heap picks among the blocks'
-    candidates: the pivot order is the global one, at the cost of a scan of
-    one block per step (a diagonal matrix is dim blocks of size 1).
+    D, the lcm of the entry denominators, scales the matrix to Gaussian
+    integers A (pairs of ints).  Pivot a = A[k][k] updates its block as
+    A[i][j] = (a A[i][j] - A[i][k] A[k][j]) // b, b the block's previous pivot
+    (1 at first), a division Sylvester's identity makes exact (Bareiss 1968):
+    no gcd per entry.  The Schur complement is A / (b D), so d = a / (b D) and
+    l_i = conj(A[k][i]) / a.  The pivot is the largest |diagonal| of the Schur
+    complement left, ties by index; it updates only its connected block of the
+    sparsity pattern, so a heap over each block's candidate keeps that order.
 
     Returns (processed, pivots) where processed is a list of (pivot_index,
     column dict) in elimination order.  A matrix that is not PSD raises
     NotPsdError with a witness v whose value <Mv, v> < 0 is checked exactly.
     """
-    diag: dict[int, Fraction] = {i: Fraction(0) for i in range(matrix.dim)}
-    rows: dict[int, dict[int, QC]] = {i: {} for i in range(matrix.dim)}
+    D = math.lcm(*(x.denominator for c in matrix.entries.values() for x in (c.re, c.im)))
+    diag: dict[int, int] = {i: 0 for i in range(matrix.dim)}
+    rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
     for (i, j), c in matrix.entries.items():
+        re, im = c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator)
         if i == j:
-            if c.im != 0:
+            if im:
                 raise ValueError(f"diagonal entry {i} not real; matrix not hermitian")
-            diag[i] = c.re
+            diag[i] = re
         else:
-            rows[i][j] = c
+            rows[i][j] = (re, im)
 
     blocks = _components(rows)
+    prev = [1] * len(blocks)  # each block's last pivot b; its Schur complement is A / (b D)
 
     def candidate(b: int):
         k = min(blocks[b], key=lambda i: (-abs(diag[i]), i))
-        return -abs(diag[k]), k, b
+        return -Fraction(abs(diag[k]), prev[b]), k, b
 
     heap = [candidate(b) for b in range(len(blocks))]
     heapq.heapify(heap)
@@ -211,39 +218,47 @@ def _ldlt(matrix: MultiplierMatrix):
 
     while heap:
         _, k, b = heapq.heappop(heap)
-        dk = diag[k]
-        if dk < 0:
+        a, pb = diag[k], prev[b]
+        if a < 0:
             witness = {k: QC_ONE}
             break
-        if dk == 0:
+        if a == 0:
             # every remaining diagonal vanishes, so any nonzero entry c = S[i][j]
             # of the remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2
-            rest = set().union(*blocks)
-            witness = next(
-                ({i: -c, j: QC_ONE} for i in sorted(rest) for j, c in rows[i].items() if j in rest and not c.is_zero),
-                None,
-            )
+            scale = {i: prev[bb] * D for bb, block in enumerate(blocks) for i in block}
+            witness = next(({i: QC(Fraction(-re, scale[i]), Fraction(-im, scale[i])), j: QC_ONE}
+                            for i in sorted(scale) for j, (re, im) in rows[i].items()), None)
             break
         active = blocks[b]
         active.remove(k)
-        krow = rows.pop(k)
-        diag.pop(k)
-        # krow holds A[k][i]; the L column needs l_i = A[i][k]/d = conj(A[k][i])/d
-        col = {i: c.conj() / dk for i, c in krow.items() if i in active and not c.is_zero}
-        for i, li in col.items():
-            rows[i].pop(k, None)
-            diag[i] -= li.abs2() * dk
-            rowi = rows[i]
-            for j, lj in col.items():
-                if j == i:
-                    continue
-                s = rowi.get(j, QC_ZERO) - li * (lj.conj() * dk)
-                if s.is_zero:
-                    rowi.pop(j, None)
+        del diag[k]
+        # A[k][i] in row k's order, which fixes where fill-in lands in each row
+        # and so which entry the zero-pivot witness takes
+        kcol = {i: c for i, c in rows.pop(k).items() if i in active}
+        for i in active:  # entries outside the rank-one update only rescale by a / pb
+            rowi, inside = rows[i], i in kcol
+            if inside:
+                del rowi[k]
+            else:
+                diag[i] = diag[i] * a // pb
+            for j, (re, im) in rowi.items():
+                if not (inside and j in kcol):
+                    rowi[j] = (re * a // pb, im * a // pb)
+        order = list(kcol)
+        for p, i in enumerate(order):
+            (kr, ki), rowi = kcol[i], rows[i]
+            diag[i] = (a * diag[i] - kr * kr - ki * ki) // pb
+            for j in order[p + 1:]:  # upper triangle; the lower one is its conjugate
+                (xr, xi), (old_re, old_im) = kcol[j], rowi.get(j, (0, 0))
+                re = (a * old_re - kr * xr - ki * xi) // pb  # conj(A[k][i]) A[k][j]
+                im = (a * old_im - kr * xi + ki * xr) // pb
+                if re or im:
+                    rowi[j], rows[j][i] = (re, im), (re, -im)
                 else:
-                    rowi[j] = s
-        processed.append((k, col))
-        pivots.append(dk)
+                    del rowi[j], rows[j][i]
+        processed.append((k, {i: QC(Fraction(re, a), Fraction(-im, a)) for i, (re, im) in kcol.items()}))
+        pivots.append(Fraction(a, pb * D))
+        prev[b] = a
         if active:
             heapq.heappush(heap, candidate(b))
 
@@ -267,8 +282,9 @@ def is_psd(
 ) -> PsdVerdict:
     """Decide positive semidefiniteness.
 
-    Exact mode: pivoted rational LDL*; PSD iff all pivots are positive and the
-    zero-pivot tail vanishes identically.  Semidefinite counts as success.
+    Exact mode: pivoted fraction-free LDL*; PSD iff all pivots are positive
+    and the zero-pivot tail vanishes identically.  Semidefinite counts as
+    success.
     Floating mode: smallest eigenvalue of the hermitian matrix; verdicts inside
     the band |eig| < tol * ||M||_F raise NumericalIndeterminate.
     """

@@ -126,6 +126,43 @@ def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path,
     assert code == 2 and "input error" in err
 
 
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+def _form_path(value):
+    def mutate(doc):
+        del doc["form"]
+        doc["form_path"] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mode, mutate",
+    [
+        ("exact", _form_path(5)),
+        ("float", _set(("squares", 0, "weight"), float("nan"))),
+        ("float", _set(("squares", 0, "weight"), 10**400)),
+        ("float", _set(("squares", 0, "coefficients", 0, "re"), float("inf"))),
+        ("float", _set(("squares", 0, "coefficients", 0, "im"), -float("inf"))),
+    ],
+    ids=["form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity"],
+)
+def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mode, mutate):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify", fc1_path, "1", "--mode", mode, "--out", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    mutate(doc)
+    cert_path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which json.loads reads back
+    code, _, err = run(capsys, ["verify", str(cert_path)])
+    assert code == 2 and "input error" in err
+
+
 def test_search(capsys, fc1_path):
     code, out, _ = run(capsys, ["search", fc1_path, "--n-max", "10"])
     assert code == 0 and "minimal N = 1" in out

@@ -1,11 +1,17 @@
+import cmath
+import copy
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hsos import formats, forms, multiplier as mult
 from hsos.exact import qc
 
-from conftest import ridge_form
+from conftest import random_hermitian_form, ridge_form
 
 
 def test_parse_rational():
@@ -160,3 +166,99 @@ def test_stable_dump_rejects_non_finite_numbers():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             formats.dumps_stable({"x": bad})
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz: malformed documents raise only ParseError or FormError
+# ---------------------------------------------------------------------------
+
+_SAMPLE_FORM = Path(__file__).resolve().parent.parent / "sample_forms" / "fc_1.json"
+
+
+def _valid_documents() -> list[tuple[str, dict]]:
+    fc1 = forms.fc_form(1)
+    ridge = ridge_form()
+    by_path = formats.certificate_to_dict(mult.sos_decompose(fc1, 1))
+    by_path["form_path"] = str(_SAMPLE_FORM)
+    return [
+        ("form", formats.form_to_dict(fc1)),
+        ("form", formats.form_to_dict(forms.add_forms(ridge, random_hermitian_form(random.Random(3), 2, 2)))),
+        ("certificate", formats.certificate_to_dict(mult.sos_decompose(ridge, 0), ridge)),
+        ("certificate", formats.certificate_to_dict(mult.sos_decompose(fc1, 1, mode="float"), fc1)),
+        ("certificate", by_path),
+    ]
+
+
+_DOCUMENTS = _valid_documents()
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**400), 10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "1/0", "nan", "Infinity", "abc", "2", "\x00", "-1"]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["x", "n", "re"]), st.integers(0, 2), max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid form or certificate with 1-3 edits: a value replaced by junk, a key or
+    list element removed, or an unknown key added."""
+    kind, doc = draw(st.sampled_from(_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JUNK) if draw(st.booleans()) else doc
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JUNK)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["unexpected"] = draw(_JUNK)
+        if not isinstance(doc, (dict, list)):
+            break
+    return kind, doc
+
+
+def _parse(kind, doc):
+    return (formats.form_from_dict if kind == "form" else formats.certificate_from_dict)(doc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mutated_documents())
+@example(("certificate", {**_DOCUMENTS[4][1], "form_path": 5}))
+@example(("certificate", {**_DOCUMENTS[4][1], "form_path": "\x00"}))
+@example(("certificate", {**_DOCUMENTS[3][1], "squares": [{**_DOCUMENTS[3][1]["squares"][0], "weight": float("nan")}]}))
+def test_malformed_documents_raise_only_input_errors(case):
+    kind, doc = case
+    try:
+        parsed = _parse(kind, doc)
+    except (formats.ParseError, forms.FormError):
+        return
+    if kind == "certificate" and parsed[0].mode == "float":  # what parses is usable: finite numbers
+        for sq in parsed[0].squares:
+            assert 0 < sq.weight < math.inf
+            assert all(cmath.isfinite(c) for c in sq.coefficients.values())
+
+
+def test_bad_form_path_and_non_finite_weight_are_parse_errors():
+    float_doc = _DOCUMENTS[3][1]
+    bad = [{**_DOCUMENTS[4][1], "form_path": value} for value in (5, None, ["a"], "\x00")]
+    bad += [{**float_doc, "squares": [{**float_doc["squares"][0], "weight": w}]} for w in (float("nan"), float("inf"), 10**400)]
+    for doc in bad:
+        with pytest.raises(formats.ParseError):
+            formats.certificate_from_dict(doc)

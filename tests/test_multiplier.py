@@ -144,6 +144,29 @@ def test_zero_pivot_with_nonzero_row_detected():
     assert verdict.witness_value < 0
 
 
+def test_zero_pivot_witness_uses_rational_schur_entry_across_blocks():
+    # three blocks.  {0, 1, 2}: after pivot 3/2 the Schur complement is
+    # [[0, s], [conj(s), 0]] with s = 1/3 - i/6, so its scale b D is not 1 when
+    # the remaining diagonal vanishes.  {3, 4}: positive pivots 1 and 24/25.
+    # {5, 6}: zero diagonal from the start.  The witness takes the first
+    # remaining row, 1: u = -s e_1 + e_2, lifted through column 0.
+    h = Fraction(1, 2)
+    upper = {
+        (0, 0): qc(Fraction(3, 2)), (0, 1): qc(h), (0, 2): qc(0, h),
+        (1, 1): qc(Fraction(1, 6)), (1, 2): qc(Fraction(1, 3)), (2, 2): qc(Fraction(1, 6)),
+        (3, 3): qc(1), (3, 4): qc(Fraction(1, 5)), (4, 4): qc(1),
+        (5, 6): qc(Fraction(1, 7)),
+    }
+    entries = {**upper, **{(j, i): c.conj() for (i, j), c in upper.items()}}
+    basis = tuple(mi.iter_degree(2, 6))
+    matrix = mult.MultiplierMatrix(2, 6, 0, basis, entries)
+    verdict = mult.is_psd(matrix)
+    assert not verdict.is_psd
+    s = qc(Fraction(1, 3), Fraction(-1, 6))
+    assert verdict.witness == (qc(Fraction(1, 9), Fraction(-7, 18)), -s, qc(1), qc(0), qc(0), qc(0), qc(0))
+    assert verdict.witness_value == -2 * s.abs2() == Fraction(-5, 18)
+
+
 @pytest.mark.parametrize(
     "c, N, psd", [(3, 0, False), (3, 1, False), (3, 2, False), (Fraction(1, 2), 3, True)]
 )
