@@ -29,7 +29,7 @@ class ParseError(ValueError):
 
 
 def parse_rational(text, context: str = "") -> Fraction:
-    """Exact rational from "p/q", integer, or decimal notation."""
+    """Exact rational from "p/q", integer, or decimal notation with |exponent| <= 4300."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -37,6 +37,9 @@ def parse_rational(text, context: str = "") -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"expected rational string, got {type(text).__name__}", context)
     try:
+        exponent = text.lower().partition("e")[2]
+        if exponent and abs(int(exponent)) > 4300:  # Python's default limit on int-string digits
+            raise ValueError("decimal exponent exceeds 4300 in magnitude")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed rational {text!r}: {exc}", context) from None

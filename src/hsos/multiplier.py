@@ -6,8 +6,10 @@ polynomials exactly when that matrix is positive semidefinite.  One exact
 kernel, a pivoted LDL* factorization of each connected block of the sparsity
 pattern, computed fraction-free on the matrix scaled to Gaussian integers,
 decides PSD, raises NotPsdError with an exactly checked witness, and yields
-certificates sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0, which are
-then re-expanded and compared entrywise against the multiplier matrix.
+certificates sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0.  Verification
+rejects any weight <= 0, re-expands the squares exactly in Gaussian integers
+over one common denominator and compares every entry of the multiplier matrix
+by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -406,31 +408,50 @@ def sos_decompose(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    status, residual = verify_certificate(form, cert, size_cap=size_cap)
+    status, residual = _verify_against(matrix, cert, float_tol=1e-8)
     if status == "fail":
         raise VerificationFailed(residual)
     return SosCertificate(form.n, form.m, N, cert.mode, cert.squares, status, residual)
 
 
-def expand_squares(cert: SosCertificate) -> dict[tuple[int, int], object]:
-    """Coefficient matrix of sum_j w_j Q_j(z) conj(Q_j(z)) over the ranked basis."""
+def _gaussian_expansion(cert: SosCertificate) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
+    """Upper triangle (i <= j) of an exact certificate's expansion as Gaussian integers (re, im) over L.
+
+    Square j, scaled by den (the lcm of its coefficient denominators) to Gaussian integers g, keeps
+    s_j = w_j / den^2; L = lcm_j den(s_j), and square j adds g_i conj(g_k) num(s_j) L / den(s_j).
+    """
     position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
-    out: dict[tuple[int, int], object] = {}
-    exact = cert.mode == "exact"
+    scaled = []
+    for sq in cert.squares:
+        den = math.lcm(*(x.denominator for c in sq.coefficients.values() for x in (c.re, c.im)))
+        g = sorted((position[a], c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+                   for a, c in sq.coefficients.items())
+        scaled.append((Fraction(sq.weight) / (den * den), g))
+    L = math.lcm(*(s.denominator for s, _ in scaled))
+    upper: dict[tuple[int, int], tuple[int, int]] = {}
+    for s, g in scaled:
+        f = s.numerator * (L // s.denominator)
+        for p, (i, ar, ai) in enumerate(g):  # sorted by position, so i <= j below
+            for j, br, bi in g[p:]:  # small products first, then the scale f
+                re, im = upper.get((i, j), (0, 0))
+                upper[(i, j)] = (re + (ar * br + ai * bi) * f, im + (ai * br - ar * bi) * f)
+    return upper, L
+
+
+def expand_squares(cert: SosCertificate) -> dict[tuple[int, int], object]:
+    """Coefficient matrix of sum_j w_j Q_j(z) conj(Q_j(z)) over the ranked basis, both orientations."""
+    if cert.mode == "exact":  # QC entries, zeros left out
+        upper, L = _gaussian_expansion(cert)
+        half = {(i, j): QC(Fraction(re, L), Fraction(im, L)) for (i, j), (re, im) in upper.items() if re or im}
+        return {**half, **{(j, i): c.conj() for (i, j), c in half.items()}}
+    out: dict[tuple[int, int], complex] = {}
+    position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
     for sq in cert.squares:
         ranked = [(position[a], c) for a, c in sq.coefficients.items()]
         for i, ci in ranked:
             for j, cj in ranked:
-                if exact:
-                    term = sq.weight * ci * cj.conj()
-                    s = out.get((i, j), QC_ZERO) + term
-                    if s.is_zero:
-                        out.pop((i, j), None)
-                    else:
-                        out[(i, j)] = s
-                else:
-                    term = sq.weight * ci * np.conj(cj)
-                    out[(i, j)] = out.get((i, j), 0j) + term
+                term = sq.weight * ci * np.conj(cj)
+                out[(i, j)] = out.get((i, j), 0j) + term
     return out
 
 
@@ -442,17 +463,28 @@ def verify_certificate(
 ) -> tuple[str, Optional[float]]:
     """Independent re-expansion check of a certificate against the multiplier matrix.
 
-    Exact certificates must reproduce every entry exactly; floating ones pass
-    when the max-abs residual is below float_tol * ||c^N||_max.
+    Every weight must be positive.  Exact certificates must reproduce every entry exactly, compared
+    over the expansion's common denominator without building a Fraction; floating ones pass when the
+    max-abs residual is below float_tol * ||c^N||_max.
     """
-    matrix = multiplier_matrix(form, cert.N, size_cap=size_cap)
-    expanded = expand_squares(cert)
+    return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert, float_tol)
+
+
+def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate, float_tol: float) -> tuple[str, Optional[float]]:
+    if any(not sq.weight > 0 for sq in cert.squares):
+        return "fail", None
     if cert.mode == "exact":
-        keys = set(expanded) | set(matrix.entries)
-        for key in keys:
-            if expanded.get(key, QC_ZERO) != matrix.entries.get(key, QC_ZERO):
+        upper, L = _gaussian_expansion(cert)
+        for (i, j), c in matrix.entries.items():  # (re + i im) / L == c, conjugated below the diagonal
+            re, im = upper.get((min(i, j), max(i, j)), (0, 0))
+            sign = 1 if i <= j else -1
+            if re * c.re.denominator != c.re.numerator * L or sign * im * c.im.denominator != c.im.numerator * L:
                 return "fail", None
+        if any((re or im) and ((i, j) not in matrix.entries or (j, i) not in matrix.entries)
+               for (i, j), (re, im) in upper.items()):
+            return "fail", None
         return "exact-pass", 0.0
+    expanded = expand_squares(cert)
     residual = 0.0
     keys = set(expanded) | set(matrix.entries)
     for key in keys:

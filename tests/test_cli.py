@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,15 @@ def test_analyze_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(bad)])
     assert code == 2
     assert "1/0" in err
+
+
+def test_analyze_huge_decimal_exponent_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"n": 2, "m": 2, "terms": [{"alpha": [2,0], "beta": [2,0], "re": "1e10000000"}]}')
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["analyze", str(bad)])
+    assert code == 2 and "exponent" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_analyze_non_hermitian(capsys, tmp_path):

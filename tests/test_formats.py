@@ -20,6 +20,8 @@ def test_parse_rational():
     assert formats.parse_rational(5) == 5
     assert formats.parse_rational("0.5") == Fraction(1, 2)
     assert formats.parse_rational("1.25e2") == 125
+    assert formats.parse_rational("1e4300") == 10**4300
+    assert formats.parse_rational("1E-4300") == Fraction(1, 10**4300)
 
 
 def test_parse_rational_rejects():
@@ -29,6 +31,9 @@ def test_parse_rational_rejects():
         formats.parse_rational("abc")
     with pytest.raises(formats.ParseError):
         formats.parse_rational(0.5)
+    for huge in ("1e4301", "2.5E-4301", "1e10000000"):
+        with pytest.raises(formats.ParseError, match="exponent"):
+            formats.parse_rational(huge)
 
 
 def test_form_roundtrip_identity():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsos import forms, multiindex as mi, multiplier as mult
-from hsos.exact import qc
+from hsos.exact import QC_ZERO, qc
 
 from conftest import (
     diag_n3_form,
@@ -362,6 +362,15 @@ def test_verify_detects_perturbation():
     assert status == "fail"
 
 
+@pytest.mark.parametrize("mode, weight", [("exact", Fraction(-1)), ("exact", Fraction(0)), ("float", -1.0), ("float", 0.0)])
+def test_verify_rejects_non_positive_weight(mode, weight):
+    # weight * |z1|^2 reproduces weight * |z1|^2 exactly, but only a positive weight makes it a sum of squares
+    square = mult.SosSquare(weight, {(1, 0): qc(1) if mode == "exact" else 1 + 0j})
+    cert = mult.SosCertificate(2, 1, 0, mode, (square,))
+    form = forms.scale(forms.coordinate_power(2, 1, 0), Fraction(weight))
+    assert mult.verify_certificate(form, cert)[0] == "fail"
+
+
 def test_float_certificate():
     f = forms.fc_form(1)
     cert = mult.sos_decompose(f, 1, mode="float")
@@ -379,3 +388,70 @@ def test_exact_certificates_across_corpus():
         cert = mult.sos_decompose(f, n0)
         assert cert.verified == "exact-pass"
         assert all(sq.weight > 0 for sq in cert.squares)
+
+
+def reference_expansion(cert: mult.SosCertificate) -> dict:
+    """sum_j w_j Q_j conj(Q_j) by QC products over every ordered pair: expand_squares' former exact loop."""
+    position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
+    out = {}
+    for sq in cert.squares:
+        ranked = [(position[a], c) for a, c in sq.coefficients.items()]
+        for i, ci in ranked:
+            for j, cj in ranked:
+                s = out.get((i, j), QC_ZERO) + sq.weight * ci * cj.conj()
+                if s.is_zero:
+                    out.pop((i, j), None)
+                else:
+                    out[(i, j)] = s
+    return out
+
+
+_denominators = st.one_of(st.integers(1, 12), st.sampled_from([10**9 + 7, 2**61 - 1, 2**127 - 1]))
+_cert_rationals = st.builds(Fraction, st.integers(-30, 30), _denominators)
+
+
+@st.composite
+def _exact_certificates(draw):
+    """Weighted squares that do not come from LDL*: any order, repeats, cancellations, zero squares."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    basis = mi.enumerate_degree(n, m)
+    squares = []
+    for _ in range(draw(st.integers(0, 5))):
+        monomials = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)))  # insertion order
+        coeffs = {a: qc(draw(_cert_rationals), draw(_cert_rationals)) for a in monomials}
+        weight = abs(draw(_cert_rationals)) + Fraction(1, draw(_denominators))
+        squares.append(mult.SosSquare(weight, coeffs))
+        if draw(st.booleans()):
+            squares.append(squares[draw(st.integers(0, len(squares) - 1))])  # a repeated square
+        if len(coeffs) > 1 and draw(st.booleans()):
+            # same weight, one coefficient negated: its products with the others cancel
+            flip = draw(st.sampled_from(monomials))
+            squares.append(mult.SosSquare(weight, {a: -c if a == flip else c for a, c in coeffs.items()}))
+    return mult.SosCertificate(n, m, 0, "exact", tuple(draw(st.permutations(squares))))
+
+
+def _with_square(cert: mult.SosCertificate, k: int, square: mult.SosSquare) -> mult.SosCertificate:
+    squares = cert.squares[:k] + (square,) + cert.squares[k + 1:]
+    return mult.SosCertificate(cert.n, cert.m, cert.N, cert.mode, squares)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_exact_certificates())
+def test_expand_squares_matches_reference_and_verifies_exactly(cert):
+    reference = reference_expansion(cert)
+    assert mult.expand_squares(cert) == reference
+    basis = mi.enumerate_degree(cert.n, cert.m)
+    form = forms.HermitianForm.from_terms(cert.n, cert.m, [(basis[i], basis[j], c) for (i, j), c in reference.items()])
+    assert mult.verify_certificate(form, cert) == ("exact-pass", 0.0)
+    for k, sq in enumerate(cert.squares):
+        tampered = []
+        if any(not c.is_zero for c in sq.coefficients.values()):
+            tampered.append(mult.SosSquare(sq.weight * (1 + Fraction(1, 10**30)), sq.coefficients))
+        for a, c in sq.coefficients.items():
+            # a real change of |c|^2 on the diagonal: w ((c.re + d)^2 - c.re^2) = w (2 |c.re| + 1) with d = +-1
+            tampered.append(mult.SosSquare(sq.weight, {**sq.coefficients, a: c + qc(1 if c.re >= 0 else -1)}))
+        missing = next((a for a in basis if a not in sq.coefficients), None)
+        if missing is not None:
+            tampered.append(mult.SosSquare(sq.weight, {**sq.coefficients, missing: qc(1)}))
+        for square in tampered:
+            assert mult.verify_certificate(form, _with_square(cert, k, square))[0] == "fail"
