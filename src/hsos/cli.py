@@ -92,7 +92,7 @@ def cmd_certify(args) -> int:
     except mult.NotPsdError as exc:
         verdict = exc  # exact mode attaches its witness; floating mode has none, so factor exactly
         if exc.witness is None:
-            verdict = mult.is_psd(mult.multiplier_matrix(form, args.N, size_cap=args.size_cap), mode="exact")
+            verdict = mult.is_psd(mult.multiplier_matrix(form, args.N, size_cap=args.size_cap))
         witness_note = ""
         if verdict.witness is not None:
             support = [(i, str(w)) for i, w in enumerate(verdict.witness) if not w.is_zero]
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     except mult.SizeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (mult.NumericalIndeterminate, audit_mod.QuadratureNonConvergence) as exc:
+    except audit_mod.QuadratureNonConvergence as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except audit_mod.WindowViolated as exc:

@@ -13,10 +13,6 @@ from typing import Iterator, Sequence
 MultiIndex = tuple[int, ...]
 
 
-def degree(alpha: Sequence[int]) -> int:
-    return sum(alpha)
-
-
 def validate_index(alpha: Sequence[int]) -> MultiIndex:
     a = tuple(int(x) for x in alpha)
     if not a:

@@ -2,14 +2,15 @@
 
 The coefficient matrix of ||z||^(2N) f(z, z̄) over the degree-(m+N) monomial
 basis is hermitian; the shifted form is a sum of squares of holomorphic
-polynomials exactly when that matrix is positive semidefinite.  One exact
-kernel, a pivoted LDL* factorization of each connected block of the sparsity
-pattern, computed fraction-free on the matrix scaled to Gaussian integers,
-decides PSD, raises NotPsdError with an exactly checked witness, and yields
-certificates sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0.  Verification
-rejects any weight <= 0, re-expands the squares exactly in Gaussian integers
-over one common denominator and compares every entry of the multiplier matrix
-by cross-multiplication.
+polynomials exactly when that matrix is positive semidefinite.  It is
+assembled once as Gaussian integers (pairs of ints) over one common
+denominator D, the lcm of f's coefficient denominators, and every consumer
+reads those integers.  One exact kernel, a pivoted fraction-free LDL* of each
+connected block of the sparsity pattern, decides PSD, raises NotPsdError with
+an exactly checked witness, and yields certificates sum_j w_j |Q_j(z)|^2 with
+rational weights w_j > 0.  Verification rejects any weight <= 0, re-expands
+the squares exactly in Gaussian integers over their own common denominator L
+and compares every entry of the multiplier matrix by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import forms as forms_mod
 from . import multiindex as mi
-from .exact import QC, QC_ONE, QC_ZERO, qc
+from .exact import QC, QC_ONE, QC_ZERO
 from .forms import HermitianForm
 
 
@@ -43,16 +44,6 @@ class NotPsdError(RuntimeError):
         super().__init__(message)
 
 
-class NumericalIndeterminate(RuntimeError):
-    def __init__(self, min_eigenvalue: float, band: float):
-        self.min_eigenvalue = min_eigenvalue
-        self.band = band
-        super().__init__(
-            f"smallest eigenvalue {min_eigenvalue:.3e} lies inside the tolerance band "
-            f"+-{band:.3e}; escalate to exact mode"
-        )
-
-
 class VerificationFailed(RuntimeError):
     def __init__(self, residual):
         self.residual = residual
@@ -62,48 +53,71 @@ class VerificationFailed(RuntimeError):
 DEFAULT_SIZE_CAP = 20_000
 
 
+def _common_denominator(values) -> int:
+    """lcm of the denominators of the QC values' parts, 1 for none."""
+    return math.lcm(*(x.denominator for c in values for x in (c.re, c.im)))
+
+
+def _gaussian(c: QC, den: int) -> tuple[int, int]:
+    """den * c as a Gaussian integer (re, im); den is a multiple of c's denominators."""
+    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+
+
 @dataclass(frozen=True)
 class MultiplierMatrix:
-    """Hermitian coefficient matrix of ||z||^(2N) f over the degree-(m+N) basis."""
+    """Hermitian coefficient matrix of ||z||^(2N) f over the degree-(m+N) basis.
+
+    Entry (i, j) is (re + i im) / D for numerators[(i, j)] = (re, im); both
+    orientations are stored and zero entries left out.
+    """
 
     n: int
     m: int
     N: int
     basis: tuple[mi.MultiIndex, ...]
-    entries: dict[tuple[int, int], QC]  # both orientations stored
+    D: int
+    numerators: dict[tuple[int, int], tuple[int, int]]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def entry(self, i: int, j: int) -> QC:
-        return self.entries.get((i, j), QC_ZERO)
+        re, im = self.numerators.get((i, j), (0, 0))
+        return QC(Fraction(re, self.D), Fraction(im, self.D))
+
+    @property
+    def entries(self) -> dict[tuple[int, int], QC]:
+        """The nonzero entries as exact QC values, both orientations."""
+        return {key: self.entry(*key) for key in self.numerators}
 
     def is_hermitian(self) -> bool:
-        for (i, j), c in self.entries.items():
-            if self.entries.get((j, i), QC_ZERO) != c.conj():
+        for (i, j), (re, im) in self.numerators.items():
+            if self.numerators.get((j, i)) != (re, -im):
                 return False
         return True
 
     def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.entries)
+        return all(i == j for (i, j) in self.numerators)
 
     def max_abs(self) -> float:
-        return max((abs(complex(c)) for c in self.entries.values()), default=0.0)
+        return max((abs(complex(re / self.D, im / self.D)) for re, im in self.numerators.values()), default=0.0)
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), c in self.entries.items():
-            A[i, j] = complex(c)
+        for (i, j), (re, im) in self.numerators.items():
+            A[i, j] = complex(re / self.D, im / self.D)  # correctly rounded, as float(Fraction(re, D))
         return A
 
 
 def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP) -> MultiplierMatrix:
-    """Exact entries of ||z||^(2N) f over degree m+N, assembled sparsely.
+    """Exact entries of ||z||^(2N) f over degree m+N, assembled sparsely in Gaussian integers.
 
     Entry (rho, gamma) = sum over splits rho = a + mu, gamma = b + mu with
     |mu| = N of (N!/mu!) c_ab; the outer loop runs over the nonzero c_ab and
-    the N-degree shifts mu, never over all (rho, gamma) pairs.
+    the N-degree shifts mu, never over all (rho, gamma) pairs.  Each c_ab is
+    scaled once to a Gaussian integer over D, the lcm of f's coefficient
+    denominators, and N!/mu! is an integer, so the sums stay in ints.
     """
     if N < 0:
         raise ValueError("shift degree N must be non-negative")
@@ -112,39 +126,45 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
         raise SizeCapExceeded(dim, size_cap)
     basis = tuple(mi.iter_degree(form.n, form.m + N))
     position = {alpha: i for i, alpha in enumerate(basis)}
-    entries: dict[tuple[int, int], QC] = {}
+    D = _common_denominator(form.coeffs.values())
+    scaled = [(alpha, beta, _gaussian(c, D)) for (alpha, beta), c in form.coeffs.items()]
+    numerators: dict[tuple[int, int], tuple[int, int]] = {}
     nfact = mi.factorial(N)
     for mu in mi.iter_degree(form.n, N):
-        w = Fraction(nfact, mi.index_factorial(mu))
-        for (alpha, beta), c in form.coeffs.items():
+        w = nfact // mi.index_factorial(mu)
+        for alpha, beta, (re, im) in scaled:
             key = (position[mi.add(alpha, mu)], position[mi.add(beta, mu)])
-            s = entries.get(key, QC_ZERO) + c * w
-            if s.is_zero:
-                entries.pop(key, None)
+            old_re, old_im = numerators.get(key, (0, 0))
+            s = (old_re + w * re, old_im + w * im)
+            if s == (0, 0):  # popped where a partial sum cancels: the insertion order fixes _ldlt's fill-in
+                numerators.pop(key, None)
             else:
-                entries[key] = s
-    return MultiplierMatrix(form.n, form.m, N, basis, entries)
+                numerators[key] = s
+    return MultiplierMatrix(form.n, form.m, N, basis, D, numerators)
 
 
 @dataclass(frozen=True)
 class PsdVerdict:
     is_psd: bool
-    mode: str
-    witness: Optional[tuple[QC, ...]] = None       # exact mode, <Mv, v> < 0
+    witness: Optional[tuple[QC, ...]] = None       # <Mv, v> < 0
     witness_value: Optional[Fraction] = None
-    pivots: Optional[tuple[Fraction, ...]] = None  # positive pivots, exact mode
+    pivots: Optional[tuple[Fraction, ...]] = None  # positive pivots
     rank: Optional[int] = None
-    min_eigenvalue: Optional[float] = None         # floating mode
 
 
 def _witness_quadratic_value(matrix: MultiplierMatrix, v: dict[int, QC]) -> Fraction:
-    total = QC_ZERO
-    for (i, j), c in matrix.entries.items():
-        if i in v and j in v:
-            total = total + v[i].conj() * c * v[j]
-    if total.im != 0:
+    """<Mv, v>: v scaled by s to Gaussian integers g, sum conj(g_i) A_ij g_j over the numerators, / (s^2 D)."""
+    s = _common_denominator(v.values())
+    g = {i: _gaussian(c, s) for i, c in v.items()}
+    re = im = 0
+    for (i, j), (ar, ai) in matrix.numerators.items():
+        if i in g and j in g:
+            (xr, xi), (yr, yi) = g[i], g[j]
+            pr, pi = xr * ar + xi * ai, xr * ai - xi * ar  # conj(g_i) A_ij
+            re, im = re + pr * yr - pi * yi, im + pr * yi + pi * yr
+    if im:
         raise ValueError("witness quadratic value not real; matrix not hermitian")
-    return total.re
+    return Fraction(re, s * s * matrix.D)
 
 
 def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
@@ -180,8 +200,9 @@ def _components(rows: dict[int, dict]) -> list[set[int]]:
 def _ldlt(matrix: MultiplierMatrix):
     """Pivoted fraction-free LDL* of a hermitian matrix, the one exact PSD kernel.
 
-    D, the lcm of the entry denominators, scales the matrix to Gaussian
-    integers A (pairs of ints).  Pivot a = A[k][k] updates its block as
+    A holds the matrix's numerators, Gaussian integers (pairs of ints) over
+    its common denominator D; any common denominator gives the same output.
+    Pivot a = A[k][k] updates its block as
     A[i][j] = (a A[i][j] - A[i][k] A[k][j]) // b, b the block's previous pivot
     (1 at first), a division Sylvester's identity makes exact (Bareiss 1968):
     no gcd per entry.  The Schur complement is A / (b D), so d = a / (b D) and
@@ -193,11 +214,10 @@ def _ldlt(matrix: MultiplierMatrix):
     column dict) in elimination order.  A matrix that is not PSD raises
     NotPsdError with a witness v whose value <Mv, v> < 0 is checked exactly.
     """
-    D = math.lcm(*(x.denominator for c in matrix.entries.values() for x in (c.re, c.im)))
+    D = matrix.D
     diag: dict[int, int] = {i: 0 for i in range(matrix.dim)}
     rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
-    for (i, j), c in matrix.entries.items():
-        re, im = c.re.numerator * (D // c.re.denominator), c.im.numerator * (D // c.im.denominator)
+    for (i, j), (re, im) in matrix.numerators.items():
         if i == j:
             if im:
                 raise ValueError(f"diagonal entry {i} not real; matrix not hermitian")
@@ -277,40 +297,18 @@ def _ldlt(matrix: MultiplierMatrix):
     return processed, pivots
 
 
-def is_psd(
-    matrix: MultiplierMatrix,
-    mode: Literal["exact", "float"] = "exact",
-    tol: float = 1e-9,
-) -> PsdVerdict:
-    """Decide positive semidefiniteness.
+def is_psd(matrix: MultiplierMatrix) -> PsdVerdict:
+    """Decide positive semidefiniteness exactly with the pivoted fraction-free LDL* of `_ldlt`.
 
-    Exact mode: pivoted fraction-free LDL*; PSD iff all pivots are positive
-    and the zero-pivot tail vanishes identically.  Semidefinite counts as
-    success.
-    Floating mode: smallest eigenvalue of the hermitian matrix; verdicts inside
-    the band |eig| < tol * ||M||_F raise NumericalIndeterminate.
+    PSD iff all pivots are positive and the zero-pivot tail vanishes
+    identically; semidefinite counts as success.  A not-PSD verdict carries a
+    witness v whose value <Mv, v> < 0 is checked exactly.
     """
-    if mode == "exact":
-        try:
-            _, pivots = _ldlt(matrix)
-        except NotPsdError as exc:
-            return PsdVerdict(False, "exact", witness=exc.witness, witness_value=exc.witness_value)
-        return PsdVerdict(True, "exact", pivots=tuple(pivots), rank=len(pivots))
-
-    if mode != "float":
-        raise ValueError(f"unknown mode {mode!r}")
-    A = matrix.to_dense()
-    fro = float(np.linalg.norm(A))
-    eigvals, eigvecs = np.linalg.eigh(A)
-    lam_min = float(eigvals[0])
-    band = tol * fro
-    if abs(lam_min) < band:
-        raise NumericalIndeterminate(lam_min, band)
-    if lam_min >= -band:
-        return PsdVerdict(True, "float", min_eigenvalue=lam_min)
-    vec = eigvecs[:, 0]
-    wit = tuple(qc(Fraction(float(x.real)), Fraction(float(x.imag))) for x in vec)
-    return PsdVerdict(False, "float", witness=wit, min_eigenvalue=lam_min)
+    try:
+        _, pivots = _ldlt(matrix)
+    except NotPsdError as exc:
+        return PsdVerdict(False, witness=exc.witness, witness_value=exc.witness_value)
+    return PsdVerdict(True, pivots=tuple(pivots), rank=len(pivots))
 
 
 @dataclass(frozen=True)
@@ -423,9 +421,8 @@ def _gaussian_expansion(cert: SosCertificate) -> tuple[dict[tuple[int, int], tup
     position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
     scaled = []
     for sq in cert.squares:
-        den = math.lcm(*(x.denominator for c in sq.coefficients.values() for x in (c.re, c.im)))
-        g = sorted((position[a], c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-                   for a, c in sq.coefficients.items())
+        den = _common_denominator(sq.coefficients.values())
+        g = sorted((position[a], *_gaussian(c, den)) for a, c in sq.coefficients.items())
         scaled.append((Fraction(sq.weight) / (den * den), g))
     L = math.lcm(*(s.denominator for s, _ in scaled))
     upper: dict[tuple[int, int], tuple[int, int]] = {}
@@ -475,21 +472,21 @@ def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate, float_tol: f
         return "fail", None
     if cert.mode == "exact":
         upper, L = _gaussian_expansion(cert)
-        for (i, j), c in matrix.entries.items():  # (re + i im) / L == c, conjugated below the diagonal
+        for (i, j), (a_re, a_im) in matrix.numerators.items():  # (re + i im) / L == (a_re + i a_im) / D
             re, im = upper.get((min(i, j), max(i, j)), (0, 0))
-            sign = 1 if i <= j else -1
-            if re * c.re.denominator != c.re.numerator * L or sign * im * c.im.denominator != c.im.numerator * L:
+            sign = 1 if i <= j else -1  # conjugated below the diagonal
+            if re * matrix.D != a_re * L or sign * im * matrix.D != a_im * L:
                 return "fail", None
-        if any((re or im) and ((i, j) not in matrix.entries or (j, i) not in matrix.entries)
+        if any((re or im) and ((i, j) not in matrix.numerators or (j, i) not in matrix.numerators)
                for (i, j), (re, im) in upper.items()):
             return "fail", None
         return "exact-pass", 0.0
     expanded = expand_squares(cert)
     residual = 0.0
-    keys = set(expanded) | set(matrix.entries)
+    keys = set(expanded) | set(matrix.numerators)
     for key in keys:
         got = complex(expanded.get(key, 0j))
-        want = complex(matrix.entries.get(key, QC_ZERO))
+        want = complex(matrix.entry(*key))
         residual = max(residual, abs(got - want))
     scale = max(matrix.max_abs(), 1e-300)
     return ("float-pass", residual) if residual <= float_tol * scale else ("fail", residual)

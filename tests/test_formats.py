@@ -6,9 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from hsos import formats, forms, multiplier as mult
+from hsos import formats, forms, multiindex as mi, multiplier as mult
 from hsos.exact import qc
 
 from conftest import random_hermitian_form, ridge_form
@@ -105,19 +105,40 @@ def test_non_hermitian_parses_but_fails_validation():
     assert any(isinstance(p, forms.SymmetryViolation) for p in problems)
 
 
-def test_certificate_roundtrip_exact(tmp_path):
-    f = forms.fc_form(1)
-    cert = mult.sos_decompose(f, 1)
+_weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 7))
+_coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def _psd_cases(draw):
+    """sum_j w_j |Q_j|^2 with Gaussian-rational Q_j, PSD from N = 0 on, and a shift N."""
+    n, m, N = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    basis = mi.enumerate_degree(n, m)
+    triples = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(_weights)
+        q = {a: qc(draw(_coefficients), draw(_coefficients)) for a in draw(st.lists(st.sampled_from(basis), unique=True))}
+        triples += [(a, b, w * ca * cb.conj()) for a, ca in q.items() for b, cb in q.items()]
+    return forms.HermitianForm.from_terms(n, m, triples), N
+
+
+# the one file is rewritten by every example
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_psd_cases())
+@example((forms.fc_form(1), 1))
+@example((ridge_form(), 1))
+def test_certificate_roundtrip_exact(tmp_path, case):
+    f, N = case
+    cert = mult.sos_decompose(f, N)
     path = tmp_path / "cert.json"
     formats.save_certificate(cert, path, form=f)
     loaded, embedded = formats.load_certificate(path)
     assert embedded is not None and embedded.coeffs == f.coeffs
-    assert loaded.N == 1 and loaded.mode == "exact"
+    assert loaded.N == N and loaded.mode == "exact"
+    assert loaded == cert  # bit-exact: weights and coefficients, in order, and the verification status
+    assert formats.certificate_from_dict(formats.certificate_to_dict(cert, f)) == (loaded, embedded)
     assert mult.verify_certificate(embedded, loaded) == ("exact-pass", 0.0)
-    # bit-exact: squares agree coefficientwise
-    assert len(loaded.squares) == len(cert.squares)
-    for a, b in zip(loaded.squares, cert.squares):
-        assert a.weight == b.weight and a.coefficients == b.coefficients
 
 
 def test_certificate_roundtrip_float(tmp_path):
