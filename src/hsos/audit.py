@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import forms as forms_mod
 from . import multiindex as mi
@@ -82,6 +81,8 @@ class RegimeParams:
 
 def default_epsilon(h: float) -> float:
     """The h^(1/3) policy, clamped to the admissible ceiling 1."""
+    if not h > 0:
+        raise ValueError(f"semiclassical parameter h must be positive, got {h}")
     return min(1.0, h ** (1.0 / 3.0))
 
 
@@ -145,7 +146,7 @@ def radial_I1(h: float, M: int, n: int) -> AuditReport:
     """
     if h <= 0 or M < 0 or n < 1:
         raise ValueError(f"invalid (h, M, n) = ({h}, {M}, {n})")
-    from scipy import integrate  # loaded on first use: only the audit suites need quadrature
+    from scipy import integrate, special  # scipy loads on first use: only the audit suites need it
     a = M + n
     lognorm = special.gammaln(a)
 
@@ -259,6 +260,7 @@ def exact_localization_E(h: float, M: int, k: int, epsilon: float, n: int) -> fl
     """
     if h <= 0 or M < 0 or k < 0 or n < 1 or epsilon <= 0:
         raise ValueError(f"invalid localization parameters (h={h}, M={M}, k={k}, eps={epsilon}, n={n})")
+    from scipy import special
     a = M + k + n
     x_lo = max(0.0, (1.0 - epsilon) / h)
     x_hi = (1.0 + epsilon) / h

@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import forms as forms_mod
 from . import multiplier as mult
+from . import spheremin
 from .exact import as_fraction
 from .forms import HermitianForm
 
@@ -74,9 +75,7 @@ def nie_schweighofer_N(form: HermitianForm, c: float, lambda_value: float) -> Op
         warnings.warn("c <= 0 gives a degenerate bound", UserWarning, stacklevel=2)
     if lambda_value <= 0:
         raise NonPositiveLambda(f"lambda = {lambda_value} must be positive")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", forms_mod.NotDiagonalWarning)
-        lt = float(forms_mod.lambda_tilde(form))
+    lt = float(forms_mod.lambda_tilde(form))
     exponent = c * (form.m**2) * (form.n**form.m) * (lt / lambda_value)
     if exponent > 700.0:
         return None  # overflow flag
@@ -150,14 +149,11 @@ def bound_report(
     search_C: bool = True,
 ) -> BoundReport:
     """Compute all invariants and bounds, run the empirical scan, and record checks."""
-    from . import spheremin  # scipy.special loads on first use, as in forms.lambda_min
     forms_mod.require_valid(form)
     C = as_fraction(C)
     lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", forms_mod.NotDiagonalWarning)
-        lt = float(forms_mod.lambda_tilde(form))
+    lt = float(forms_mod.lambda_tilde(form))
     diagonal = forms_mod.is_diagonal(form)
 
     report = BoundReport(
@@ -173,9 +169,7 @@ def bound_report(
     )
 
     try:
-        report.empirical_minimal_N = mult.minimal_sos_N(
-            form, n_max, size_cap=size_cap, warn_nonpositive=False
-        )
+        report.empirical_minimal_N = mult.minimal_sos_N(form, n_max, size_cap=size_cap)
         if report.empirical_minimal_N is None:
             report.notes["empirical_minimal_N"] = f"no PSD shift found up to N = {n_max}"
     except mult.SizeCapExceeded as exc:

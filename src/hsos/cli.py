@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 from . import audit as audit_mod
@@ -37,20 +36,14 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def _load_form(path):
-    form = formats.load_form(path)
-    problems = forms_mod.validate(form)
-    if problems:
-        raise problems[0]
-    return form
+    return forms_mod.require_valid(formats.load_form(path))
 
 
 def cmd_analyze(args) -> int:
     form = _load_form(args.form)
     lam, sharp = spheremin.sphere_range(form, tol=args.tolerance)
     big = forms_mod.big_lambda(form)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", forms_mod.NotDiagonalWarning)
-        lt = forms_mod.lambda_tilde(form)
+    lt = forms_mod.lambda_tilde(form)
     diagonal = forms_mod.is_diagonal(form)
     payload = {
         "command": "analyze",
@@ -159,9 +152,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     form = _load_form(args.form)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        found = mult.minimal_sos_N(form, args.n_max, size_cap=args.size_cap)
+    found = mult.minimal_sos_N(form, args.n_max, size_cap=args.size_cap)
     payload = {"command": "search", "n_max": args.n_max, "minimal_N": found}
     if found is None:
         _emit(args, payload, [f"no PSD multiplier matrix up to N = {args.n_max}"])
@@ -242,9 +233,10 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             reports.extend(audit_mod.check_laplacian_powers(form, samples=samples))
 
     if suite in ("radial", "all"):
+        h = 0.01 if args.h is None else args.h
         for M in [0, 1, 5, 10, 25, 50] if args.M is None else [args.M]:
             for n in [1, 2, 3, 6] if args.n is None else [args.n]:
-                reports.append(audit_mod.radial_I1(args.h or 0.01, M, n))
+                reports.append(audit_mod.radial_I1(h, M, n))
 
     if suite in ("tails", "all"):
         rhos = [args.rho] if args.rho is not None else [5, 10, 20, 50, 100]
@@ -255,11 +247,11 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
         reports.append(audit_mod.tail_delta_inequality())
 
     if suite in ("localization", "all"):
-        n = args.n or 2
-        m = args.m or 2
-        N = args.N or 320
-        h = args.h or 1.0 / N
-        eps = args.epsilon or audit_mod.default_epsilon(h)
+        n = 2 if args.n is None else args.n
+        m = 2 if args.m is None else args.m
+        N = 320 if args.N is None else args.N
+        h = 1.0 / N if args.h is None else args.h
+        eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
         params = audit_mod.RegimeParams(h=h, N=N, m=m, n=n, epsilon=eps)
         reports.append(audit_mod.check_sigma_window(params))
         ks = [args.k] if args.k is not None else list(range(m + 1))
@@ -293,8 +285,8 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             lam = forms_mod.lambda_min(form).value
             big = forms_mod.big_lambda(form)
             if args.h is not None:
-                N = args.N or max(1, math.ceil(1.0 / args.h))
-                eps = args.epsilon or audit_mod.default_epsilon(args.h)
+                N = max(1, math.ceil(1.0 / args.h)) if args.N is None else args.N
+                eps = audit_mod.default_epsilon(args.h) if args.epsilon is None else args.epsilon
                 params = audit_mod.RegimeParams(h=args.h, N=N, m=form.m, n=form.n, epsilon=eps)
                 value, rep = audit_mod.basic_rhs(form, params, lam, big)
                 reports.append(rep)
@@ -320,35 +312,25 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
 
 
 def cmd_audit(args) -> int:
-    try:
-        reports = _audit_reports(args)
-    except audit_mod.QuadratureNonConvergence as exc:
-        print(f"quadrature failed to converge: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    if args.json:
-        payload = {
-            "command": "audit",
-            "suite": args.suite,
-            "reports": [
-                {
-                    "check": r.check_name,
-                    "parameters": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in r.parameters.items()},
-                    "lhs": None if isinstance(r.lhs, float) and not math.isfinite(r.lhs) else r.lhs,
-                    "rhs": None if isinstance(r.rhs, float) and not math.isfinite(r.rhs) else r.rhs,
-                    "ratio": None if isinstance(r.ratio, float) and not math.isfinite(r.ratio) else r.ratio,
-                    "pass": r.passed,
-                    "notes": r.notes,
-                }
-                for r in reports
-            ],
-        }
-        print(formats.dumps_stable({"format_version": formats.FORMAT_VERSION, **payload}))
-    else:
-        for r in reports:
-            print(r.line())
-        total = len(reports)
-        good = sum(r.passed for r in reports)
-        print(f"{good}/{total} checks passed")
+    reports = _audit_reports(args)
+    payload = {
+        "command": "audit",
+        "suite": args.suite,
+        "reports": [
+            {
+                "check": r.check_name,
+                "parameters": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in r.parameters.items()},
+                "lhs": None if isinstance(r.lhs, float) and not math.isfinite(r.lhs) else r.lhs,
+                "rhs": None if isinstance(r.rhs, float) and not math.isfinite(r.rhs) else r.rhs,
+                "ratio": None if isinstance(r.ratio, float) and not math.isfinite(r.ratio) else r.ratio,
+                "pass": r.passed,
+                "notes": r.notes,
+            }
+            for r in reports
+        ],
+    }
+    good = sum(r.passed for r in reports)
+    _emit(args, payload, [r.line() for r in reports] + [f"{good}/{len(reports)} checks passed"])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NEGATIVE
 
 
@@ -431,6 +413,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except audit_mod.WindowViolated as exc:
         print(f"sigma window violated: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:  # an out-of-range argument, such as N < 0
+        print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -14,7 +14,6 @@ checks.  The four scalar invariants live here:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -53,10 +52,6 @@ class DimensionMismatch(FormError):
 
 class DegreeZeroError(FormError):
     pass
-
-
-class NotDiagonalWarning(UserWarning):
-    """Raised as a warning when a diagonal-only invariant is taken on a non-diagonal form."""
 
 
 CoeffKey = tuple[mi.MultiIndex, mi.MultiIndex]
@@ -295,17 +290,7 @@ def big_lambda(form: HermitianForm) -> float:
 
 
 def lambda_tilde(form: HermitianForm) -> Fraction:
-    """max over diagonal entries of (a!/m!) |c_aa|, exact.
-
-    Warns when off-diagonal coefficients exist: the diagonal (Polya-type)
-    bound that consumes this value requires a diagonal form.
-    """
-    if not is_diagonal(form):
-        warnings.warn(
-            "form has off-diagonal coefficients; diagonal max is still returned",
-            NotDiagonalWarning,
-            stacklevel=2,
-        )
+    """max over diagonal entries of (a!/m!) |c_aa|, exact; off-diagonal coefficients are ignored."""
     mfact = mi.factorial(form.m)
     best = Fraction(0)
     for (alpha, beta), c in form.coeffs.items():
@@ -321,7 +306,7 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
 def lambda_min(form: HermitianForm, **options):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    See spheremin.minimize_on_sphere for options (tol, grid_budget, certify, ...).
+    See spheremin.minimize_on_sphere for its options, tol and certify.
     """
     from . import spheremin
 

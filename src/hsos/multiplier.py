@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
 import numpy as np
 
-from . import forms as forms_mod
 from . import multiindex as mi
 from .exact import QC, QC_ONE, QC_ZERO
 from .forms import HermitianForm
@@ -333,29 +331,16 @@ class SosCertificate:
         return len(self.squares)
 
 
-def _positivity_probe(form: HermitianForm) -> float:
-    from . import spheremin
-
-    return float(forms_mod.evaluate_batch(form, spheremin._starting_points(form.n, 32)).min())
-
-
 def minimal_sos_N(
     form: HermitianForm,
     n_max: int,
     size_cap: int = DEFAULT_SIZE_CAP,
-    warn_nonpositive: bool = True,
 ) -> Optional[int]:
     """Smallest N <= n_max whose multiplier matrix is PSD (exact), else None.
 
     Linear scan from 0; by monotonicity of the PSD property in N the first
     success is the minimum.
     """
-    if warn_nonpositive and not form.is_zero and _positivity_probe(form) <= 0:
-        warnings.warn(
-            "form appears to be <= 0 somewhere on the sphere; the scan may not terminate early",
-            UserWarning,
-            stacklevel=2,
-        )
     for N in range(n_max + 1):
         if is_psd(multiplier_matrix(form, N, size_cap=size_cap)).is_psd:
             return N
@@ -460,15 +445,15 @@ def verify_certificate(
 ) -> tuple[str, Optional[float]]:
     """Independent re-expansion check of a certificate against the multiplier matrix.
 
-    Every weight must be positive.  Exact certificates must reproduce every entry exactly, compared
-    over the expansion's common denominator without building a Fraction; floating ones pass when the
-    max-abs residual is below float_tol * ||c^N||_max.
+    The certificate's (n, m) must be the form's and every weight must be positive.  Exact certificates
+    must reproduce every entry exactly, compared over the expansion's common denominator without
+    building a Fraction; floating ones pass when the max-abs residual is below float_tol * ||c^N||_max.
     """
     return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert, float_tol)
 
 
 def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate, float_tol: float) -> tuple[str, Optional[float]]:
-    if any(not sq.weight > 0 for sq in cert.squares):
+    if (cert.n, cert.m, cert.N) != (matrix.n, matrix.m, matrix.N) or any(not sq.weight > 0 for sq in cert.squares):
         return "fail", None
     if cert.mode == "exact":
         upper, L = _gaussian_expansion(cert)

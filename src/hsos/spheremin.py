@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import forms
 from .forms import HermitianForm
+
+MAX_ITER = 500  # descent iterations per start
+QUASI_STARTS = 64  # Halton starts on top of the axes and the balanced points
+GRID_BUDGET = 160_000  # evaluations of the certified grid pass (n <= 3)
 
 
 @dataclass(frozen=True)
@@ -93,13 +96,13 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / nrm
 
 
-def _pgd_batch(obj: _Objective, X0: np.ndarray, max_iter: int, tol: float):
+def _pgd_batch(obj: _Objective, X0: np.ndarray, tol: float):
     """Armijo projected gradient on all rows at once; returns (values, points, converged)."""
     X = _normalize_rows(X0.astype(float))
     fx, G = obj.value_grad(X)
     step = np.ones(X.shape[0])
     converged = np.zeros(X.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gn = np.linalg.norm(Gt, axis=1)
         converged |= gn <= tol * (1.0 + np.abs(fx))
@@ -154,18 +157,19 @@ def _halton(d: int, count: int) -> np.ndarray:
 
 def unit_sphere_samples(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-random points on the unit sphere of C^n: Halton, ndtri, normalize."""
+    from scipy.special import ndtri  # scipy loads on first use, outside the exact commands
     g = ndtri(np.clip(_halton(2 * n, count), 1e-12, 1 - 1e-12))
     z = g[:, :n] + 1j * g[:, n:]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _starting_points(n: int, quasi_starts: int) -> np.ndarray:
+def _starting_points(n: int) -> np.ndarray:
     """Unit start points in C^n: the axes, balanced points with a few phase patterns, Halton samples."""
     balanced = np.array(list(product((1.0, 1j), repeat=n))[:8]) / math.sqrt(n)
-    return np.concatenate([np.eye(n, dtype=complex), balanced, unit_sphere_samples(n, quasi_starts)])
+    return np.concatenate([np.eye(n, dtype=complex), balanced, unit_sphere_samples(n, QUASI_STARTS)])
 
 
-def _certified_grid(form: HermitianForm, grid_budget: int):
+def _certified_grid(form: HermitianForm):
     """Coarse covering of the sphere by (moduli-angle, phase-angle) cells.
 
     Returns (grid_min, grid_max, covering_radius, points_used).  Every sphere
@@ -179,7 +183,7 @@ def _certified_grid(form: HermitianForm, grid_budget: int):
         val = float(forms.evaluate_batch(form, z)[0])
         return val, val, 0.0, 1
     axes = 2 * (n - 1)
-    K = max(4, int(grid_budget ** (1.0 / axes)))
+    K = max(4, int(GRID_BUDGET ** (1.0 / axes)))
     dpsi = (math.pi / 2) / K
     dtheta = (2 * math.pi) / K
     psi_vals = (np.arange(K) + 0.5) * dpsi
@@ -213,22 +217,22 @@ def _certified_grid(form: HermitianForm, grid_budget: int):
     return grid_min, grid_max, cover, total
 
 
-def _sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify):
+def _sphere_minima(form, tol, certify):
     """Yield the minimum results of f and then of -f from one grid pass; -f runs only on demand."""
     if form.is_zero:
         e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
         yield from [SphereMinResult(0.0, e, 0.0, True, True, 0, 0)] * 2
         return
 
-    grid = _certified_grid(form, grid_budget) if certify and form.n <= 3 else None
+    grid = _certified_grid(form) if certify and form.n <= 3 else None
     obj = _Objective(form)
-    z0 = _starting_points(form.n, quasi_starts)
+    z0 = _starting_points(form.n)
     starts = np.concatenate([z0.real, z0.imag], axis=1)
     for side in range(2):
         if side:  # -f: exactly negated coefficients, and min(-f) = -max f on the same grid values
             obj.C = -obj.C
             grid = grid and (-grid[1], -grid[0], *grid[2:])
-        vals, X, conv = _pgd_batch(obj, starts, max_iter, tol)
+        vals, X, conv = _pgd_batch(obj, starts, tol)
         best = int(np.argmin(vals))
         best_val = float(vals[best])
 
@@ -246,28 +250,16 @@ def _sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify):
         )
 
 
-def minimize_on_sphere(
-    form: HermitianForm,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-    quasi_starts: int = 64,
-    grid_budget: int = 160_000,
-    certify: bool = True,
-) -> SphereMinResult:
+def minimize_on_sphere(form: HermitianForm, tol: float = 1e-9, certify: bool = True) -> SphereMinResult:
     """Multi-start projected gradient minimum of f on the unit sphere."""
-    return next(_sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify))
+    return next(_sphere_minima(form, tol, certify))
 
 
 def sphere_range(
-    form: HermitianForm,
-    tol: float = 1e-9,
-    max_iter: int = 500,
-    quasi_starts: int = 64,
-    grid_budget: int = 160_000,
-    certify: bool = True,
+    form: HermitianForm, tol: float = 1e-9, certify: bool = True
 ) -> tuple[SphereMinResult, SphereMinResult]:
     """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same grid pass and a descent on -f."""
-    low, high = _sphere_minima(form, tol, max_iter, quasi_starts, grid_budget, certify)
+    low, high = _sphere_minima(form, tol, certify)
     side = high if high.value <= low.value else low  # sup |f| = -min(min f, min -f)
     sharp = SphereMinResult(
         max(-side.value, 0.0),

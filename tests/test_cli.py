@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -136,6 +139,22 @@ def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path,
     assert code == 2 and "input error" in err
 
 
+def test_verify_rejects_certificate_of_another_shape(capsys, tmp_path):
+    # one square |z1^2|^2 at (n, m, N) = (2, 2, 0) has the matrix of the embedded |z1|^2 (m = 1)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(
+        json.dumps(
+            {
+                "n": 2, "m": 2, "N": 0, "mode": "exact",
+                "squares": [{"weight": "1", "coefficients": [{"index": [2, 0], "re": "1"}]}],
+                "form": {"n": 2, "m": 1, "terms": [{"alpha": [1, 0], "beta": [1, 0], "re": "1"}]},
+            }
+        )
+    )
+    code, out, _ = run(capsys, ["--json", "verify", str(cert_path)])
+    assert code == 1 and json.loads(out)["status"] == "fail"
+
+
 def _set(path, value):
     def mutate(doc):
         target = doc
@@ -171,6 +190,48 @@ def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp
     cert_path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which json.loads reads back
     code, _, err = run(capsys, ["verify", str(cert_path)])
     assert code == 2 and "input error" in err
+
+
+FC1 = str(SAMPLES / "fc_1.json")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["certify", FC1, "-1"], 2),
+        (["bounds", FC1, "--C", "nan"], 2),
+        (["bounds", FC1, "--C", "inf"], 2),
+        (["audit", "--suite", "radial", "--M", "-1"], 2),
+        (["audit", "--suite", "tails", "--rho", "-1"], 2),
+        (["audit", "--suite", "radial", "--h", "0"], 2),
+        (["audit", "--suite", "localization", "--N", "0"], 2),
+        (["audit", "--suite", "localization", "--h", "-1"], 2),
+        (["audit", "--suite", "localization", "--epsilon", "0", "--samples", "1000"], 1),  # outside the window
+    ],
+    ids=[
+        "certify-N-1", "C-nan", "C-inf", "radial-M-1", "tails-rho-1",
+        "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
+    ],
+)
+def test_invalid_arguments_reach_the_validators(capsys, argv, expected):
+    code, _, err = run(capsys, argv)
+    assert code == expected
+    if expected == 2:  # one line, no traceback
+        assert err.startswith("invalid argument: ") and err.count("\n") == 1
+
+
+def test_exact_commands_load_no_scipy(tmp_path):
+    cert = str(tmp_path / "cert.json")
+    code = (
+        "import sys; from hsos import cli\n"
+        f"for argv in {[['search', FC1], ['certify', FC1, '1', '--out', cert], ['verify', cert]]!r}:\n"
+        "    assert cli.main(['--json', *argv]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_search(capsys, fc1_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -164,9 +165,10 @@ def test_lambda_tilde():
     assert forms.lambda_tilde(f) == Fraction(7, 6)
 
 
-def test_lambda_tilde_warns_off_diagonal():
-    with pytest.warns(forms.NotDiagonalWarning):
-        forms.lambda_tilde(ridge_form())
+def test_lambda_tilde_ignores_off_diagonal():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert forms.lambda_tilde(ridge_form()) == 2  # c[(2,0),(2,0)] = 2; the (2,0),(0,2) term is skipped
 
 
 def test_lambda_min_fc_family():

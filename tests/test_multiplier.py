@@ -279,14 +279,13 @@ def test_minimal_N_already_sos():
             ((0, 2), (2, 0), qc(1)),
         ],
     )  # |z1^2 + z2^2|^2
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert mult.minimal_sos_N(sq, 5) == 0
 
 
 def test_minimal_N_not_found():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert mult.minimal_sos_N(forms.fc_form(2), 4) is None
+    assert mult.minimal_sos_N(forms.fc_form(2), 4) is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -379,6 +378,14 @@ def test_verify_rejects_non_positive_weight(mode, weight):
     assert mult.verify_certificate(form, cert)[0] == "fail"
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_rejects_certificate_of_another_shape(mode):
+    # |z1^2|^2 at (n, m, N) = (2, 2, 0) puts 1 at basis position 0, as |z1|^2 does at (2, 1, 0)
+    square = mult.SosSquare(Fraction(1) if mode == "exact" else 1.0, {(2, 0): qc(1) if mode == "exact" else 1 + 0j})
+    cert = mult.SosCertificate(2, 2, 0, mode, (square,))
+    assert mult.verify_certificate(forms.coordinate_power(2, 1, 0), cert) == ("fail", None)
+
+
 def test_float_certificate():
     f = forms.fc_form(1)
     cert = mult.sos_decompose(f, 1, mode="float")
@@ -390,9 +397,7 @@ def test_exact_certificates_across_corpus():
     rng = random.Random(99)
     cases = [forms.fc_form(Fraction(1, 2)), ridge_form(), random_sos_form(rng, 2, 2)]
     for f in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            n0 = mult.minimal_sos_N(f, 8)
+        n0 = mult.minimal_sos_N(f, 8)
         cert = mult.sos_decompose(f, n0)
         assert cert.verified == "exact-pass"
         assert all(sq.weight > 0 for sq in cert.squares)
