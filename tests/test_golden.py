@@ -1,15 +1,23 @@
 """`--json` documents and exact certificates on the shipped sample forms.
 
-The files under tests/golden/ hold the documents of `hsos --json analyze FORM`
-and `hsos --json bounds FORM --n-max 20` for every form in sample_forms/,
-compared byte for byte, and in squares_FORM.json the minimal shift N with the
+The files under tests/golden/ hold, for every form in sample_forms/ and
+compared byte for byte, the documents of `hsos --json analyze FORM` and
+`hsos --json bounds FORM --n-max 20`, and at the minimal shift N of
+squares_FORM.json the documents of
+
+    search_FORM.json         hsos --json search FORM --n-max 20
+    certify_FORM.json        hsos --json certify FORM N --out certificate_FORM.json
+    certificate_FORM.json    the certificate file that --out writes
+    verify_FORM.json         hsos --json verify certificate_FORM.json
+    certify_below_FORM.json  hsos --json certify FORM N-1 (not PSD; only for N > 0)
+
+with the exit codes of EXACT_RUNS.  squares_FORM.json holds N with the
 `squares` of the exact certificate at N, compared as a set.  A change that
-alters one of them must say why and re-record it, e.g.
+alters one of them must say why and re-record it, from tests/golden/, e.g.
 
-    PYTHONPATH=src python -m hsos.cli --json analyze sample_forms/fc_1.json > tests/golden/analyze_fc_1.json
-    PYTHONPATH=src python -m hsos.cli certify sample_forms/fc_1.json 1 --out cert.json
-
-(the second writes a certificate whose N and squares make up squares_fc_1.json).
+    PYTHONPATH=../../src python -m hsos.cli --json analyze ../../sample_forms/fc_1.json > analyze_fc_1.json
+    PYTHONPATH=../../src python -m hsos.cli --json certify ../../sample_forms/fc_1.json 1 \
+        --out certificate_fc_1.json > certify_fc_1.json
 """
 
 import json
@@ -20,8 +28,26 @@ import pytest
 from hsos import cli, formats, multiplier as mult
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 FORMS = sorted(p.stem for p in (ROOT / "sample_forms").glob("*.json"))
 COMMANDS = {"analyze": [], "bounds": ["--n-max", "20"]}
+
+
+def minimal_N(form: str) -> int:
+    return json.loads((GOLDEN / f"squares_{form}.json").read_text())["N"]
+
+
+def exact_runs(form: str) -> dict[str, tuple[list[str], int]]:
+    """Golden name -> (argv, exit code), in the order they run; verify reads the certificate that certify wrote."""
+    path, N = str(ROOT / "sample_forms" / f"{form}.json"), minimal_N(form)
+    runs = {
+        "search": (["search", path, "--n-max", "20"], 0),
+        "certify": (["certify", path, str(N), "--out", f"certificate_{form}.json"], 0),
+        "verify": (["verify", f"certificate_{form}.json"], 0),
+    }
+    if N > 0:
+        runs["certify_below"] = (["certify", path, str(N - 1)], 1)
+    return runs
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -31,12 +57,23 @@ def test_json_document_matches_golden(capsys, command, form):
     code = cli.main(["--json", command, path, *COMMANDS[command]])
     out = capsys.readouterr().out
     assert code == 0
-    assert out == (ROOT / "tests" / "golden" / f"{command}_{form}.json").read_text()
+    assert out == (GOLDEN / f"{command}_{form}.json").read_text()
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_exact_documents_and_certificate_file_match_golden(capsys, monkeypatch, tmp_path, form):
+    monkeypatch.chdir(tmp_path)
+    for name, (argv, expected_code) in exact_runs(form).items():
+        code = cli.main(["--json", *argv])
+        assert (name, capsys.readouterr().out) == (name, (GOLDEN / f"{name}_{form}.json").read_text())
+        assert (name, code) == (name, expected_code)
+    certificate = f"certificate_{form}.json"
+    assert (tmp_path / certificate).read_text() == (GOLDEN / certificate).read_text()
 
 
 @pytest.mark.parametrize("form", FORMS)
 def test_certificate_squares_match_golden(form):
-    golden = json.loads((ROOT / "tests" / "golden" / f"squares_{form}.json").read_text())
+    golden = json.loads((GOLDEN / f"squares_{form}.json").read_text())
     f = formats.load_form(ROOT / "sample_forms" / f"{form}.json")
     assert mult.minimal_sos_N(f, golden["N"]) == golden["N"]
     cert = mult.sos_decompose(f, golden["N"])
