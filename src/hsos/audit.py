@@ -96,6 +96,8 @@ def check_laplacian_powers(form: HermitianForm, samples: int = 10_000) -> list[A
     Appends one exact report for the single-step Frobenius inequality
     Λ((Δ/4) f)^2 <= n^2 m^4 Λ(f)^2.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     n, m = form.n, form.m
     big = forms_mod.big_lambda(form)
     Z = unit_sphere_samples(n, samples)
@@ -331,6 +333,8 @@ def mc_localization_check(
     E[ 1_outside ||z||^(2k) |z^α|² ] / (h^M α!), which by the radial
     diagonalization equals E²(h, M, k) for every |α| = M.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     if alpha is None:
         base, rem = divmod(M, n)
         alpha = tuple(base + (1 if i < rem else 0) for i in range(n))

@@ -41,7 +41,7 @@ def _load_form(path):
 
 def cmd_analyze(args) -> int:
     form = _load_form(args.form)
-    lam, sharp = spheremin.sphere_range(form, tol=args.tolerance)
+    lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
     lt = forms_mod.lambda_tilde(form)
     diagonal = forms_mod.is_diagonal(form)
@@ -81,24 +81,18 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     form = _load_form(args.form)
     try:
-        cert = mult.sos_decompose(form, args.N, mode=args.mode, size_cap=args.size_cap)
+        cert = mult.sos_decompose(form, args.N, size_cap=args.size_cap)
     except mult.NotPsdError as exc:
-        verdict = exc  # exact mode attaches its witness; floating mode has none, so factor exactly
-        if exc.witness is None:
-            verdict = mult.is_psd(mult.multiplier_matrix(form, args.N, size_cap=args.size_cap))
-        witness_note = ""
-        if verdict.witness is not None:
-            support = [(i, str(w)) for i, w in enumerate(verdict.witness) if not w.is_zero]
-            witness_note = f"; witness support {support}, value {verdict.witness_value}"
+        support = [(i, str(w)) for i, w in enumerate(exc.witness) if not w.is_zero]
         _emit(
             args,
             {
                 "command": "certify",
                 "N": args.N,
                 "psd": False,
-                "witness_value": str(verdict.witness_value),
+                "witness_value": str(exc.witness_value),
             },
-            [f"not a sum of squares at N = {args.N}: {exc}{witness_note}"],
+            [f"not a sum of squares at N = {args.N}: {exc}; witness support {support}, value {exc.witness_value}"],
         )
         return EXIT_NEGATIVE
     if args.out:
@@ -107,7 +101,7 @@ def cmd_certify(args) -> int:
         "command": "certify",
         "N": args.N,
         "psd": True,
-        "mode": cert.mode,
+        "mode": "exact",
         "squares": cert.num_squares(),
         "verified": cert.verified,
         "residual": cert.residual,
@@ -117,8 +111,7 @@ def cmd_certify(args) -> int:
         args,
         payload,
         [
-            f"PSD at N = {args.N}: {cert.num_squares()} squares, verification {cert.verified}"
-            + (f" (residual {cert.residual:.3e})" if cert.mode == "float" else ""),
+            f"PSD at N = {args.N}: {cert.num_squares()} squares, verification {cert.verified}",
             f"certificate written to {args.out}" if args.out else "no --out given; certificate not saved",
         ],
     )
@@ -135,19 +128,12 @@ def cmd_verify(args) -> int:
     payload = {
         "command": "verify",
         "N": cert.N,
-        "mode": cert.mode,
+        "mode": "exact",
         "status": status,
         "residual": residual,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"certificate at N = {cert.N} ({cert.mode} mode): {status}"
-            + (f", residual {residual:.3e}" if residual is not None and cert.mode == "float" else "")
-        ],
-    )
-    return EXIT_OK if status in ("exact-pass", "float-pass") else EXIT_NEGATIVE
+    _emit(args, payload, [f"certificate at N = {cert.N} (exact mode): {status}"])
+    return EXIT_OK if status == "exact-pass" else EXIT_NEGATIVE
 
 
 def cmd_search(args) -> int:
@@ -342,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--seed", type=int, default=20240, help="seed for stochastic audit components")
     parser.add_argument("--size-cap", type=int, default=mult.DEFAULT_SIZE_CAP, help="matrix dimension cap")
-    parser.add_argument("--tolerance", type=float, default=1e-9, help="optimizer relative tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="scalar invariants of a form")
@@ -352,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="extract and verify an SOS certificate at shift N")
     p.add_argument("form")
     p.add_argument("N", type=int)
-    p.add_argument("--mode", choices=["exact", "float"], default="exact")
     p.add_argument("--out", help="write the certificate file here")
     p.set_defaults(fn=cmd_certify)
 

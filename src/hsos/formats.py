@@ -1,15 +1,14 @@
 """File formats: forms and certificates as versioned JSON documents.
 
 Rationals cross the file boundary as strings "p/q" (plain integers and decimal
-strings are accepted on input and converted exactly), so exact-mode artifacts
-reload bit-exactly.  Unknown fields and duplicate coefficient keys are
-rejected.
+strings are accepted on input and converted exactly), so forms and
+certificates reload bit-exactly.  Unknown fields and duplicate coefficient keys
+are rejected, and so is a certificate whose mode is not "exact".
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -132,45 +131,20 @@ def save_form(form: HermitianForm, path) -> None:
     Path(path).write_text(dumps_stable(form_to_dict(form)) + "\n")
 
 
-def _coeff_to_json(value, mode: str):
-    if mode == "exact":
-        c = value if isinstance(value, QC) else qc(value)
-        return format_rational(c.re), format_rational(c.im)
-    z = complex(value)
-    return z.real, z.imag
-
-
-def _coeff_from_json(re, im, mode: str, context: str):
-    if mode == "exact":
-        return qc(parse_rational(re, context), parse_rational(im, context))
-    return complex(_finite_float(re, "coefficients", context), _finite_float(im, "coefficients", context))
-
-
-def _finite_float(value, what: str, context: str) -> float:
-    """A JSON number as a finite float; json.loads also yields NaN, infinities and huge ints."""
-    if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ParseError(f"floating certificate {what} must be finite JSON numbers, got {value!r:.40}", context)
-
-
 def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = None) -> dict:
     squares = []
     for sq in cert.squares:
         coeffs = []
         for alpha in sorted(sq.coefficients, key=mi.graded_lex_key):
-            re, im = _coeff_to_json(sq.coefficients[alpha], cert.mode)
-            coeffs.append({"index": list(alpha), "re": re, "im": im})
-        if cert.mode == "exact":
-            weight = format_rational(sq.weight)
-        else:
-            weight = float(sq.weight)
-        squares.append({"weight": weight, "coefficients": coeffs})
+            c = sq.coefficients[alpha]
+            coeffs.append({"index": list(alpha), "re": format_rational(c.re), "im": format_rational(c.im)})
+        squares.append({"weight": format_rational(sq.weight), "coefficients": coeffs})
     doc = {
         "format_version": FORMAT_VERSION,
         "n": cert.n,
         "m": cert.m,
         "N": cert.N,
-        "mode": cert.mode,
+        "mode": "exact",
         "squares": squares,
         "verification": {"status": cert.verified, "residual": cert.residual},
     }
@@ -191,9 +165,8 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     version = data.get("format_version", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version}", "certificate")
-    mode = data["mode"]
-    if mode not in ("exact", "float"):
-        raise ParseError(f"mode must be 'exact' or 'float', got {mode!r}", "certificate")
+    if data["mode"] != "exact":
+        raise ParseError(f"mode must be 'exact', got {data['mode']!r}", "certificate")
     n, m, N = data["n"], data["m"], data["N"]
     for name, v in (("n", n), ("m", m), ("N", N)):
         if not isinstance(v, int) or v < 0:
@@ -206,15 +179,12 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         if not isinstance(sq, dict):
             raise ParseError("square must be an object", ctx)
         _expect_keys(sq, {"weight", "coefficients"}, {"weight", "coefficients"}, ctx)
-        if mode == "exact":
-            weight = parse_rational(sq["weight"], ctx)
-        else:
-            weight = _finite_float(sq["weight"], "weights", ctx)
+        weight = parse_rational(sq["weight"], ctx)
         if weight <= 0:
             raise ParseError(f"weight must be positive, got {weight}", ctx)
         if not isinstance(sq["coefficients"], list):
             raise ParseError("coefficients must be a list", ctx)
-        coeffs: dict[mi.MultiIndex, object] = {}
+        coeffs: dict[mi.MultiIndex, QC] = {}
         for ci, entry in enumerate(sq["coefficients"]):
             ectx = f"{ctx}.coefficients[{ci}]"
             if not isinstance(entry, dict):
@@ -225,12 +195,12 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
                 raise ParseError(f"index {alpha} has degree {sum(alpha)}, expected {m + N}", ectx)
             if alpha in coeffs:
                 raise ParseError(f"duplicate index {alpha}", ectx)
-            coeffs[alpha] = _coeff_from_json(entry["re"], entry.get("im", "0" if mode == "exact" else 0.0), mode, ectx)
+            coeffs[alpha] = qc(parse_rational(entry["re"], ectx), parse_rational(entry.get("im", "0"), ectx))
         squares.append(SosSquare(weight, coeffs))
     verification = data.get("verification", {})
     status = verification.get("status", "unverified") if isinstance(verification, dict) else "unverified"
     residual = verification.get("residual") if isinstance(verification, dict) else None
-    cert = SosCertificate(n, m, N, mode, tuple(squares), status, residual)
+    cert = SosCertificate(n, m, N, tuple(squares), status, residual)
 
     form: Optional[HermitianForm] = None
     if "form" in data:

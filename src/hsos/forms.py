@@ -306,7 +306,8 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
 def lambda_min(form: HermitianForm, **options):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    See spheremin.minimize_on_sphere for its options, tol and certify.
+    See spheremin.minimize_on_sphere for its one option, certify; the descent
+    stops at the fixed relative gradient bound spheremin.TOL.
     """
     from . import spheremin
 

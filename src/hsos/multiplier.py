@@ -8,9 +8,10 @@ denominator D, the lcm of f's coefficient denominators, and every consumer
 reads those integers.  One exact kernel, a pivoted fraction-free LDL* of each
 connected block of the sparsity pattern, decides PSD, raises NotPsdError with
 an exactly checked witness, and yields certificates sum_j w_j |Q_j(z)|^2 with
-rational weights w_j > 0.  Verification rejects any weight <= 0, re-expands
-the squares exactly in Gaussian integers over their own common denominator L
-and compares every entry of the multiplier matrix by cross-multiplication.
+rational weights w_j > 0, the only kind of certificate.  Verification rejects
+any weight <= 0, re-expands the squares exactly in Gaussian integers over their
+own common denominator L and compares every entry of the multiplier matrix by
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,16 +37,14 @@ class SizeCapExceeded(RuntimeError):
 
 
 class NotPsdError(RuntimeError):
-    def __init__(self, message: str, witness=None, witness_value=None):
-        self.witness = witness  # exact mode: v with <Mv, v> = witness_value < 0
+    def __init__(self, message: str, witness: tuple[QC, ...], witness_value: Fraction):
+        self.witness = witness  # v with <Mv, v> = witness_value < 0
         self.witness_value = witness_value
         super().__init__(message)
 
 
 class VerificationFailed(RuntimeError):
-    def __init__(self, residual):
-        self.residual = residual
-        super().__init__(f"certificate re-expansion mismatch, residual {residual}")
+    """Extracted squares that do not re-expand to their multiplier matrix: an internal error."""
 
 
 DEFAULT_SIZE_CAP = 20_000
@@ -97,9 +96,6 @@ class MultiplierMatrix:
 
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j) in self.numerators)
-
-    def max_abs(self) -> float:
-        return max((abs(complex(re / self.D, im / self.D)) for re, im in self.numerators.values()), default=0.0)
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.dim, self.dim), dtype=complex)
@@ -311,8 +307,8 @@ def is_psd(matrix: MultiplierMatrix) -> PsdVerdict:
 
 @dataclass(frozen=True)
 class SosSquare:
-    weight: object  # Fraction (exact mode) or float (floating mode), > 0
-    coefficients: dict[mi.MultiIndex, object]  # monomial -> QC or complex
+    weight: Fraction  # > 0
+    coefficients: dict[mi.MultiIndex, QC]
 
 
 @dataclass(frozen=True)
@@ -322,9 +318,8 @@ class SosCertificate:
     n: int
     m: int
     N: int
-    mode: str  # "exact" | "float"
     squares: tuple[SosSquare, ...]
-    verified: str = "unverified"  # "exact-pass" | "float-pass" | "fail"
+    verified: str = "unverified"  # "exact-pass" | "fail"
     residual: Optional[float] = None
 
     def num_squares(self) -> int:
@@ -341,64 +336,40 @@ def minimal_sos_N(
     Linear scan from 0; by monotonicity of the PSD property in N the first
     success is the minimum.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     for N in range(n_max + 1):
         if is_psd(multiplier_matrix(form, N, size_cap=size_cap)).is_psd:
             return N
     return None
 
 
-def sos_decompose(
-    form: HermitianForm,
-    N: int,
-    mode: Literal["exact", "float"] = "exact",
-    size_cap: int = DEFAULT_SIZE_CAP,
-    tol: float = 1e-9,
-) -> SosCertificate:
-    """Factor the multiplier matrix into weighted squares and verify the result.
+def sos_decompose(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP) -> SosCertificate:
+    """Factor the multiplier matrix exactly into weighted squares and verify the result.
 
-    Exact mode keeps rational weights w_j > 0: absorbing sqrt(w_j) into the
-    polynomials would give unit-weight squares but leave the rationals.
-    Floating mode uses an eigendecomposition with eigenvalues below tolerance
-    clipped to zero.
+    Square j is w_j |e_k + sum_i l_i e_i|^2 for the pivot k, its positive
+    pivot w_j and its column l of `_ldlt`; the weights stay rational, since
+    absorbing sqrt(w_j) into the polynomials would leave the rationals.  A
+    matrix that is not PSD raises NotPsdError with its exactly checked witness.
     """
     matrix = multiplier_matrix(form, N, size_cap=size_cap)
     basis = matrix.basis
-
-    if mode == "exact":
-        processed, pivots = _ldlt(matrix)
-        squares = []
-        for (k, col), d in zip(processed, pivots):
-            coeffs: dict[mi.MultiIndex, QC] = {basis[k]: QC_ONE}
-            for i, l in col.items():
-                coeffs[basis[i]] = l
-            squares.append(SosSquare(d, coeffs))
-        cert = SosCertificate(form.n, form.m, N, "exact", tuple(squares))
-    elif mode == "float":
-        A = matrix.to_dense()
-        scale = max(matrix.max_abs(), 1e-300)
-        eigvals, eigvecs = np.linalg.eigh(A)
-        if eigvals[0] < -tol * scale * matrix.dim:
-            raise NotPsdError(
-                f"multiplier matrix at N={N} has eigenvalue {eigvals[0]:.3e} < 0"
-            )
-        squares = []
-        for lam, vec in zip(eigvals, eigvecs.T):
-            if lam <= tol * scale:
-                continue
-            coeffs = {basis[i]: complex(vec[i]) for i in range(matrix.dim) if abs(vec[i]) > 1e-300}
-            squares.append(SosSquare(float(lam), coeffs))
-        cert = SosCertificate(form.n, form.m, N, "float", tuple(squares))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    status, residual = _verify_against(matrix, cert, float_tol=1e-8)
+    processed, pivots = _ldlt(matrix)
+    squares = []
+    for (k, col), d in zip(processed, pivots):
+        coeffs: dict[mi.MultiIndex, QC] = {basis[k]: QC_ONE}
+        for i, l in col.items():
+            coeffs[basis[i]] = l
+        squares.append(SosSquare(d, coeffs))
+    cert = SosCertificate(form.n, form.m, N, tuple(squares))
+    status, residual = _verify_against(matrix, cert)
     if status == "fail":
-        raise VerificationFailed(residual)
-    return SosCertificate(form.n, form.m, N, cert.mode, cert.squares, status, residual)
+        raise VerificationFailed(f"certificate at N={N} does not re-expand to the multiplier matrix")
+    return SosCertificate(form.n, form.m, N, cert.squares, status, residual)
 
 
 def _gaussian_expansion(cert: SosCertificate) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
-    """Upper triangle (i <= j) of an exact certificate's expansion as Gaussian integers (re, im) over L.
+    """Upper triangle (i <= j) of a certificate's expansion as Gaussian integers (re, im) over L.
 
     Square j, scaled by den (the lcm of its coefficient denominators) to Gaussian integers g, keeps
     s_j = w_j / den^2; L = lcm_j den(s_j), and square j adds g_i conj(g_k) num(s_j) L / den(s_j).
@@ -420,58 +391,37 @@ def _gaussian_expansion(cert: SosCertificate) -> tuple[dict[tuple[int, int], tup
     return upper, L
 
 
-def expand_squares(cert: SosCertificate) -> dict[tuple[int, int], object]:
-    """Coefficient matrix of sum_j w_j Q_j(z) conj(Q_j(z)) over the ranked basis, both orientations."""
-    if cert.mode == "exact":  # QC entries, zeros left out
-        upper, L = _gaussian_expansion(cert)
-        half = {(i, j): QC(Fraction(re, L), Fraction(im, L)) for (i, j), (re, im) in upper.items() if re or im}
-        return {**half, **{(j, i): c.conj() for (i, j), c in half.items()}}
-    out: dict[tuple[int, int], complex] = {}
-    position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
-    for sq in cert.squares:
-        ranked = [(position[a], c) for a, c in sq.coefficients.items()]
-        for i, ci in ranked:
-            for j, cj in ranked:
-                term = sq.weight * ci * np.conj(cj)
-                out[(i, j)] = out.get((i, j), 0j) + term
-    return out
+def expand_squares(cert: SosCertificate) -> dict[tuple[int, int], QC]:
+    """Coefficient matrix of sum_j w_j Q_j(z) conj(Q_j(z)) over the ranked basis, both orientations, zeros left out."""
+    upper, L = _gaussian_expansion(cert)
+    half = {(i, j): QC(Fraction(re, L), Fraction(im, L)) for (i, j), (re, im) in upper.items() if re or im}
+    return {**half, **{(j, i): c.conj() for (i, j), c in half.items()}}
 
 
 def verify_certificate(
     form: HermitianForm,
     cert: SosCertificate,
     size_cap: int = DEFAULT_SIZE_CAP,
-    float_tol: float = 1e-8,
 ) -> tuple[str, Optional[float]]:
-    """Independent re-expansion check of a certificate against the multiplier matrix.
+    """Independent exact re-expansion check of a certificate against the multiplier matrix.
 
-    The certificate's (n, m) must be the form's and every weight must be positive.  Exact certificates
-    must reproduce every entry exactly, compared over the expansion's common denominator without
-    building a Fraction; floating ones pass when the max-abs residual is below float_tol * ||c^N||_max.
+    The certificate's (n, m) must be the form's, every weight must be positive and the squares must
+    reproduce every entry exactly, compared over the expansion's common denominator without building a
+    Fraction.  Returns ("exact-pass", 0.0) or ("fail", None).
     """
-    return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert, float_tol)
+    return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert)
 
 
-def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate, float_tol: float) -> tuple[str, Optional[float]]:
+def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate) -> tuple[str, Optional[float]]:
     if (cert.n, cert.m, cert.N) != (matrix.n, matrix.m, matrix.N) or any(not sq.weight > 0 for sq in cert.squares):
         return "fail", None
-    if cert.mode == "exact":
-        upper, L = _gaussian_expansion(cert)
-        for (i, j), (a_re, a_im) in matrix.numerators.items():  # (re + i im) / L == (a_re + i a_im) / D
-            re, im = upper.get((min(i, j), max(i, j)), (0, 0))
-            sign = 1 if i <= j else -1  # conjugated below the diagonal
-            if re * matrix.D != a_re * L or sign * im * matrix.D != a_im * L:
-                return "fail", None
-        if any((re or im) and ((i, j) not in matrix.numerators or (j, i) not in matrix.numerators)
-               for (i, j), (re, im) in upper.items()):
+    upper, L = _gaussian_expansion(cert)
+    for (i, j), (a_re, a_im) in matrix.numerators.items():  # (re + i im) / L == (a_re + i a_im) / D
+        re, im = upper.get((min(i, j), max(i, j)), (0, 0))
+        sign = 1 if i <= j else -1  # conjugated below the diagonal
+        if re * matrix.D != a_re * L or sign * im * matrix.D != a_im * L:
             return "fail", None
-        return "exact-pass", 0.0
-    expanded = expand_squares(cert)
-    residual = 0.0
-    keys = set(expanded) | set(matrix.numerators)
-    for key in keys:
-        got = complex(expanded.get(key, 0j))
-        want = complex(matrix.entry(*key))
-        residual = max(residual, abs(got - want))
-    scale = max(matrix.max_abs(), 1e-300)
-    return ("float-pass", residual) if residual <= float_tol * scale else ("fail", residual)
+    if any((re or im) and ((i, j) not in matrix.numerators or (j, i) not in matrix.numerators)
+           for (i, j), (re, im) in upper.items()):
+        return "fail", None
+    return "exact-pass", 0.0

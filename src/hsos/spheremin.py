@@ -20,6 +20,7 @@ from . import forms
 from .forms import HermitianForm
 
 MAX_ITER = 500  # descent iterations per start
+TOL = 1e-9  # a start has converged once |projected gradient| <= TOL * (1 + |f|)
 QUASI_STARTS = 64  # Halton starts on top of the axes and the balanced points
 GRID_BUDGET = 160_000  # evaluations of the certified grid pass (n <= 3)
 
@@ -96,7 +97,7 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / nrm
 
 
-def _pgd_batch(obj: _Objective, X0: np.ndarray, tol: float):
+def _pgd_batch(obj: _Objective, X0: np.ndarray):
     """Armijo projected gradient on all rows at once; returns (values, points, converged)."""
     X = _normalize_rows(X0.astype(float))
     fx, G = obj.value_grad(X)
@@ -105,7 +106,7 @@ def _pgd_batch(obj: _Objective, X0: np.ndarray, tol: float):
     for _ in range(MAX_ITER):
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gn = np.linalg.norm(Gt, axis=1)
-        converged |= gn <= tol * (1.0 + np.abs(fx))
+        converged |= gn <= TOL * (1.0 + np.abs(fx))
         active = ~converged
         if not active.any():
             break
@@ -217,7 +218,7 @@ def _certified_grid(form: HermitianForm):
     return grid_min, grid_max, cover, total
 
 
-def _sphere_minima(form, tol, certify):
+def _sphere_minima(form, certify):
     """Yield the minimum results of f and then of -f from one grid pass; -f runs only on demand."""
     if form.is_zero:
         e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
@@ -232,7 +233,7 @@ def _sphere_minima(form, tol, certify):
         if side:  # -f: exactly negated coefficients, and min(-f) = -max f on the same grid values
             obj.C = -obj.C
             grid = grid and (-grid[1], -grid[0], *grid[2:])
-        vals, X, conv = _pgd_batch(obj, starts, tol)
+        vals, X, conv = _pgd_batch(obj, starts)
         best = int(np.argmin(vals))
         best_val = float(vals[best])
 
@@ -250,16 +251,14 @@ def _sphere_minima(form, tol, certify):
         )
 
 
-def minimize_on_sphere(form: HermitianForm, tol: float = 1e-9, certify: bool = True) -> SphereMinResult:
+def minimize_on_sphere(form: HermitianForm, certify: bool = True) -> SphereMinResult:
     """Multi-start projected gradient minimum of f on the unit sphere."""
-    return next(_sphere_minima(form, tol, certify))
+    return next(_sphere_minima(form, certify))
 
 
-def sphere_range(
-    form: HermitianForm, tol: float = 1e-9, certify: bool = True
-) -> tuple[SphereMinResult, SphereMinResult]:
+def sphere_range(form: HermitianForm, certify: bool = True) -> tuple[SphereMinResult, SphereMinResult]:
     """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same grid pass and a descent on -f."""
-    low, high = _sphere_minima(form, tol, certify)
+    low, high = _sphere_minima(form, certify)
     side = high if high.value <= low.value else low  # sup |f| = -min(min f, min -f)
     sharp = SphereMinResult(
         max(-side.value, 0.0),

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from hsos import forms, multiindex as mi
+from hsos import formats, forms, multiindex as mi
 from hsos.exact import QC_ZERO, qc
 from hsos.forms import HermitianForm
 
@@ -143,6 +143,18 @@ def polya_diag_n2() -> HermitianForm:
             ((1, 2), (1, 2), qc(Fraction(-1, 2))),
         ],
     )
+
+
+# the file that the floating-point certify of earlier versions wrote for fc_1 at N = 1: an input error now
+FLOAT_CERTIFICATE = {
+    "format_version": 1, "n": 2, "m": 2, "N": 1, "mode": "float",
+    "squares": [
+        {"weight": 1.0, "coefficients": [{"index": [3, 0], "re": 1.0, "im": 0.0}]},
+        {"weight": 1.0, "coefficients": [{"index": [0, 3], "re": 1.0, "im": 0.0}]},
+    ],
+    "verification": {"status": "float-pass", "residual": 0.0},
+    "form": formats.form_to_dict(forms.fc_form(1)),
+}
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,10 @@ import pytest
 
 from hsos import cli, formats, forms
 
+from conftest import FLOAT_CERTIFICATE
+
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
+FC1 = str(SAMPLES / "fc_1.json")
 
 
 @pytest.fixture
@@ -89,12 +93,9 @@ def test_certify_not_psd(capsys, fc1_path):
     code, out, _ = run(capsys, ["certify", fc1_path, "0"])
     assert code == 1
     assert "witness support [(1, '1')], value -1" in out
-    for mode in ("exact", "float"):
-        code, out, _ = run(capsys, ["--json", "certify", fc1_path, "0", "--mode", mode])
-        assert code == 1
-        assert json.loads(out) == {
-            "N": 0, "command": "certify", "format_version": 1, "psd": False, "witness_value": "-1"
-        }
+    code, out, _ = run(capsys, ["--json", "certify", fc1_path, "0"])
+    assert code == 1
+    assert json.loads(out) == {"N": 0, "command": "certify", "format_version": 1, "psd": False, "witness_value": "-1"}
 
 
 def test_certify_not_psd_non_diagonal_witness(capsys, tmp_path):
@@ -125,13 +126,10 @@ def test_verify_tampered(capsys, fc1_path, tmp_path):
     assert code == 1 and "fail" in out
 
 
-@pytest.mark.parametrize(
-    "mode, field, value",
-    [("exact", "squares", 7), ("exact", "coefficients", 7), ("float", "weight", "abc")],
-)
-def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path, mode, field, value):
+@pytest.mark.parametrize("field, value", [("squares", 7), ("coefficients", 7), ("weight", "abc")])
+def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path, field, value):
     cert_path = tmp_path / "cert.json"
-    run(capsys, ["certify", fc1_path, "1", "--mode", mode, "--out", str(cert_path)])
+    run(capsys, ["certify", fc1_path, "1", "--out", str(cert_path)])
     doc = json.loads(cert_path.read_text())
     (doc if field == "squares" else doc["squares"][0])[field] = value
     cert_path.write_text(json.dumps(doc))
@@ -171,28 +169,40 @@ def _form_path(value):
     return mutate
 
 
+def _number(path, token):
+    """The bare JSON number `token` where a rational string is required, written in place of a marker."""
+    return _set(path, f"<number {token}>")
+
+
 @pytest.mark.parametrize(
-    "mode, mutate",
+    "mutate",
     [
-        ("exact", _form_path(5)),
-        ("float", _set(("squares", 0, "weight"), float("nan"))),
-        ("float", _set(("squares", 0, "weight"), 10**400)),
-        ("float", _set(("squares", 0, "coefficients", 0, "re"), float("inf"))),
-        ("float", _set(("squares", 0, "coefficients", 0, "im"), -float("inf"))),
+        _form_path(5),
+        _number(("squares", 0, "weight"), "NaN"),
+        _number(("squares", 0, "weight"), "1e400"),
+        _number(("squares", 0, "coefficients", 0, "re"), "Infinity"),
+        _number(("squares", 0, "coefficients", 0, "im"), "-Infinity"),
     ],
     ids=["form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity"],
 )
-def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mode, mutate):
+def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mutate):
     cert_path = tmp_path / "cert.json"
-    run(capsys, ["certify", fc1_path, "1", "--mode", mode, "--out", str(cert_path)])
+    run(capsys, ["certify", fc1_path, "1", "--out", str(cert_path)])
     doc = json.loads(cert_path.read_text())
     mutate(doc)
-    cert_path.write_text(json.dumps(doc))  # NaN and Infinity tokens, which json.loads reads back
+    cert_path.write_text(re.sub(r'"<number (\S+)>"', r"\1", json.dumps(doc)))  # tokens json.loads reads as floats
     code, _, err = run(capsys, ["verify", str(cert_path)])
     assert code == 2 and "input error" in err
 
 
-FC1 = str(SAMPLES / "fc_1.json")
+def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(FLOAT_CERTIFICATE))
+    code, _, err = run(capsys, ["verify", str(cert_path)])
+    assert code == 2 and err == "input error: mode must be 'exact', got 'float' (at certificate)\n"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["certify", FC1, "1", "--mode", "float"])
+    assert info.value.code == 2 and "unrecognized arguments: --mode float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -207,10 +217,15 @@ FC1 = str(SAMPLES / "fc_1.json")
         (["audit", "--suite", "localization", "--N", "0"], 2),
         (["audit", "--suite", "localization", "--h", "-1"], 2),
         (["audit", "--suite", "localization", "--epsilon", "0", "--samples", "1000"], 1),  # outside the window
+        (["search", FC1, "--n-max", "-1"], 2),
+        (["bounds", FC1, "--n-max", "-1"], 2),
+        (["audit", "--suite", "localization", "--samples", "0"], 2),
+        (["audit", "--suite", "laplacian", "--form", FC1, "--samples", "0"], 2),
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "radial-M-1", "tails-rho-1",
         "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
+        "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
     ],
 )
 def test_invalid_arguments_reach_the_validators(capsys, argv, expected):

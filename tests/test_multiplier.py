@@ -362,35 +362,24 @@ def test_verify_detects_perturbation():
         cert.n,
         cert.m,
         cert.N,
-        cert.mode,
         (mult.SosSquare(sq0.weight, tampered_coeffs),) + cert.squares[1:],
     )
     status, _ = mult.verify_certificate(f, tampered)
     assert status == "fail"
 
 
-@pytest.mark.parametrize("mode, weight", [("exact", Fraction(-1)), ("exact", Fraction(0)), ("float", -1.0), ("float", 0.0)])
-def test_verify_rejects_non_positive_weight(mode, weight):
+@pytest.mark.parametrize("weight", [Fraction(-1), Fraction(0)])
+def test_verify_rejects_non_positive_weight(weight):
     # weight * |z1|^2 reproduces weight * |z1|^2 exactly, but only a positive weight makes it a sum of squares
-    square = mult.SosSquare(weight, {(1, 0): qc(1) if mode == "exact" else 1 + 0j})
-    cert = mult.SosCertificate(2, 1, 0, mode, (square,))
-    form = forms.scale(forms.coordinate_power(2, 1, 0), Fraction(weight))
+    cert = mult.SosCertificate(2, 1, 0, (mult.SosSquare(weight, {(1, 0): qc(1)}),))
+    form = forms.scale(forms.coordinate_power(2, 1, 0), weight)
     assert mult.verify_certificate(form, cert)[0] == "fail"
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_verify_rejects_certificate_of_another_shape(mode):
+def test_verify_rejects_certificate_of_another_shape():
     # |z1^2|^2 at (n, m, N) = (2, 2, 0) puts 1 at basis position 0, as |z1|^2 does at (2, 1, 0)
-    square = mult.SosSquare(Fraction(1) if mode == "exact" else 1.0, {(2, 0): qc(1) if mode == "exact" else 1 + 0j})
-    cert = mult.SosCertificate(2, 2, 0, mode, (square,))
+    cert = mult.SosCertificate(2, 2, 0, (mult.SosSquare(Fraction(1), {(2, 0): qc(1)}),))
     assert mult.verify_certificate(forms.coordinate_power(2, 1, 0), cert) == ("fail", None)
-
-
-def test_float_certificate():
-    f = forms.fc_form(1)
-    cert = mult.sos_decompose(f, 1, mode="float")
-    assert cert.verified == "float-pass"
-    assert cert.residual <= 1e-10
 
 
 def test_exact_certificates_across_corpus():
@@ -440,12 +429,12 @@ def _exact_certificates(draw):
             # same weight, one coefficient negated: its products with the others cancel
             flip = draw(st.sampled_from(monomials))
             squares.append(mult.SosSquare(weight, {a: -c if a == flip else c for a, c in coeffs.items()}))
-    return mult.SosCertificate(n, m, 0, "exact", tuple(draw(st.permutations(squares))))
+    return mult.SosCertificate(n, m, 0, tuple(draw(st.permutations(squares))))
 
 
 def _with_square(cert: mult.SosCertificate, k: int, square: mult.SosSquare) -> mult.SosCertificate:
     squares = cert.squares[:k] + (square,) + cert.squares[k + 1:]
-    return mult.SosCertificate(cert.n, cert.m, cert.N, cert.mode, squares)
+    return mult.SosCertificate(cert.n, cert.m, cert.N, squares)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
