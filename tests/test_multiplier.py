@@ -368,17 +368,22 @@ def test_verify_detects_perturbation():
     assert status == "fail"
 
 
-@pytest.mark.parametrize("weight", [Fraction(-1), Fraction(0)])
-def test_verify_rejects_non_positive_weight(weight):
+# The weight and shape gates come before any arithmetic, so a certificate built by hand with float
+# scalars is refused by them just as an exact one is.
+@pytest.mark.parametrize("scalars, weight", [("exact", Fraction(-1)), ("exact", Fraction(0)), ("float", -1.0), ("float", 0.0)])
+def test_verify_rejects_non_positive_weight(scalars, weight):
     # weight * |z1|^2 reproduces weight * |z1|^2 exactly, but only a positive weight makes it a sum of squares
-    cert = mult.SosCertificate(2, 1, 0, (mult.SosSquare(weight, {(1, 0): qc(1)}),))
-    form = forms.scale(forms.coordinate_power(2, 1, 0), weight)
+    square = mult.SosSquare(weight, {(1, 0): qc(1) if scalars == "exact" else 1 + 0j})
+    cert = mult.SosCertificate(2, 1, 0, (square,))
+    form = forms.scale(forms.coordinate_power(2, 1, 0), Fraction(weight))
     assert mult.verify_certificate(form, cert)[0] == "fail"
 
 
-def test_verify_rejects_certificate_of_another_shape():
+@pytest.mark.parametrize("scalars", ["exact", "float"])
+def test_verify_rejects_certificate_of_another_shape(scalars):
     # |z1^2|^2 at (n, m, N) = (2, 2, 0) puts 1 at basis position 0, as |z1|^2 does at (2, 1, 0)
-    cert = mult.SosCertificate(2, 2, 0, (mult.SosSquare(Fraction(1), {(2, 0): qc(1)}),))
+    square = mult.SosSquare(Fraction(1) if scalars == "exact" else 1.0, {(2, 0): qc(1) if scalars == "exact" else 1 + 0j})
+    cert = mult.SosCertificate(2, 2, 0, (square,))
     assert mult.verify_certificate(forms.coordinate_power(2, 1, 0), cert) == ("fail", None)
 
 
