@@ -31,6 +31,7 @@ from .multiplier import (
     is_psd,
     minimal_sos_N,
     multiplier_matrix,
+    psd_decided,
     sos_decompose,
     verify_certificate,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "MultiplierMatrix",
     "multiplier_matrix",
     "is_psd",
+    "psd_decided",
     "minimal_sos_N",
     "sos_decompose",
     "verify_certificate",

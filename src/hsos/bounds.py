@@ -126,7 +126,7 @@ def _smallest_sufficient_C(
             return N >= empirical_N
         if mult.mi.dim_homogeneous(form.n, form.m + N) > size_cap or N > 4 * n_max:
             return False
-        return mult.is_psd(mult.multiplier_matrix(form, N, size_cap=size_cap)).is_psd
+        return mult.psd_decided(mult.multiplier_matrix(form, N, size_cap=size_cap))
 
     lo, hi = 1, resolution * c_max
     if not sufficient(hi):

@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import audit as audit_mod
 from . import bounds as bounds_mod
@@ -80,6 +81,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify(args) -> int:
     form = _load_form(args.form)
+    if args.out and not Path(args.out).parent.is_dir():
+        raise formats.ParseError(f"cannot write {args.out}: no such directory")
     try:
         cert = mult.sos_decompose(form, args.N, size_cap=args.size_cap)
     except mult.NotPsdError as exc:
@@ -124,6 +127,8 @@ def cmd_verify(args) -> int:
         if not args.form:
             raise formats.ParseError("certificate has no embedded form; pass --form")
         form = _load_form(args.form)
+    elif args.form and _load_form(args.form) != form:
+        raise formats.ParseError(f"--form {args.form} differs from the form embedded in the certificate")
     status, residual = mult.verify_certificate(form, cert, size_cap=args.size_cap)
     payload = {
         "command": "verify",
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-verify a stored certificate")
     p.add_argument("certificate")
-    p.add_argument("--form", help="form file when the certificate does not embed one")
+    p.add_argument("--form", help="form file when the certificate does not embed one; if it does, the two must be equal")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="minimal shift N with a PSD multiplier matrix")
@@ -400,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (ValueError, OverflowError, ZeroDivisionError) as exc:  # an out-of-range argument, such as N < 0
         print(f"invalid argument: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a file that cannot be written, such as --out in a directory that vanished
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

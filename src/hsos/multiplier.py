@@ -8,10 +8,13 @@ denominator D, the lcm of f's coefficient denominators, and every consumer
 reads those integers.  One exact kernel, a pivoted fraction-free LDL* of each
 connected block of the sparsity pattern, decides PSD, raises NotPsdError with
 an exactly checked witness, and yields certificates sum_j w_j |Q_j(z)|^2 with
-rational weights w_j > 0, the only kind of certificate.  Verification rejects
-any weight <= 0, re-expands the squares exactly in Gaussian integers over their
-own common denominator L and compares every entry of the multiplier matrix by
-cross-multiplication.
+rational weights w_j > 0, the only kind of certificate.  The shift scan asks
+only for the verdict, and `psd_decided` proves most verdicts in floating point
+first: a verified Cholesky (Rump 2006) for a PD block, an eigenvector witness
+checked exactly for a not-PSD one; only what neither settles reaches the
+exact kernel.  Verification rejects any weight <= 0, re-expands the squares
+exactly in Gaussian integers over their own common denominator L and compares
+every entry of the multiplier matrix by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import multiindex as mi
+from . import multiindex as mi, verified
 from .exact import QC, QC_ONE, QC_ZERO
 from .forms import HermitianForm
 
@@ -326,12 +329,55 @@ class SosCertificate:
         return len(self.squares)
 
 
+_WITNESS_BITS = 40  # eigenvector witnesses are rounded to Gaussian multiples of 2^-40
+
+
+def psd_decided(matrix: MultiplierMatrix) -> bool:
+    """Whether the matrix is PSD, decided in floating point where that is a proof and exactly elsewhere.
+
+    The chain: a negative diagonal numerator means not PSD (exact); the
+    connected blocks of the sparsity pattern (`_components`) are decided one by
+    one, a 1x1 block by its sign; a larger block is PD if the verified Cholesky
+    of `verified.cholesky_proves_pd` (Rump 2006; the shift is quoted there)
+    succeeds on its scaled real embedding, and the matrix is not PSD if the
+    block's `eigh` eigenvector, rounded to Gaussian multiples of 2^-40, gives
+    <Mv, v> < 0 exactly.  A block that neither settles (a singular or
+    nearly singular one) escalates the whole matrix to `is_psd`, the exact
+    `_ldlt`; that is the only escalation, and every verdict equals `is_psd`'s.
+    """
+    diag: dict[int, int] = {i: 0 for i in range(matrix.dim)}
+    rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
+    for (i, j), (re, im) in matrix.numerators.items():
+        if i == j:
+            if re < 0:
+                return False
+            diag[i] = re
+        else:
+            rows[i][j] = (re, im)
+    for block in _components(rows):
+        if len(block) == 1:
+            continue  # its diagonal is >= 0
+        position = {i: p for p, i in enumerate(sorted(block))}
+        entries = [(p, p, diag[i], 0) for i, p in position.items()]
+        entries += [(p, position[j], re, im) for i, p in position.items() for j, (re, im) in rows[i].items()]
+        S = verified.real_embedding(len(block), entries)
+        if verified.cholesky_proves_pd(S):
+            continue
+        x = verified.smallest_eigenvector(S, _WITNESS_BITS)  # 2^40 (Re v, Im v), rounded
+        d, one = len(block), 2**_WITNESS_BITS
+        witness = {i: QC(Fraction(x[p], one), Fraction(x[d + p], one)) for i, p in position.items() if x[p] or x[d + p]}
+        if _witness_quadratic_value(matrix, witness) < 0:
+            return False
+        return is_psd(matrix).is_psd
+    return True
+
+
 def minimal_sos_N(
     form: HermitianForm,
     n_max: int,
     size_cap: int = DEFAULT_SIZE_CAP,
 ) -> Optional[int]:
-    """Smallest N <= n_max whose multiplier matrix is PSD (exact), else None.
+    """Smallest N <= n_max whose multiplier matrix is PSD (a `psd_decided` proof), else None.
 
     Linear scan from 0; by monotonicity of the PSD property in N the first
     success is the minimum.
@@ -339,7 +385,7 @@ def minimal_sos_N(
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     for N in range(n_max + 1):
-        if is_psd(multiplier_matrix(form, N, size_cap=size_cap)).is_psd:
+        if psd_decided(multiplier_matrix(form, N, size_cap=size_cap)):
             return N
     return None
 

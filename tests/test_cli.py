@@ -157,6 +157,33 @@ def test_verify_rejects_certificate_of_another_shape(capsys, tmp_path):
     assert code == 1 and json.loads(out)["status"] == "fail"
 
 
+def test_verify_form_must_match_the_embedded_form(capsys, tmp_path):
+    cert_path = str(tmp_path / "cert.json")
+    run(capsys, ["certify", FC1, "1", "--out", cert_path])
+    code, out, err = run(capsys, ["verify", cert_path, "--form", str(SAMPLES / "fc_7_4.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "fc_7_4.json" in err and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, ["verify", cert_path, "--form", FC1])
+    assert code == 0 and "exact-pass" in out
+
+
+def test_certify_out_in_missing_directory_is_input_error_before_factoring(capsys, monkeypatch, tmp_path):
+    def factor(*args, **kwargs):
+        raise AssertionError("factored before the output path was checked")
+
+    monkeypatch.setattr(cli.mult, "sos_decompose", factor)
+    code, out, err = run(capsys, ["certify", FC1, "1", "--out", str(tmp_path / "missing" / "c.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "missing" in err and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_is_input_error(capsys, tmp_path):
+    # the directory exists, so the write itself fails: an OSError that main maps to exit 2
+    code, _, err = run(capsys, ["certify", FC1, "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
 def _set(path, value):
     def mutate(doc):
         target = doc

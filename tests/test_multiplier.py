@@ -2,12 +2,13 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from hsos import forms, multiindex as mi, multiplier as mult
+from hsos import formats, forms, multiindex as mi, multiplier as mult
 from hsos.exact import QC_ZERO, qc
 
 from conftest import (
@@ -302,6 +303,133 @@ def test_monotonicity_in_shift(case):
     assert psd or not psd_expected
     if psd:
         assert all(mult.is_psd(mult.multiplier_matrix(form, k)).is_psd for k in (N + 1, N + 2))
+
+
+# ---------------------------------------------------------------------------
+# float-first PSD decisions
+# ---------------------------------------------------------------------------
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
+SINGULAR_SAMPLES = ("fc_1", "fc_3_2", "fc_7_4", "polya_diag_n2_m3", "polya_diag_n3_m2")
+
+
+@pytest.fixture
+def ldlt_calls(monkeypatch):
+    """Counts the exact kernel's calls; psd_decided reaches it only through is_psd."""
+    calls = []
+    kernel = mult._ldlt
+
+    def counted(matrix):
+        calls.append(matrix.N)
+        return kernel(matrix)
+
+    monkeypatch.setattr(mult, "_ldlt", counted)
+    return calls
+
+
+def _must_not_run(*args):
+    raise AssertionError("reached a routine the decision should not need")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shifted_forms())
+def test_psd_decided_agrees_with_exact_kernel(case):
+    matrix = mult.multiplier_matrix(*case)
+    assert mult.psd_decided(matrix) == mult.is_psd(matrix).is_psd
+
+
+@st.composite
+def _boundary_matrices(draw):
+    """||z||^4 + t G at a shift N, t a dyadic rational a relative step from G's float threshold t*.
+
+    t* is the largest t keeping the float matrix PSD, so steps of one ulp and 0
+    land where no float test can decide and steps of 1e-4 where one can.
+    """
+    n, N = draw(st.integers(2, 3)), draw(st.integers(0, 2))
+    G = random_hermitian_form(random.Random(draw(st.integers(0, 2**16))), n, 2)
+    base = forms.inner_power(n, 2)
+    if draw(st.booleans()):
+        G = forms.scale(G, -1)
+    d = 1 / np.sqrt(np.diag(mult.multiplier_matrix(base, N).to_dense()).real)  # the base matrix is diagonal, > 0
+    lam = np.linalg.eigvalsh(d[:, None] * mult.multiplier_matrix(G, N).to_dense() * d[None, :])[0]
+    assume(lam < -1e-6)  # then t* = -1 / lam
+    step = draw(st.sampled_from([-1e-4, -1e-8, -1e-12, -2.0**-52, 0.0, 2.0**-52, 1e-12, 1e-8, 1e-4]))
+    t = Fraction(-1 / lam * (1 + step))
+    return mult.multiplier_matrix(forms.add_forms(base, forms.scale(G, t)), N)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_boundary_matrices())
+def test_psd_decided_agrees_with_exact_kernel_at_the_boundary(matrix):
+    assert mult.psd_decided(matrix) == mult.is_psd(matrix).is_psd
+
+
+def test_indefinite_by_a_rounding_error_is_not_taken_for_pd():
+    # ||z||^4 + t G at G's float threshold, n = 2, N = 0: the block [[1, c], [conj(c), 2]] with
+    # |c|^2 above 2 by 3.1e-16, so lambda_min = -3.3e-16; a float Cholesky of the block without
+    # Rump's shift runs to completion
+    D = 3 * 2**54
+    c = (36234795250144211, 67293191178839249)
+    matrix = mult.MultiplierMatrix(2, 2, 0, ((2, 0), (1, 1), (0, 2)), D, {
+        (0, 0): (D, 0), (1, 1): (2 * D, 0), (2, 2): (D, 0), (0, 1): c, (1, 0): (c[0], -c[1])})
+    assert c[0] ** 2 + c[1] ** 2 > 2 * D * D
+    assert not mult.psd_decided(matrix)
+
+
+@pytest.mark.parametrize("name", SINGULAR_SAMPLES)
+def test_singular_sample_forms_decide_exactly(name, monkeypatch):
+    # diagonal at their minimal shift, so the exact sign test of each 1x1 block decides them:
+    # neither the float Cholesky nor the exact kernel runs
+    form = formats.load_form(SAMPLES / f"{name}.json")
+    N = mult.minimal_sos_N(form, 20)
+    matrix, below = mult.multiplier_matrix(form, N), mult.multiplier_matrix(form, N - 1)
+    assert matrix.is_diagonal() and mult.is_psd(matrix).rank < matrix.dim  # singular
+    monkeypatch.setattr(mult, "_ldlt", _must_not_run)
+    monkeypatch.setattr(mult.np.linalg, "cholesky", _must_not_run)
+    assert mult.psd_decided(matrix) and not mult.psd_decided(below)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_singular_block_escalates_to_exact_kernel(N, ldlt_calls):
+    # |z1^2 + z2^2|^2 has a singular 2x2 block at every shift: no float test settles it
+    matrix = mult.multiplier_matrix(forms.HermitianForm.from_terms(
+        2, 2, [((2, 0), (2, 0), qc(1)), ((0, 2), (0, 2), qc(1)), ((2, 0), (0, 2), qc(1)), ((0, 2), (2, 0), qc(1))]), N)
+    assert mult.psd_decided(matrix)
+    assert ldlt_calls == [N]
+
+
+def test_pd_ladder_form_decides_without_exact_kernel(monkeypatch):
+    # Polya-type sum |z_i|^4 - (1/2) sum |z_i z_j|^2 plus three hermitian off-diagonal pairs, n = 3:
+    # PD at its minimal shift 5 (smallest eigenvalue 0.014 of the Frobenius norm), one dense block
+    terms = [(a, a, qc(1)) for a in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+    terms += [(a, a, qc(Fraction(-1, 2))) for a in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+    for a, b, c in [((2, 0, 0), (0, 1, 1), qc(Fraction(1, 16), Fraction(1, 16))),
+                    ((0, 2, 0), (1, 0, 1), qc(Fraction(-1, 16), Fraction(1, 32))),
+                    ((1, 1, 0), (0, 0, 2), qc(Fraction(1, 32), Fraction(-1, 16)))]:
+        terms += [(a, b, c), (b, a, c.conj())]
+    form = forms.HermitianForm.from_terms(3, 2, terms)
+    matrix = mult.multiplier_matrix(form, 5)
+    assert mult.is_psd(matrix).rank == matrix.dim == 36
+    assert not mult.is_psd(mult.multiplier_matrix(form, 4)).is_psd
+    monkeypatch.setattr(mult, "_ldlt", _must_not_run)
+    assert mult.psd_decided(matrix)
+    assert mult.minimal_sos_N(form, 10) == 5
+
+
+@pytest.mark.parametrize("entries, psd, escalations", [
+    ({(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, True, 1),  # singular block
+    ({(0, 0): (3, 0), (0, 1): (1, 1), (1, 1): (3, 0), (2, 2): (1, 0)}, True, 0),  # PD block
+    ({(0, 0): (1, 0), (0, 1): (3, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, False, 0),  # indefinite block
+])
+def test_huge_numerators_do_not_overflow(entries, psd, escalations, ldlt_calls):
+    big = 2**1100 + 1  # beyond the double range, so a float(...) of an entry would raise OverflowError
+    numerators = {}
+    for (i, j), (re, im) in entries.items():
+        numerators[(i, j)] = (re * big, im * big)
+        numerators[(j, i)] = (re * big, -im * big)
+    matrix = mult.MultiplierMatrix(2, 2, 0, ((2, 0), (1, 1), (0, 2)), 3, numerators)
+    assert mult.psd_decided(matrix) == psd == mult.is_psd(matrix).is_psd
+    assert len(ldlt_calls) == escalations + 1  # + the is_psd call of the assertion
 
 
 # ---------------------------------------------------------------------------
