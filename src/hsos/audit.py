@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +32,11 @@ from . import forms as forms_mod
 from . import multiindex as mi
 from .forms import HermitianForm
 from .spheremin import unit_sphere_samples
+
+
+LOCALIZATION_CALIBRATION = 1.0  # localization_report passes when E <= this times the packaged bound
+ANNULUS_DIRECTIONS = 125  # unit directions per radius of basic_rhs's annulus sample
+H_GRID = tuple(0.2 * 2.0**-k for k in range(18))  # empirical_h0's h values, descending
 
 
 class WindowViolated(ValueError):
@@ -289,8 +294,8 @@ def check_window_instance(h: float, M: int, k: int, epsilon: float, n: int) -> b
     return 1.0 < sigma < 1.5 and 4.0 * (sigma - 1.0) <= epsilon <= 1.0
 
 
-def localization_report(params: RegimeParams, k: int, calibration: float = 1.0) -> AuditReport:
-    """Exact E against the packaged bound times a configurable calibration constant."""
+def localization_report(params: RegimeParams, k: int) -> AuditReport:
+    """Exact E against the packaged bound times the calibration constant LOCALIZATION_CALIBRATION."""
     h, M, n, eps = params.h, params.M, params.n, params.epsilon
     if not check_window_instance(h, M, k, eps, n):
         raise WindowViolated(
@@ -302,13 +307,13 @@ def localization_report(params: RegimeParams, k: int, calibration: float = 1.0) 
     if e_val > 0 and math.isfinite(log_bound):
         log_ratio = math.log(e_val) - log_bound
         ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf
-        passed = log_ratio <= math.log(calibration)
+        passed = log_ratio <= math.log(LOCALIZATION_CALIBRATION)
     else:
         ratio = 0.0
         passed = True
     return AuditReport(
         "localization-E",
-        {"h": h, "M": M, "k": k, "epsilon": eps, "n": n, "calibration": calibration},
+        {"h": h, "M": M, "k": k, "epsilon": eps, "n": n, "calibration": LOCALIZATION_CALIBRATION},
         e_val,
         bound,
         ratio,
@@ -325,22 +330,19 @@ def mc_localization_check(
     epsilon: float,
     samples: int = 1_000_000,
     seed: int = 20240,
-    alpha: Optional[Sequence[int]] = None,
 ) -> AuditReport:
     """Monte-Carlo Rayleigh quotient of the exterior operator against the closed form.
 
     Draws z from the Gaussian weight exp(-||z||²/h)/(πh)^n and estimates
     E[ 1_outside ||z||^(2k) |z^α|² ] / (h^M α!), which by the radial
-    diagonalization equals E²(h, M, k) for every |α| = M.
+    diagonalization equals E²(h, M, k) for every |α| = M; α splits M evenly.
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    if alpha is None:
-        base, rem = divmod(M, n)
-        alpha = tuple(base + (1 if i < rem else 0) for i in range(n))
-    alpha = mi.validate_index(alpha)
-    if sum(alpha) != M or len(alpha) != n:
-        raise ValueError(f"alpha {alpha} incompatible with (n, M) = ({n}, {M})")
+    if n < 1 or M < 0:
+        raise ValueError(f"invalid (n, M) = ({n}, {M})")
+    base, rem = divmod(M, n)
+    alpha = tuple(base + (1 if i < rem else 0) for i in range(n))
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(h / 2.0)
     z = rng.normal(0.0, sigma, (samples, n)) + 1j * rng.normal(0.0, sigma, (samples, n))
@@ -379,7 +381,7 @@ def check_sigma_window(params: RegimeParams) -> AuditReport:
     which together give [1 ± ε/2] ⊂ (1/σ)[1 ± ε].
     """
     s, eps = params.sigma, params.epsilon
-    admissible = 1.0 < s < 1.5 and 4.0 * (s - 1.0) <= eps <= 1.0
+    admissible = check_window_instance(params.h, params.M, params.m, eps, params.n)
     p12a = 1.0 - eps / 2.0 >= (1.0 - eps) / s
     p12b = 1.0 + eps / 2.0 <= (1.0 + eps) / s
     passed = admissible and p12a and p12b
@@ -406,7 +408,6 @@ def basic_rhs(
     params: RegimeParams,
     lambda_value: float,
     big_lambda_value: float,
-    annulus_samples: int = 2000,
 ) -> tuple[float, AuditReport]:
     """Evaluate the right-hand side of the basic positivity inequality.
 
@@ -438,7 +439,7 @@ def basic_rhs(
 
     # annulus floor: sampled min of q over 1-2ε <= ||z||² <= 1+2ε
     q = forms_mod.q_symbol(form, Fraction(h))
-    dirs = unit_sphere_samples(n, max(64, annulus_samples // 16))
+    dirs = unit_sphere_samples(n, ANNULUS_DIRECTIONS)
     radii = np.sqrt(np.linspace(max(0.0, 1.0 - 2.0 * eps), 1.0 + 2.0 * eps, 17))
     sampled = math.inf
     for r in radii:
@@ -486,35 +487,26 @@ class H0ScanResult:
     note: str = ""
 
 
-def default_h_grid() -> list[float]:
-    return [0.2 * 2.0**-k for k in range(0, 18)]
-
-
 def empirical_h0(
     form: HermitianForm,
-    h_grid: Optional[Sequence[float]] = None,
-    epsilon_fn: Callable[[float], float] = default_epsilon,
     *,
     lambda_value: float,
     big_lambda_value: float,
 ) -> H0ScanResult:
-    """Scan h downward for the largest grid value with positive basic RHS.
+    """Scan H_GRID downward for the largest h with positive basic RHS.
 
-    N is implied by the semiclassical correspondence N = ceil(1/h).  Grid
+    N = ceil(1/h) by the semiclassical correspondence, ε = default_epsilon(h).  Grid
     points whose sigma window fails are recorded and skipped.  A nonpositive
     sphere minimum short-circuits to the NoPositiveFound flag.
     """
-    if h_grid is None:
-        h_grid = default_h_grid()
-
     if lambda_value <= 0:
         return H0ScanResult(False, None, None, lambda_value, (), note="lambda <= 0: leading term cannot be positive")
 
     entries: list[H0Entry] = []
     best_h: Optional[float] = None
-    for h in sorted(h_grid, reverse=True):
+    for h in H_GRID:
         N = max(1, math.ceil(1.0 / h))
-        eps = epsilon_fn(h)
+        eps = default_epsilon(h)
         params = RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=eps)
         try:
             value, _ = basic_rhs(

@@ -3,9 +3,9 @@
 Four bounds are evaluated from the scalar invariants: the semiclassical bound
 C (Λ/λ)(m+n)^3 log^3 n with its unspecified universal constant exposed as a
 parameter, the Powers-Resnick diagonal bound, the To-Yeung bound, and the
-Nie-Schweighofer bound (comparative only).  All logs are natural, rounding is
-ceil (or "smallest integer strictly greater" where the source inequality is
-strict), and results are floored at 0.
+Nie-Schweighofer bound (comparative only, at c = NS_C).  All logs are natural,
+rounding is ceil (or "smallest integer strictly greater" where the source
+inequality is strict), and results are floored at 0.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from . import multiplier as mult
 from . import spheremin
 from .exact import as_fraction
 from .forms import HermitianForm
+
+
+C_RESOLUTION, C_MAX = 64, 8  # smallest sufficient C is searched on k / C_RESOLUTION <= C_MAX
+NS_C = 1.0
 
 
 class NonPositiveLambda(ValueError):
@@ -111,24 +115,25 @@ def _smallest_sufficient_C(
     empirical_N: Optional[int],
     n_max: int,
     size_cap: int,
-    resolution: int = 64,
-    c_max: int = 8,
 ) -> Optional[Fraction]:
-    """Binary search for the smallest C on the 1/resolution grid whose bound is PSD-sufficient.
+    """Binary search for the smallest C on the 1/C_RESOLUTION grid whose bound is PSD-sufficient.
 
     PSD at a shift is monotone in the shift, so the predicate is monotone in C.
     When the empirical minimum is known the predicate reduces to N(C) >= minimum.
     """
 
     def sufficient(k: int) -> bool:
-        N = certified_N(form, Fraction(k, resolution), lambda_value, big_lambda_value)
+        N = certified_N(form, Fraction(k, C_RESOLUTION), lambda_value, big_lambda_value)
         if empirical_N is not None:
             return N >= empirical_N
-        if mult.mi.dim_homogeneous(form.n, form.m + N) > size_cap or N > 4 * n_max:
+        if N > 4 * n_max:
             return False
-        return mult.psd_decided(mult.multiplier_matrix(form, N, size_cap=size_cap))
+        try:
+            return mult.psd_decided(mult.multiplier_matrix(form, N, size_cap=size_cap))
+        except mult.SizeCapExceeded:
+            return False
 
-    lo, hi = 1, resolution * c_max
+    lo, hi = 1, C_RESOLUTION * C_MAX
     if not sufficient(hi):
         return None
     while lo < hi:
@@ -137,7 +142,7 @@ def _smallest_sufficient_C(
             hi = mid
         else:
             lo = mid + 1
-    return Fraction(hi, resolution)
+    return Fraction(hi, C_RESOLUTION)
 
 
 def bound_report(
@@ -145,12 +150,13 @@ def bound_report(
     C=Fraction(1),
     n_max: int = 10,
     size_cap: int = mult.DEFAULT_SIZE_CAP,
-    ns_c: float = 1.0,
     search_C: bool = True,
 ) -> BoundReport:
     """Compute all invariants and bounds, run the empirical scan, and record checks."""
     forms_mod.require_valid(form)
     C = as_fraction(C)
+    if C < 0:
+        raise ValueError(f"universal constant C must be non-negative, got {C}")
     lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
     lt = float(forms_mod.lambda_tilde(form))
@@ -186,7 +192,7 @@ def bound_report(
             report.notes[name] = str(exc)
 
     try:
-        ns = nie_schweighofer_N(form, ns_c, lam.value)
+        ns = nie_schweighofer_N(form, NS_C, lam.value)
         if ns is None:
             report.nie_schweighofer_overflow = True
             report.notes["nie_schweighofer_N"] = "double-precision overflow"

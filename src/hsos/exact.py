@@ -35,10 +35,6 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __add__(self, other) -> "QC":
         other = qc(other)
         return QC(self.re + other.re, self.im + other.im)

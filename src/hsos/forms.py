@@ -5,10 +5,10 @@ exponent pairs to exact complex-rational coefficients.  Reality of f on C^n is
 equivalent to hermitian symmetry c_ba = conj(c_ab), which is what validate()
 checks.  The four scalar invariants live here:
 
-  sphere_min   min of f on the unit sphere            (numerical, certified radius)
-  frob_weight  weighted Frobenius norm  (sum (a!b!/m!^2)|c_ab|^2)^(1/2)   (exact square)
-  diag_max     max over diagonal of (a!/m!)|c_aa|                         (exact)
-  sphere_sup   sup of |f| on the unit sphere          (numerical)
+  lambda_min    min of f on the unit sphere            (numerical, certified radius)
+  big_lambda    weighted Frobenius norm  (sum (a!b!/m!^2)|c_ab|^2)^(1/2); big_lambda_sq is exact
+  lambda_tilde  max over diagonal of (a!/m!)|c_aa|                         (exact)
+  lambda_sharp  sup of |f| on the unit sphere          (numerical)
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class DegreeZeroError(FormError):
 
 
 CoeffKey = tuple[mi.MultiIndex, mi.MultiIndex]
+REALITY_TOL = 1e-12  # evaluate's bound on |Im f(z)| relative to sum |c_ab| ||z||^(2m)
 
 
 @dataclass(frozen=True)
@@ -191,22 +192,13 @@ def _check_point(form: HermitianForm, z: Sequence) -> None:
         raise DimensionMismatch(f"point has {len(z)} coordinates, form has n = {form.n}")
 
 
-def evaluate(form: HermitianForm, z: Sequence[complex], reality_tol: float = 1e-12) -> float:
-    """f(z, z̄) in double precision; the imaginary residue must vanish."""
+def evaluate(form: HermitianForm, z: Sequence[complex]) -> float:
+    """f(z, z̄) in double precision: evaluate_batch on one row; the imaginary residue must vanish."""
     _check_point(form, z)
-    zv = [complex(w) for w in z]
-    total = 0j
-    for (alpha, beta), c in form.coeffs.items():
-        term = complex(c)
-        for j in range(form.n):
-            if alpha[j]:
-                term *= zv[j] ** alpha[j]
-            if beta[j]:
-                term *= zv[j].conjugate() ** beta[j]
-        total += term
-    normsq = sum(abs(w) ** 2 for w in zv)
-    scale_bound = float(form.coefficient_l1()) * normsq**form.m
-    if abs(total.imag) > reality_tol * scale_bound + 1e-300:
+    Z = np.asarray([z], dtype=complex)
+    total = complex(_evaluate_rows(form, Z)[0])
+    scale_bound = float(form.coefficient_l1()) * float(np.sum(np.abs(Z) ** 2)) ** form.m
+    if abs(total.imag) > REALITY_TOL * scale_bound + 1e-300:
         raise FormError(
             f"evaluation has non-real residue {total.imag:.3e}; form is not hermitian-symmetric"
         )
@@ -231,8 +223,8 @@ def evaluate_exact(form: HermitianForm, z: Sequence[QC]) -> Fraction:
     return total.re
 
 
-def evaluate_batch(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
-    """Vectorized f over rows of Z (complex array of shape (batch, n))."""
+def _evaluate_rows(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
+    """Complex sum of the terms of f over rows of Z, imaginary residue included."""
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 2 or Z.shape[1] != form.n:
         raise DimensionMismatch(f"batch shape {Z.shape} incompatible with n = {form.n}")
@@ -246,7 +238,12 @@ def evaluate_batch(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
             if beta[j]:
                 term = term * Zc[:, j] ** beta[j]
         out += term
-    return out.real
+    return out
+
+
+def evaluate_batch(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
+    """Vectorized f over rows of Z (complex array of shape (batch, n))."""
+    return _evaluate_rows(form, Z).real
 
 
 def quarter_laplacian(form: HermitianForm) -> HermitianForm:
@@ -303,22 +300,22 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
     return best
 
 
-def lambda_min(form: HermitianForm, **options):
+def lambda_min(form: HermitianForm, certify: bool = True):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    See spheremin.minimize_on_sphere for its one option, certify; the descent
-    stops at the fixed relative gradient bound spheremin.TOL.
+    certify=False skips the certified grid pass (see spheremin.minimize_on_sphere);
+    the descent stops at the fixed relative gradient bound spheremin.TOL.
     """
     from . import spheremin
 
-    return spheremin.minimize_on_sphere(form, **options)
+    return spheremin.minimize_on_sphere(form, certify=certify)
 
 
-def lambda_sharp(form: HermitianForm, **options):
+def lambda_sharp(form: HermitianForm, certify: bool = True):
     """sup of |f| on the unit sphere; spheremin.sphere_range returns it with lambda_min."""
     from . import spheremin
 
-    return spheremin.sphere_range(form, **options)[1]
+    return spheremin.sphere_range(form, certify=certify)[1]
 
 
 @dataclass(frozen=True)
@@ -350,7 +347,7 @@ def q_symbol(form: HermitianForm, h) -> QSymbol:
 
 
 def q_evaluate(q: QSymbol, z: Sequence[complex]) -> float:
-    return sum(float(layer.weight) * evaluate(layer.form, z) for layer in q.layers)
+    return float(q_evaluate_batch(q, [z])[0])
 
 
 def q_evaluate_batch(q: QSymbol, Z: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Multi-index enumeration, graded-lex ranking and exact combinatorics.
+"""Multi-index enumeration in graded-lex order and exact combinatorics.
 
 Multi-indices are plain tuples of non-negative ints.  Within a fixed total
 degree the canonical order is lexicographic with the largest leading exponent

@@ -242,6 +242,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["certify", FC1, "-1"], 2),
         (["bounds", FC1, "--C", "nan"], 2),
         (["bounds", FC1, "--C", "inf"], 2),
+        (["bounds", FC1, "--C", "-1"], 2),
         (["audit", "--suite", "radial", "--M", "-1"], 2),
         (["audit", "--suite", "tails", "--rho", "-1"], 2),
         (["audit", "--suite", "radial", "--h", "0"], 2),
@@ -254,7 +255,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "laplacian", "--form", FC1, "--samples", "0"], 2),
     ],
     ids=[
-        "certify-N-1", "C-nan", "C-inf", "radial-M-1", "tails-rho-1",
+        "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
         "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
     ],

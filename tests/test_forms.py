@@ -83,6 +83,23 @@ def test_evaluate_batch_matches_pointwise():
     batch = forms.evaluate_batch(f, Z)
     for i in range(4):
         assert batch[i] == pytest.approx(forms.evaluate(f, Z[i]), rel=1e-12, abs=1e-12)
+    # Gaussian-rational points: the float evaluators against the exact one
+    points = [
+        [qc(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+         for _ in range(3)]
+        for _ in range(8)
+    ]
+    batch = forms.evaluate_batch(f, np.array([[complex(w) for w in z] for z in points]))
+    for i, z in enumerate(points):
+        exact = float(forms.evaluate_exact(f, z))
+        assert batch[i] == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        assert forms.evaluate(f, z) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+
+def test_evaluate_rejects_non_hermitian_form():
+    f = HermitianForm(2, 1, {((1, 0), (0, 1)): qc(1)})  # z1 conj(z2) alone: f(1, i) = -i
+    with pytest.raises(forms.FormError, match="non-real residue"):
+        forms.evaluate(f, [1, 1j])
 
 
 # ---------------------------------------------------------------------------
