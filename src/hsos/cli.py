@@ -387,6 +387,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.size_cap < 1:
+            raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
         return args.fn(args)
     except formats.ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

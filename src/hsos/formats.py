@@ -127,10 +127,6 @@ def load_form(path) -> HermitianForm:
     return form_from_dict(_read_json(path))
 
 
-def save_form(form: HermitianForm, path) -> None:
-    Path(path).write_text(dumps_stable(form_to_dict(form)) + "\n")
-
-
 def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = None) -> dict:
     squares = []
     for sq in cert.squares:

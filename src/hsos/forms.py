@@ -130,12 +130,6 @@ def inner_power(n: int, m: int) -> HermitianForm:
     return HermitianForm.from_terms(n, m, terms)
 
 
-def coordinate_power(n: int, m: int, i: int = 0) -> HermitianForm:
-    """|z_i|^(2m)."""
-    alpha = tuple(m if j == i else 0 for j in range(n))
-    return HermitianForm.from_terms(n, m, [(alpha, alpha, qc(1))])
-
-
 def scale(form: HermitianForm, t) -> HermitianForm:
     t = qc(t)
     return HermitianForm(form.n, form.m, {k: v * t for k, v in form.coeffs.items() if not (v * t).is_zero})

@@ -30,19 +30,22 @@ def dim_homogeneous(n: int, M: int) -> int:
 
 
 def iter_degree(n: int, M: int) -> Iterator[MultiIndex]:
+    """The multi-indices of degree M in graded-lex order."""
     if n < 1 or M < 0:
         raise ValueError(f"invalid (n, M) = ({n}, {M})")
-    if n == 1:
-        yield (M,)
-        return
-    for k in range(M, -1, -1):
-        for rest in iter_degree(n - 1, M - k):
-            yield (k,) + rest
-
-
-def enumerate_degree(n: int, M: int) -> list[MultiIndex]:
-    """All multi-indices of degree M in graded-lex order."""
-    return list(iter_degree(n, M))
+    a = [M] + [0] * (n - 1)
+    while True:
+        yield tuple(a)
+        # the successor takes one unit from the last nonzero entry before the
+        # last one and puts it, with all of the last entry, on the entry after it
+        tail, a[-1] = a[-1], 0
+        j = n - 2
+        while j >= 0 and not a[j]:
+            j -= 1
+        if j < 0:
+            return
+        a[j] -= 1
+        a[j + 1] = tail + 1
 
 
 def factorial(k: int) -> int:
@@ -67,12 +70,6 @@ def index_factorial(alpha: Sequence[int]) -> int:
     for x in a:
         out *= factorial(x)
     return out
-
-
-def add(alpha: Sequence[int], beta: Sequence[int]) -> MultiIndex:
-    if len(alpha) != len(beta):
-        raise ValueError("multi-index length mismatch")
-    return tuple(x + y for x, y in zip(alpha, beta))
 
 
 def graded_lex_key(alpha: Sequence[int]):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -91,12 +92,6 @@ class MultiplierMatrix:
         """The nonzero entries as exact QC values, both orientations."""
         return {key: self.entry(*key) for key in self.numerators}
 
-    def is_hermitian(self) -> bool:
-        for (i, j), (re, im) in self.numerators.items():
-            if self.numerators.get((j, i)) != (re, -im):
-                return False
-        return True
-
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j) in self.numerators)
 
@@ -111,10 +106,14 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
     """Exact entries of ||z||^(2N) f over degree m+N, assembled sparsely in Gaussian integers.
 
     Entry (rho, gamma) = sum over splits rho = a + mu, gamma = b + mu with
-    |mu| = N of (N!/mu!) c_ab; the outer loop runs over the nonzero c_ab and
-    the N-degree shifts mu, never over all (rho, gamma) pairs.  Each c_ab is
-    scaled once to a Gaussian integer over D, the lcm of f's coefficient
-    denominators, and N!/mu! is an integer, so the sums stay in ints.
+    |mu| = N of (N!/mu!) c_ab; the outer loop runs over the N-degree shifts mu
+    and the inner one over the nonzero c_ab, never over all (rho, gamma)
+    pairs.  Each exponent a of f gets one row, the positions of a + mu for
+    every mu, found by an integer code: the exponents read as the digits of a
+    base-(m+N+1) number, so code(a + mu) = code(a) + code(mu) and the loop sums
+    no multi-indices.  Each c_ab is scaled once to a Gaussian integer over D,
+    the lcm of f's coefficient denominators, and N!/mu! is an integer, so the
+    sums stay in ints.
     """
     if N < 0:
         raise ValueError("shift degree N must be non-negative")
@@ -122,15 +121,26 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
     if dim > size_cap:
         raise SizeCapExceeded(dim, size_cap)
     basis = tuple(mi.iter_degree(form.n, form.m + N))
-    position = {alpha: i for i, alpha in enumerate(basis)}
+    digit = [(form.m + N + 1) ** k for k in range(form.n - 1, -1, -1)]
+
+    def code(alpha):
+        return sum(map(operator.mul, alpha, digit))
+
+    position = {code(alpha): i for i, alpha in enumerate(basis)}
+    mus = list(mi.iter_degree(form.n, N))
+    mu_codes = [code(mu) for mu in mus]
+    row = {}
+    for alpha in {a for key in form.coeffs for a in key}:
+        offset = code(alpha)
+        row[alpha] = [position[offset + c] for c in mu_codes]
     D = _common_denominator(form.coeffs.values())
-    scaled = [(alpha, beta, _gaussian(c, D)) for (alpha, beta), c in form.coeffs.items()]
+    scaled = [(row[alpha], row[beta], *_gaussian(c, D)) for (alpha, beta), c in form.coeffs.items()]
     numerators: dict[tuple[int, int], tuple[int, int]] = {}
-    nfact = mi.factorial(N)
-    for mu in mi.iter_degree(form.n, N):
-        w = nfact // mi.index_factorial(mu)
-        for alpha, beta, (re, im) in scaled:
-            key = (position[mi.add(alpha, mu)], position[mi.add(beta, mu)])
+    fact = [math.factorial(k) for k in range(N + 1)]
+    for t, mu in enumerate(mus):
+        w = fact[N] // math.prod(fact[x] for x in mu)
+        for row_a, row_b, re, im in scaled:
+            key = (row_a[t], row_b[t])
             old_re, old_im = numerators.get(key, (0, 0))
             s = (old_re + w * re, old_im + w * im)
             if s == (0, 0):  # popped where a partial sum cancels: the insertion order fixes _ldlt's fill-in
@@ -176,6 +186,20 @@ def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
     return v
 
 
+def _pattern(matrix: MultiplierMatrix) -> tuple[dict[int, int], dict[int, dict[int, tuple[int, int]]]]:
+    """The diagonal numerators and, per row, the off-diagonal ones in the numerators' order."""
+    diag = {i: 0 for i in range(matrix.dim)}
+    rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
+    for (i, j), (re, im) in matrix.numerators.items():
+        if i != j:
+            rows[i][j] = (re, im)
+        elif im:
+            raise ValueError(f"diagonal entry {i} not real; matrix not hermitian")
+        else:
+            diag[i] = re
+    return diag, rows
+
+
 def _components(rows: dict[int, dict]) -> list[set[int]]:
     """Connected components of the sparsity pattern; rows holds the off-diagonal entries."""
     seen: set[int] = set()
@@ -212,16 +236,7 @@ def _ldlt(matrix: MultiplierMatrix):
     NotPsdError with a witness v whose value <Mv, v> < 0 is checked exactly.
     """
     D = matrix.D
-    diag: dict[int, int] = {i: 0 for i in range(matrix.dim)}
-    rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
-    for (i, j), (re, im) in matrix.numerators.items():
-        if i == j:
-            if im:
-                raise ValueError(f"diagonal entry {i} not real; matrix not hermitian")
-            diag[i] = re
-        else:
-            rows[i][j] = (re, im)
-
+    diag, rows = _pattern(matrix)
     blocks = _components(rows)
     prev = [1] * len(blocks)  # each block's last pivot b; its Schur complement is A / (b D)
 
@@ -345,15 +360,9 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
     nearly singular one) escalates the whole matrix to `is_psd`, the exact
     `_ldlt`; that is the only escalation, and every verdict equals `is_psd`'s.
     """
-    diag: dict[int, int] = {i: 0 for i in range(matrix.dim)}
-    rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
-    for (i, j), (re, im) in matrix.numerators.items():
-        if i == j:
-            if re < 0:
-                return False
-            diag[i] = re
-        else:
-            rows[i][j] = (re, im)
+    diag, rows = _pattern(matrix)
+    if any(d < 0 for d in diag.values()):
+        return False
     for block in _components(rows):
         if len(block) == 1:
             continue  # its diagonal is >= 0

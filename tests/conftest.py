@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -64,8 +65,19 @@ def product_expansion_oracle(form: HermitianForm, N: int) -> dict:
     return coeffs_from_expr(sp.expand(expr * inner**N), zs, ws)
 
 
+def coordinate_power(n: int, m: int, i: int = 0) -> HermitianForm:
+    """|z_i|^(2m)."""
+    alpha = tuple(m if j == i else 0 for j in range(n))
+    return HermitianForm.from_terms(n, m, [(alpha, alpha, qc(1))])
+
+
+def save_form(form: HermitianForm, path) -> None:
+    """Write a form file as the shipped ones are written: stable JSON and a newline."""
+    Path(path).write_text(formats.dumps_stable(formats.form_to_dict(form)) + "\n")
+
+
 def random_hermitian_form(rng: random.Random, n: int, m: int, max_terms: int = 6) -> HermitianForm:
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     triples = []
     for _ in range(rng.randint(1, max_terms)):
         a = rng.choice(basis)
@@ -84,7 +96,7 @@ def random_hermitian_form(rng: random.Random, n: int, m: int, max_terms: int = 6
 
 def random_sos_form(rng: random.Random, n: int, m: int, squares: int = 2) -> HermitianForm:
     """f = sum_j |Q_j|^2 for random holomorphic Q_j: PSD coefficient matrix by construction."""
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     acc: dict = {}
     for _ in range(squares):
         vec = {
@@ -178,7 +190,7 @@ def mixed_corpus(positive_corpus):
     rng = random.Random(421)
     extra = [
         ("fc(2)", forms.fc_form(2), Fraction(0)),
-        ("|z1|^4", forms.coordinate_power(2, 2, 0), Fraction(0)),
+        ("|z1|^4", coordinate_power(2, 2, 0), Fraction(0)),
     ]
     for i in range(4):
         n = rng.choice([2, 3])

@@ -5,7 +5,7 @@ import pytest
 
 from hsos import bounds, forms, multiplier as mult
 
-from conftest import C_GRID, diag_n3_form, ridge_form
+from conftest import C_GRID, coordinate_power, diag_n3_form, ridge_form
 
 
 def test_certified_N_example():
@@ -32,7 +32,7 @@ def test_certified_N_requires_positive_lambda_and_n2():
     f = forms.fc_form(1)
     with pytest.raises(bounds.NonPositiveLambda):
         bounds.certified_N(f, 1, 0.0, 1.5)
-    one_var = forms.coordinate_power(1, 2, 0)
+    one_var = coordinate_power(1, 2, 0)
     with pytest.raises(ValueError):
         bounds.certified_N(one_var, 1, 1.0, 1.0)
 

@@ -10,7 +10,7 @@ import pytest
 
 from hsos import cli, formats, forms
 
-from conftest import FLOAT_CERTIFICATE
+from conftest import FLOAT_CERTIFICATE, save_form
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
 FC1 = str(SAMPLES / "fc_1.json")
@@ -19,7 +19,7 @@ FC1 = str(SAMPLES / "fc_1.json")
 @pytest.fixture
 def fc1_path(tmp_path):
     path = tmp_path / "fc1.json"
-    formats.save_form(forms.fc_form(1), path)
+    save_form(forms.fc_form(1), path)
     return str(path)
 
 
@@ -104,7 +104,7 @@ def test_certify_not_psd_non_diagonal_witness(capsys, tmp_path):
         2, 2, [((2, 0), (2, 0), 1), ((0, 2), (0, 2), 1), ((2, 0), (0, 2), 3), ((0, 2), (2, 0), 3)]
     )
     path = tmp_path / "indefinite.json"
-    formats.save_form(form, path)
+    save_form(form, path)
     code, out, _ = run(capsys, ["--json", "certify", str(path), "0"])
     assert code == 1
     assert json.loads(out)["witness_value"] == "-8"
@@ -253,11 +253,15 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["bounds", FC1, "--n-max", "-1"], 2),
         (["audit", "--suite", "localization", "--samples", "0"], 2),
         (["audit", "--suite", "laplacian", "--form", FC1, "--samples", "0"], 2),
+        (["--size-cap", "0", "search", FC1, "--n-max", "3"], 2),
+        (["--size-cap", "-5", "search", FC1, "--n-max", "3"], 2),
+        (["--size-cap", "0", "certify", FC1, "1"], 2),
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
         "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
+        "size-cap0", "size-cap-5", "certify-size-cap0",
     ],
 )
 def test_invalid_arguments_reach_the_validators(capsys, argv, expected):
@@ -288,7 +292,7 @@ def test_search(capsys, fc1_path):
 
 def test_search_not_found(capsys, tmp_path):
     path = tmp_path / "fc2.json"
-    formats.save_form(forms.fc_form(2), path)
+    save_form(forms.fc_form(2), path)
     code, out, _ = run(capsys, ["search", str(path), "--n-max", "2"])
     assert code == 1 and "no PSD" in out
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hsos import formats, forms, multiindex as mi, multiplier as mult
 from hsos.exact import qc
 
-from conftest import FLOAT_CERTIFICATE, random_hermitian_form, ridge_form
+from conftest import FLOAT_CERTIFICATE, random_hermitian_form, ridge_form, save_form
 
 
 def test_parse_rational():
@@ -45,11 +45,11 @@ def test_form_roundtrip_identity():
 def test_form_roundtrip_through_file(tmp_path):
     f = forms.fc_form(Fraction(3, 2))
     path = tmp_path / "f.json"
-    formats.save_form(f, path)
+    save_form(f, path)
     assert formats.load_form(path).coeffs == f.coeffs
     # byte-stable on rewrite
     text = path.read_text()
-    formats.save_form(formats.load_form(path), path)
+    save_form(formats.load_form(path), path)
     assert path.read_text() == text
 
 
@@ -111,7 +111,7 @@ _coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
 def _psd_cases(draw):
     """sum_j w_j |Q_j|^2 with Gaussian-rational Q_j, PSD from N = 0 on, and a shift N."""
     n, m, N = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     triples = []
     for _ in range(draw(st.integers(1, 3))):
         w = draw(_weights)

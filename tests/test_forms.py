@@ -10,7 +10,7 @@ from hsos import forms
 from hsos.exact import qc
 from hsos.forms import HermitianForm
 
-from conftest import quarter_laplacian_oracle, random_hermitian_form, C_GRID, ridge_form
+from conftest import coordinate_power, quarter_laplacian_oracle, random_hermitian_form, C_GRID, ridge_form
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_evaluate_rejects_non_hermitian_form():
 # ---------------------------------------------------------------------------
 
 def test_quarter_laplacian_coordinate_power():
-    lap = forms.quarter_laplacian(forms.coordinate_power(2, 2, 0))
+    lap = forms.quarter_laplacian(coordinate_power(2, 2, 0))
     assert lap.coeffs == {((1, 0), (1, 0)): qc(4)}
 
 
@@ -172,7 +172,7 @@ def test_big_lambda_fc_family():
 def test_big_lambda_edge_cases():
     assert forms.big_lambda_sq(HermitianForm.zero(3, 2)) == 0
     for m in (1, 2, 4):
-        assert forms.big_lambda_sq(forms.coordinate_power(2, m, 0)) == 1
+        assert forms.big_lambda_sq(coordinate_power(2, m, 0)) == 1
 
 
 def test_lambda_tilde():
@@ -231,7 +231,7 @@ def test_lambda_min_is_lower_bound_on_samples():
 
 def test_lambda_sharp_examples():
     assert abs(forms.lambda_sharp(forms.fc_form(1), certify=False).value - 1.0) < 1e-9
-    neg = forms.scale(forms.coordinate_power(2, 2, 0), -1)
+    neg = forms.scale(coordinate_power(2, 2, 0), -1)
     assert abs(forms.lambda_sharp(neg, certify=False).value - 1.0) < 1e-9
 
 
@@ -266,7 +266,7 @@ def test_frobenius_contraction_of_laplacian():
 # ---------------------------------------------------------------------------
 
 def test_q_symbol_example():
-    q = forms.q_symbol(forms.coordinate_power(2, 2, 0), 1)
+    q = forms.q_symbol(coordinate_power(2, 2, 0), 1)
     assert forms.q_evaluate(q, [1, 0]) == pytest.approx(-1.0, abs=1e-14)
     assert [layer.weight for layer in q.layers] == [1, -1, Fraction(1, 2)]
 

@@ -56,7 +56,7 @@ def random_kernel_form(seed: int) -> forms.HermitianForm:
     rng = random.Random(f"kernel-golden-{seed}")
     n = rng.choice((2, 3)) if seed % 5 else 4
     m = rng.choice((1, 2)) if n < 4 else 1
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     triples = []
     kind = seed % 3
     if kind == 2:

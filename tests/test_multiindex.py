@@ -12,21 +12,21 @@ def brute_force_degree(n, M):
 
 
 def test_enumerate_examples():
-    assert mi.enumerate_degree(2, 0) == [(0, 0)]
-    assert mi.enumerate_degree(2, 3) == [(3, 0), (2, 1), (1, 2), (0, 3)]
-    assert len(mi.enumerate_degree(3, 2)) == 6
+    assert list(mi.iter_degree(2, 0)) == [(0, 0)]
+    assert list(mi.iter_degree(2, 3)) == [(3, 0), (2, 1), (1, 2), (0, 3)]
+    assert len(list(mi.iter_degree(3, 2))) == 6
 
 
 def test_enumerate_matches_brute_force():
     for n in range(1, 5):
         for M in range(0, 6):
-            assert mi.enumerate_degree(n, M) == brute_force_degree(n, M)
+            assert list(mi.iter_degree(n, M)) == brute_force_degree(n, M)
 
 
 def test_dim_examples():
     assert mi.dim_homogeneous(2, 3) == 4
     assert mi.dim_homogeneous(1, 7) == 1
-    assert mi.dim_homogeneous(4, 5) == 56 == len(mi.enumerate_degree(4, 5))
+    assert mi.dim_homogeneous(4, 5) == 56 == len(list(mi.iter_degree(4, 5)))
 
 
 def test_dim_pascal_recurrence():

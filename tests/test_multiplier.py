@@ -12,6 +12,7 @@ from hsos import formats, forms, multiindex as mi, multiplier as mult
 from hsos.exact import QC_ZERO, qc
 
 from conftest import (
+    coordinate_power,
     diag_n3_form,
     product_expansion_oracle,
     random_hermitian_form,
@@ -38,7 +39,7 @@ def test_shift_zero_reproduces_coefficients():
 
 
 def test_coordinate_power_shift_one():
-    f = forms.coordinate_power(2, 1, 0)  # |z1|^2
+    f = coordinate_power(2, 1, 0)  # |z1|^2
     matrix = mult.multiplier_matrix(f, 1)
     assert matrix.basis == ((2, 0), (1, 1), (0, 2))
     assert matrix.entries == {(0, 0): qc(1), (1, 1): qc(1)}
@@ -60,6 +61,32 @@ def test_fc_diagonal_closed_form():
                 assert matrix.entry(i, i) == qc(expect)
 
 
+def _add(alpha, beta):
+    return tuple(x + y for x, y in zip(alpha, beta))
+
+
+def _direct_assembly(form, N):
+    """Numerators of the multiplier matrix in insertion order, by a direct loop over shifts and terms.
+
+    The loop sums alpha + mu per term and computes N!/mu! per shift; a partial
+    sum that cancels is popped, so the entry is inserted again at the end.
+    """
+    position = {alpha: i for i, alpha in enumerate(mi.iter_degree(form.n, form.m + N))}
+    D = math.lcm(*(x.denominator for c in form.coeffs.values() for x in (c.re, c.im)))
+    numerators = {}
+    for mu in mi.iter_degree(form.n, N):
+        w = math.factorial(N) // math.prod(math.factorial(x) for x in mu)
+        for (alpha, beta), c in form.coeffs.items():
+            key = (position[_add(alpha, mu)], position[_add(beta, mu)])
+            old_re, old_im = numerators.get(key, (0, 0))
+            s = (old_re + w * int(c.re * D), old_im + w * int(c.im * D))
+            if s == (0, 0):
+                numerators.pop(key, None)
+            else:
+                numerators[key] = s
+    return list(numerators.items())
+
+
 _sevenths = st.builds(Fraction, st.integers(-6, 6), st.integers(2, 7))
 
 
@@ -67,7 +94,7 @@ _sevenths = st.builds(Fraction, st.integers(-6, 6), st.integers(2, 7))
 def _assembly_cases(draw):
     """Hermitian forms with coefficient denominators 2-7 and a shift N, some with cancelling terms."""
     n, m, N = draw(st.integers(2, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 3))
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     triples = []
 
     def term(a, b, c):  # c z^a z̄^b and its conjugate
@@ -84,7 +111,7 @@ def _assembly_cases(draw):
             c = qc(draw(_sevenths), draw(_sevenths))
             step = [(i == k) - (i == l) for i in range(n)]
             term(a, b, c)
-            term(mi.add(a, step), mi.add(b, step), -c)
+            term(_add(a, step), _add(b, step), -c)
     return forms.HermitianForm.from_terms(n, m, triples), N
 
 
@@ -99,13 +126,38 @@ def test_matches_symbolic_product_expansion(case):
     assert math.lcm(*(x.denominator for c in matrix.entries.values() for x in (c.re, c.im))) == matrix.D
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_assembly_cases())
+# |z1|^2 - |z2|^2 + |z3|^2 at N = 2: the diagonal entry at z1 z2 z3 receives 2, then -2 (the sum
+# cancels and is popped), then 2 (inserted again, last)
+@example((forms.HermitianForm.from_terms(3, 1, [(e, e, qc(c)) for e, c in zip(mi.iter_degree(3, 1), (1, -1, 1))]), 2))
+def test_numerators_insertion_order_matches_direct_loop(case):
+    f, N = case
+    assert list(mult.multiplier_matrix(f, N).numerators.items()) == _direct_assembly(f, N)
+
+
+def test_dense_form_insertion_order_matches_direct_loop():
+    rng = random.Random(11)
+    basis = list(mi.iter_degree(3, 2))
+    triples = []
+    for p, a in enumerate(basis):
+        triples.append((a, a, qc(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)))))
+        for b in basis[p + 1:]:
+            c = qc(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            triples += [(a, b, c), (b, a, c.conj())]
+    f = forms.HermitianForm.from_terms(3, 2, triples)
+    assert len(f.coeffs) == len(basis) ** 2
+    for N in range(7):
+        assert list(mult.multiplier_matrix(f, N).numerators.items()) == _direct_assembly(f, N)
+
+
 def test_hermitian_and_dimension_invariants():
     rng = random.Random(77)
     for _ in range(10):
         f = random_hermitian_form(rng, rng.choice([2, 3]), rng.choice([1, 2]))
         N = rng.choice([0, 1, 2])
         matrix = mult.multiplier_matrix(f, N)
-        assert matrix.is_hermitian()
+        assert all(matrix.numerators.get((j, i)) == (re, -im) for (i, j), (re, im) in matrix.numerators.items())
         assert matrix.dim == mi.dim_homogeneous(f.n, f.m + N)
 
 
@@ -228,7 +280,7 @@ _rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 def _shifted_forms(draw):
     """t * sum_a |z^a|^2 plus a few random hermitian terms, with a shift N."""
     n, m, N = draw(st.integers(2, 4)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     t = draw(st.integers(0, 3))
     triples = [(a, a, qc(t)) for a in basis]
     for _ in range(draw(st.integers(1, 4))):
@@ -438,7 +490,7 @@ def test_huge_numerators_do_not_overflow(entries, psd, escalations, ldlt_calls):
 
 def test_single_square_certificate():
     for m in (1, 2, 3):
-        cert = mult.sos_decompose(forms.coordinate_power(2, m, 0), 0)
+        cert = mult.sos_decompose(coordinate_power(2, m, 0), 0)
         assert cert.verified == "exact-pass"
         assert cert.num_squares() == 1
         (sq,) = cert.squares
@@ -503,7 +555,7 @@ def test_verify_rejects_non_positive_weight(scalars, weight):
     # weight * |z1|^2 reproduces weight * |z1|^2 exactly, but only a positive weight makes it a sum of squares
     square = mult.SosSquare(weight, {(1, 0): qc(1) if scalars == "exact" else 1 + 0j})
     cert = mult.SosCertificate(2, 1, 0, (square,))
-    form = forms.scale(forms.coordinate_power(2, 1, 0), Fraction(weight))
+    form = forms.scale(coordinate_power(2, 1, 0), Fraction(weight))
     assert mult.verify_certificate(form, cert)[0] == "fail"
 
 
@@ -512,7 +564,7 @@ def test_verify_rejects_certificate_of_another_shape(scalars):
     # |z1^2|^2 at (n, m, N) = (2, 2, 0) puts 1 at basis position 0, as |z1|^2 does at (2, 1, 0)
     square = mult.SosSquare(Fraction(1) if scalars == "exact" else 1.0, {(2, 0): qc(1) if scalars == "exact" else 1 + 0j})
     cert = mult.SosCertificate(2, 2, 0, (square,))
-    assert mult.verify_certificate(forms.coordinate_power(2, 1, 0), cert) == ("fail", None)
+    assert mult.verify_certificate(coordinate_power(2, 1, 0), cert) == ("fail", None)
 
 
 def test_exact_certificates_across_corpus():
@@ -549,7 +601,7 @@ _cert_rationals = st.builds(Fraction, st.integers(-30, 30), _denominators)
 def _exact_certificates(draw):
     """Weighted squares that do not come from LDL*: any order, repeats, cancellations, zero squares."""
     n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    basis = mi.enumerate_degree(n, m)
+    basis = list(mi.iter_degree(n, m))
     squares = []
     for _ in range(draw(st.integers(0, 5))):
         monomials = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)))  # insertion order
@@ -575,7 +627,7 @@ def _with_square(cert: mult.SosCertificate, k: int, square: mult.SosSquare) -> m
 def test_expand_squares_matches_reference_and_verifies_exactly(cert):
     reference = reference_expansion(cert)
     assert mult.expand_squares(cert) == reference
-    basis = mi.enumerate_degree(cert.n, cert.m)
+    basis = list(mi.iter_degree(cert.n, cert.m))
     form = forms.HermitianForm.from_terms(cert.n, cert.m, [(basis[i], basis[j], c) for (i, j), c in reference.items()])
     assert mult.verify_certificate(form, cert) == ("exact-pass", 0.0)
     for k, sq in enumerate(cert.squares):
