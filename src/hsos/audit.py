@@ -84,11 +84,16 @@ class RegimeParams:
         return self.h * (self.M + k + self.n - 1)
 
 
-def default_epsilon(h: float) -> float:
-    """The h^(1/3) policy, clamped to the admissible ceiling 1."""
+def require_positive_h(h: float) -> float:
+    """h itself; a ValueError when the semiclassical parameter is not positive."""
     if not h > 0:
         raise ValueError(f"semiclassical parameter h must be positive, got {h}")
-    return min(1.0, h ** (1.0 / 3.0))
+    return h
+
+
+def default_epsilon(h: float) -> float:
+    """The h^(1/3) policy, clamped to the admissible ceiling 1."""
+    return min(1.0, require_positive_h(h) ** (1.0 / 3.0))
 
 
 # ---------------------------------------------------------------------------

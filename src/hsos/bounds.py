@@ -157,6 +157,8 @@ def bound_report(
     C = as_fraction(C)
     if C < 0:
         raise ValueError(f"universal constant C must be non-negative, got {C}")
+    if n_max < 0:  # minimal_sos_N checks it too, but only after the sphere pass
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
     lt = float(forms_mod.lambda_tilde(form))

@@ -241,7 +241,7 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
         n = 2 if args.n is None else args.n
         m = 2 if args.m is None else args.m
         N = 320 if args.N is None else args.N
-        h = 1.0 / N if args.h is None else args.h
+        h = 1.0 / N if args.h is None else audit_mod.require_positive_h(args.h)
         eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
         params = audit_mod.RegimeParams(h=h, N=N, m=m, n=n, epsilon=eps)
         reports.append(audit_mod.check_sigma_window(params))
@@ -273,12 +273,15 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             if suite == "basic":
                 raise formats.ParseError("--suite basic requires --form")
         else:
+            params = None
+            if args.h is not None:  # checked before λ, whose sphere pass is the slow part
+                h = audit_mod.require_positive_h(args.h)
+                N = max(1, math.ceil(1.0 / h)) if args.N is None else args.N
+                eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
+                params = audit_mod.RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=eps)
             lam = forms_mod.lambda_min(form).value
             big = forms_mod.big_lambda(form)
-            if args.h is not None:
-                N = max(1, math.ceil(1.0 / args.h)) if args.N is None else args.N
-                eps = audit_mod.default_epsilon(args.h) if args.epsilon is None else args.epsilon
-                params = audit_mod.RegimeParams(h=args.h, N=N, m=form.m, n=form.n, epsilon=eps)
+            if params is not None:
                 value, rep = audit_mod.basic_rhs(form, params, lam, big)
                 reports.append(rep)
             else:

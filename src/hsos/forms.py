@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -100,6 +101,17 @@ class HermitianForm:
         for c in self.coeffs.values():
             total += abs(c.re) + abs(c.im)
         return total
+
+    @cached_property
+    def sphere_pass(self):
+        """The spheremin.SpherePass of this form object, built on first use and freed with the form.
+
+        It lives in the instance's __dict__, outside the dataclass fields, so ==, repr and the
+        constructor ignore it, and an equal form built elsewhere runs its own pass.
+        """
+        from .spheremin import SpherePass
+
+        return SpherePass()
 
     def sorted_items(self):
         return sorted(
@@ -297,8 +309,10 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
 def lambda_min(form: HermitianForm, certify: bool = True):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    certify=False skips the certified grid pass (see spheremin.minimize_on_sphere);
-    the descent stops at the fixed relative gradient bound spheremin.TOL.
+    Read from the form's one sphere pass (spheremin.SpherePass): the descent on f
+    runs once per form object, and the certified grid once, on the first
+    certify=True call.  certify=False skips the grid; the descent stops at the
+    fixed relative gradient bound spheremin.TOL.
     """
     from . import spheremin
 
@@ -306,7 +320,11 @@ def lambda_min(form: HermitianForm, certify: bool = True):
 
 
 def lambda_sharp(form: HermitianForm, certify: bool = True):
-    """sup of |f| on the unit sphere; spheremin.sphere_range returns it with lambda_min."""
+    """sup of |f| on the unit sphere; spheremin.sphere_range returns it with lambda_min.
+
+    It shares the form's sphere pass with lambda_min and adds only the descent
+    on -f, so lambda_min then lambda_sharp on one form runs one grid and two descents.
+    """
     from . import spheremin
 
     return spheremin.sphere_range(form, certify=certify)[1]

@@ -6,12 +6,18 @@ grid pass.  The certificate uses the crude sphere Lipschitz bound
 L = 2m * sum |c_ab| together with an explicit covering radius of the
 (moduli, phases) parameter grid, so the reported uncertainty radius is safe
 but far from tight.
+
+Each form object keeps one SpherePass (HermitianForm.sphere_pass), filled on
+demand: the grid and the descents on f and on -f each run at most once per
+form, and minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp
+all read it.  An equal form that is a different object runs its own pass.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -218,47 +224,64 @@ def _certified_grid(form: HermitianForm):
     return grid_min, grid_max, cover, total
 
 
-def _sphere_minima(form, certify):
-    """Yield the minimum results of f and then of -f from one grid pass; -f runs only on demand."""
+class SpherePass:
+    """What one nonzero form's sphere pass has computed so far.
+
+    Beside the objective and the starts, only results are kept: the grid's
+    (min, max, cover, count), not its points, and the uncertified SphereMinResult
+    of each side; certify=True adds the grid to them.
+    """
+
+    def __init__(self):
+        self.grid = None
+        self.descents: list[SphereMinResult | None] = [None, None]
+        self.objective = self.starts = None  # built by the first descent
+
+
+def _minimum(form: HermitianForm, side: int, certify: bool) -> SphereMinResult:
+    """The minimum of f (side 0) or of -f (side 1) on the sphere, read from the form's sphere pass."""
     if form.is_zero:
         e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
-        yield from [SphereMinResult(0.0, e, 0.0, True, True, 0, 0)] * 2
-        return
-
-    grid = _certified_grid(form) if certify and form.n <= 3 else None
-    obj = _Objective(form)
-    z0 = _starting_points(form.n)
-    starts = np.concatenate([z0.real, z0.imag], axis=1)
-    for side in range(2):
-        if side:  # -f: exactly negated coefficients, and min(-f) = -max f on the same grid values
+        return SphereMinResult(0.0, e, 0.0, True, True, 0, 0)
+    sp = form.sphere_pass
+    if certify and form.n <= 3 and sp.grid is None:
+        # before the starts: the grid's points then peak before scipy.special is loaded, not on top of it
+        sp.grid = _certified_grid(form)
+    found = sp.descents[side]
+    if found is None:
+        if sp.objective is None:
+            z0 = _starting_points(form.n)
+            sp.objective, sp.starts = _Objective(form), np.concatenate([z0.real, z0.imag], axis=1)
+        obj = sp.objective
+        if side:  # -f: exactly negated coefficients
+            obj = copy.copy(obj)
             obj.C = -obj.C
-            grid = grid and (-grid[1], -grid[0], *grid[2:])
-        vals, X, conv = _pgd_batch(obj, starts)
+        vals, X, conv = _pgd_batch(obj, sp.starts)
         best = int(np.argmin(vals))
-        best_val = float(vals[best])
-
-        grid_points = 0
-        uncertainty = math.inf
-        if grid is not None:
-            grid_min, _, cover, grid_points = grid
-            lower = grid_min - lipschitz_bound(form) * cover
-            best_val = min(best_val, grid_min)
-            uncertainty = max(0.0, best_val - lower)
-
         z = tuple(complex(X[best, k], X[best, form.n + k]) for k in range(form.n))
-        yield SphereMinResult(
-            best_val, z, uncertainty, grid is not None, bool(conv.any()), len(starts), grid_points
-        )
+        found = SphereMinResult(float(vals[best]), z, math.inf, False, bool(conv.any()), len(sp.starts), 0)
+        sp.descents[side] = found
+    if not certify or form.n > 3:
+        return found
+
+    grid_min, grid_max, cover, grid_points = sp.grid
+    if side:  # min(-f) = -max f on the same grid values
+        grid_min = -grid_max
+    lower = grid_min - lipschitz_bound(form) * cover
+    value = min(found.value, grid_min)
+    return replace(
+        found, value=value, uncertainty=max(0.0, value - lower), certified=True, grid_points=grid_points
+    )
 
 
 def minimize_on_sphere(form: HermitianForm, certify: bool = True) -> SphereMinResult:
     """Multi-start projected gradient minimum of f on the unit sphere."""
-    return next(_sphere_minima(form, certify))
+    return _minimum(form, 0, certify)
 
 
 def sphere_range(form: HermitianForm, certify: bool = True) -> tuple[SphereMinResult, SphereMinResult]:
-    """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same grid pass and a descent on -f."""
-    low, high = _sphere_minima(form, certify)
+    """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same sphere pass and a descent on -f."""
+    low, high = _minimum(form, 0, certify), _minimum(form, 1, certify)
     side = high if high.value <= low.value else low  # sup |f| = -min(min f, min -f)
     sharp = SphereMinResult(
         max(-side.value, 0.0),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hsos import cli, formats, forms
+from hsos import cli, formats, forms, spheremin
 
 from conftest import FLOAT_CERTIFICATE, save_form
 
@@ -256,19 +256,26 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["--size-cap", "0", "search", FC1, "--n-max", "3"], 2),
         (["--size-cap", "-5", "search", FC1, "--n-max", "3"], 2),
         (["--size-cap", "0", "certify", FC1, "1"], 2),
+        (["audit", "--suite", "basic", "--form", FC1, "--h", "0"], 2),
+        (["audit", "--suite", "localization", "--h", "-1", "--epsilon", "0.3"], 2),
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
         "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
-        "size-cap0", "size-cap-5", "certify-size-cap0",
+        "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
+        "localization-h-1-eps",
     ],
 )
-def test_invalid_arguments_reach_the_validators(capsys, argv, expected):
+def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):
+    descents = []
+    descend = spheremin._pgd_batch
+    monkeypatch.setattr(spheremin, "_pgd_batch", lambda *a: descents.append(a) or descend(*a))
     code, _, err = run(capsys, argv)
     assert code == expected
-    if expected == 2:  # one line, no traceback
+    if expected == 2:  # one line, no traceback, and no sphere pass before the argument is rejected
         assert err.startswith("invalid argument: ") and err.count("\n") == 1
+        assert descents == []
 
 
 def test_exact_commands_load_no_scipy(tmp_path):

@@ -1,5 +1,7 @@
 """The two-sided sphere pass and the in-house Halton sampler."""
 
+import functools
+import json
 import os
 import random
 import subprocess
@@ -58,9 +60,8 @@ SPHERE_FORMS = {
 
 @pytest.mark.parametrize("name", SPHERE_FORMS)
 def test_sphere_range_matches_separate_minimizations(name):
-    form = SPHERE_FORMS[name]()
-    lam, sharp = spheremin.sphere_range(form)
-    r_min, r_max, value, point = _old_sup_abs(form)
+    lam, sharp = spheremin.sphere_range(SPHERE_FORMS[name]())
+    r_min, r_max, value, point = _old_sup_abs(SPHERE_FORMS[name]())  # a fresh form: nothing read from the pass
     assert lam == r_min
     assert sharp.value == value and sharp.minimizer == point
     assert sharp.uncertainty == max(r_min.uncertainty, r_max.uncertainty)
@@ -70,8 +71,8 @@ def test_sphere_range_matches_separate_minimizations(name):
     assert sharp.grid_points == r_min.grid_points
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
+def _count_calls(monkeypatch, name, calls=None):
+    calls = [] if calls is None else calls
     original = getattr(spheremin, name)
 
     def counted(*args, **kwargs):
@@ -93,15 +94,91 @@ def test_analyze_and_bounds_run_one_grid_and_two_descents(monkeypatch, capsys, a
 
 
 def test_lambda_min_and_lambda_sharp_pass_counts():
-    form = forms.fc_form(1)
     counts = {}
     for fn in (forms.lambda_min, forms.lambda_sharp):
         with pytest.MonkeyPatch.context() as mp:
             grids = _count_calls(mp, "_certified_grid")
             descents = _count_calls(mp, "_pgd_batch")
-            fn(form)
+            fn(forms.fc_form(1))  # a fresh form each: what one call costs on its own
         counts[fn.__name__] = (len(grids), len(descents))
     assert counts == {"lambda_min": (1, 1), "lambda_sharp": (1, 2)}
+
+
+def _pass_counts(monkeypatch, form, *calls):
+    """(grids, descents) that the calls, in order, run on one form."""
+    grids = _count_calls(monkeypatch, "_certified_grid")
+    descents = _count_calls(monkeypatch, "_pgd_batch")
+    for call in calls:
+        call(form)
+    return len(grids), len(descents)
+
+
+def test_lambda_min_then_lambda_sharp_share_one_pass(monkeypatch):
+    assert _pass_counts(monkeypatch, forms.fc_form(1), forms.lambda_min, forms.lambda_sharp) == (1, 2)
+
+
+def test_sphere_range_after_minimize_on_sphere_adds_one_descent(monkeypatch):
+    form = forms.fc_form(1)
+    spheremin.minimize_on_sphere(form)
+    assert _pass_counts(monkeypatch, form, spheremin.sphere_range) == (0, 1)
+
+
+def test_uncertified_then_certified_runs_one_descent_and_one_grid(monkeypatch):
+    uncertified = functools.partial(forms.lambda_min, certify=False)
+    assert _pass_counts(monkeypatch, forms.fc_form(1), uncertified, forms.lambda_min) == (1, 1)
+
+
+def test_certified_grid_runs_before_the_starts(monkeypatch):
+    """_starting_points loads scipy.special; the grid's points must peak before that, not on top of it.
+
+    In the other order, `hsos analyze fc_1` peaks at about 75 MB of resident memory instead of 55 MB.
+    """
+    calls = _count_calls(monkeypatch, "_certified_grid")
+    _count_calls(monkeypatch, "_starting_points", calls)
+    forms.lambda_min(forms.fc_form(1))
+    assert calls == ["_certified_grid", "_starting_points"]
+
+
+SPHERE_CALLS = {
+    "minimize": spheremin.minimize_on_sphere,
+    "minimize uncertified": functools.partial(spheremin.minimize_on_sphere, certify=False),
+    "range": spheremin.sphere_range,
+    "range uncertified": functools.partial(spheremin.sphere_range, certify=False),
+}
+
+
+# A call's answer could only depend on which parts of the pass (descent on f, descent on -f, grid)
+# exist before it.  These six orders reach each such state before each call, and each call comes
+# first, on a fresh form, in at least one of them; all 24 orders would cost four times as much.
+CALL_ORDERS = [
+    ("minimize uncertified", "minimize", "range uncertified", "range"),
+    ("minimize uncertified", "range uncertified", "minimize", "range"),
+    ("minimize uncertified", "range", "minimize", "range uncertified"),
+    ("minimize", "minimize uncertified", "range", "range uncertified"),
+    ("range uncertified", "minimize uncertified", "range", "minimize"),
+    ("range", "minimize uncertified", "minimize", "range uncertified"),
+]
+
+
+@pytest.mark.parametrize("name", SPHERE_FORMS)
+def test_shared_pass_answers_as_a_fresh_form_does(name):
+    results = []
+    for order in CALL_ORDERS:
+        form = SPHERE_FORMS[name]()
+        results += [(order, call, SPHERE_CALLS[call](form)) for call in order]
+    fresh = {call: result for order, call, result in results if call == order[0]}
+    assert fresh.keys() == SPHERE_CALLS.keys()
+    for order, call, result in results:
+        assert result == fresh[call] and repr(result) == repr(fresh[call]), (order, call)
+
+
+def test_equal_forms_do_not_share_a_pass(monkeypatch):
+    doc = json.loads((SAMPLES / "fc_7_4.json").read_text())
+    first, second = formats.form_from_dict(doc), formats.form_from_dict(doc)
+    assert first == second and first is not second
+    assert _pass_counts(monkeypatch, first, forms.lambda_min) == (1, 1)
+    assert _pass_counts(monkeypatch, second, forms.lambda_min) == (1, 1)
+    assert forms.lambda_min(first) == forms.lambda_min(second)
 
 
 @pytest.mark.parametrize(
