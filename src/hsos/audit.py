@@ -10,7 +10,7 @@ Checks implemented here:
     polynomials.  Radial symmetry of the region diagonalizes the defining
     operator in the monomial basis, giving the closed form
         E^2 = h^k * [Γ-tail integral outside ((1-ε)/h, (1+ε)/h)] / Γ(M+n)
-    evaluated by regularized incomplete-gamma functions and cross-checked by
+    evaluated by log-space incomplete-gamma functions and cross-checked by
     Monte-Carlo Rayleigh quotients;
   * the sigma-window admissibility conditions and interval containment;
   * the basic positivity inequality and the induced empirical threshold h0.
@@ -190,44 +190,44 @@ def radial_I1(h: float, M: int, n: int) -> AuditReport:
 # Appendix tail bounds
 # ---------------------------------------------------------------------------
 
-def tail_J(rho: float, delta: float) -> AuditReport:
-    """Quadrature of both tails of ∫ t^ρ e^(-ρt) against the explicit bounds.
+def log_tail_J(rho: float, delta: float) -> tuple[float, float]:
+    """(log J-, log J+): the logs of ∫_0^(1-δ) and ∫_(1+δ)^∞ of t^ρ e^(-ρt) dt, in closed form.
 
-    Hard assertions (constant-free):
+    With s = ρt, J- = ρ^-(ρ+1) γ(ρ+1, ρ(1-δ)) and J+ = ρ^-(ρ+1) Γ(ρ+1, ρ(1+δ)).
+    """
+    if rho <= 0 or not (0 < delta < 1):
+        raise ValueError(f"invalid (rho, delta) = ({rho}, {delta})")
+    from .special import log_incomplete_gamma  # imported on first use, like spheremin's ndtri
+    log_scale = -(rho + 1.0) * math.log(rho)
+    return (
+        log_scale + log_incomplete_gamma(rho + 1.0, rho * (1.0 - delta), upper=False),
+        log_scale + log_incomplete_gamma(rho + 1.0, rho * (1.0 + delta), upper=True),
+    )
+
+
+def tail_J(rho: float, delta: float) -> AuditReport:
+    """Both tails of ∫ t^ρ e^(-ρt), in closed form (log_tail_J), against the explicit bounds.
+
+    Hard assertions (constant-free), decided on logs, so they hold or fail on
+    their merits when the tails are below the double range:
       J- <= (1/(ρ δ)) ((1-δ) e^(δ-1))^ρ
       J+ <= (c+/(c+-1)) e^(-ρ c+) / ρ,   c+ = (1+δ) - log(1+δ)
     The ratio against the packaged bound (1/(ρ δ^2)) exp(-ρ(1+δ²/4)) is
     calibration data for the hidden constant, never asserted.
     """
-    if rho <= 0 or not (0 < delta < 1):
-        raise ValueError(f"invalid (rho, delta) = ({rho}, {delta})")
-    from scipy import integrate
+    log_j_minus, log_j_plus = log_tail_J(rho, delta)
+    j_minus, j_plus = math.exp(log_j_minus), math.exp(log_j_plus)
 
-    def integrand(t):
-        return math.exp(rho * (math.log(t) - t)) if t > 0 else 0.0
-
-    j_minus, err_m = integrate.quad(
-        integrand, 0.0, 1.0 - delta, epsabs=1e-300, epsrel=1e-10, limit=300
-    )
-    # upper cutoff where the integrand falls below 1e-300
-    x = 745.0 / rho + 2.0
-    for _ in range(60):
-        x = 745.0 / rho + math.log(max(x, 1.0 + delta))
-    upper = max(1.0 + delta + 10.0 / rho, x + 5.0)
-    j_plus, err_p = integrate.quad(
-        integrand, 1.0 + delta, upper, epsabs=1e-300, epsrel=1e-10, limit=300
-    )
-    for err, val in ((err_m, j_minus), (err_p, j_plus)):
-        if not math.isfinite(val) or (val > 0 and err > 1e-6 * val + 1e-250):
-            raise QuadratureNonConvergence(f"tail quadrature error {err:.3e}")
-
-    est1 = math.exp(rho * (math.log1p(-delta) - 1.0 + delta)) / (rho * delta)
+    minus_exponent = rho * (math.log1p(-delta) - 1.0 + delta)
+    est1 = math.exp(minus_exponent) / (rho * delta)
     cplus = (1.0 + delta) - math.log1p(delta)
-    jplus_bound = (cplus / (cplus - 1.0)) * math.exp(-rho * cplus) / rho
+    plus_factor = cplus / (cplus - 1.0)
+    jplus_bound = plus_factor * math.exp(-rho * cplus) / rho
     packaged = math.exp(-rho * (1.0 + delta * delta / 4.0)) / (rho * delta * delta)
 
-    ok_minus = j_minus <= est1 * (1 + 1e-9)
-    ok_plus = j_plus <= jplus_bound * (1 + 1e-9)
+    slack = math.log1p(1e-9)
+    ok_minus = log_j_minus <= minus_exponent - math.log(rho * delta) + slack
+    ok_plus = log_j_plus <= math.log(plus_factor) - rho * cplus - math.log(rho) + slack
     total = j_minus + j_plus
     return AuditReport(
         "tail-J",
@@ -263,24 +263,29 @@ def tail_delta_inequality(points: int = 99) -> AuditReport:
 # Localization quantity E
 # ---------------------------------------------------------------------------
 
-def exact_localization_E(h: float, M: int, k: int, epsilon: float, n: int) -> float:
-    """Exact E_ε(h, M, k): weighted norm of ||z||^k u concentrated OUTSIDE the annulus.
+def log_localization_E(h: float, M: int, k: int, epsilon: float, n: int) -> float:
+    """log E_ε(h, M, k), for E the weighted norm of ||z||^k u concentrated OUTSIDE the annulus.
 
-    E^2 = h^k Γ(M+k+n)/Γ(M+n) * [Q(a, (1+ε)/h) + P(a, (1-ε)/h)],  a = M+k+n,
-    with P/Q the regularized lower/upper incomplete gamma functions.  The two
-    tails are evaluated directly, so no cancellation occurs when they are tiny.
+    E^2 = h^k [Γ(a, (1+ε)/h) + γ(a, (1-ε)/h)] / Γ(M+n),  a = M+k+n,
+    with Γ/γ the upper/lower incomplete gamma functions.  Each tail is taken
+    in log space and the two are added by log-add-exp, so no cancellation
+    occurs when they are tiny and nothing underflows when E is below the
+    double range.
     """
     if h <= 0 or M < 0 or k < 0 or n < 1 or epsilon <= 0:
         raise ValueError(f"invalid localization parameters (h={h}, M={M}, k={k}, eps={epsilon}, n={n})")
-    from scipy import special
+    from .special import log_incomplete_gamma  # imported on first use, like spheremin's ndtri
     a = M + k + n
-    x_lo = max(0.0, (1.0 - epsilon) / h)
-    x_hi = (1.0 + epsilon) / h
-    tails = float(special.gammaincc(a, x_hi) + special.gammainc(a, x_lo))
-    log_pref = k * math.log(h) + float(special.gammaln(a) - special.gammaln(M + n))
-    if tails <= 0.0:
-        return 0.0
-    return math.exp(0.5 * (log_pref + math.log(tails)))
+    log_hi = log_incomplete_gamma(a, (1.0 + epsilon) / h, upper=True)
+    log_lo = log_incomplete_gamma(a, max(0.0, (1.0 - epsilon) / h), upper=False)
+    top = max(log_hi, log_lo)  # finite: the upper tail never vanishes
+    log_tails = top + math.log1p(math.exp(min(log_hi, log_lo) - top))
+    return 0.5 * (k * math.log(h) + log_tails - math.lgamma(M + n))
+
+
+def exact_localization_E(h: float, M: int, k: int, epsilon: float, n: int) -> float:
+    """Exact E_ε(h, M, k) = exp(log_localization_E); 0.0 where E is below the double range."""
+    return math.exp(log_localization_E(h, M, k, epsilon, n))
 
 
 def localization_bound_log(h: float, M: int, k: int, epsilon: float, n: int) -> float:
@@ -306,20 +311,16 @@ def localization_report(params: RegimeParams, k: int) -> AuditReport:
         raise WindowViolated(
             f"sigma window fails at (h={h}, M={M}, k={k}): sigma_k={h * (M + k + n - 1):.4f}, eps={eps}"
         )
-    e_val = exact_localization_E(h, M, k, eps, n)
+    log_e = log_localization_E(h, M, k, eps, n)
     log_bound = localization_bound_log(h, M, k, eps, n)
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
-    if e_val > 0 and math.isfinite(log_bound):
-        log_ratio = math.log(e_val) - log_bound
-        ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf
-        passed = log_ratio <= math.log(LOCALIZATION_CALIBRATION)
-    else:
-        ratio = 0.0
-        passed = True
+    log_ratio = log_e - log_bound
+    ratio = math.exp(log_ratio) if log_ratio < 700 else math.inf
+    passed = log_ratio <= math.log(LOCALIZATION_CALIBRATION)
     return AuditReport(
         "localization-E",
         {"h": h, "M": M, "k": k, "epsilon": eps, "n": n, "calibration": LOCALIZATION_CALIBRATION},
-        e_val,
+        math.exp(log_e),
         bound,
         ratio,
         passed,

@@ -411,6 +411,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, ZeroDivisionError) as exc:  # an out-of-range argument, such as N < 0
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as exc:  # an incomplete gamma expansion that did not converge
+        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as exc:  # a file that cannot be written, such as --out in a directory that vanished
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -164,7 +164,7 @@ def _halton(d: int, count: int) -> np.ndarray:
 
 def unit_sphere_samples(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-random points on the unit sphere of C^n: Halton, ndtri, normalize."""
-    from scipy.special import ndtri  # scipy loads on first use, outside the exact commands
+    from .special import ndtri  # imported on first use, so the exact commands never load it
     g = ndtri(np.clip(_halton(2 * n, count), 1e-12, 1 - 1e-12))
     z = g[:, :n] + 1j * g[:, n:]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -245,7 +245,7 @@ def _minimum(form: HermitianForm, side: int, certify: bool) -> SphereMinResult:
         return SphereMinResult(0.0, e, 0.0, True, True, 0, 0)
     sp = form.sphere_pass
     if certify and form.n <= 3 and sp.grid is None:
-        # before the starts: the grid's points then peak before scipy.special is loaded, not on top of it
+        # before the starts: the grid's points are freed before the descent allocates its arrays
         sp.grid = _certified_grid(form)
     found = sp.descents[side]
     if found is None:

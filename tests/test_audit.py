@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,63 @@ def test_tail_J_delta_near_one():
     assert rep.lhs >= 0.0
 
 
+def _quadrature_tails(rho, delta):
+    """(J-, J+) by adaptive quadrature, as tail_J computed them before its closed form: the reference."""
+
+    def integrand(t):
+        return math.exp(rho * (math.log(t) - t)) if t > 0 else 0.0
+
+    j_minus, _ = integrate.quad(integrand, 0.0, 1.0 - delta, epsabs=1e-300, epsrel=1e-10, limit=300)
+    x = 745.0 / rho + 2.0
+    for _ in range(60):
+        x = 745.0 / rho + math.log(max(x, 1.0 + delta))
+    upper = max(1.0 + delta + 10.0 / rho, x + 5.0)
+    j_plus, _ = integrate.quad(integrand, 1.0 + delta, upper, epsabs=1e-300, epsrel=1e-10, limit=300)
+    return j_minus, j_plus
+
+
+def _tail_bounds(rho, delta):
+    cplus = (1.0 + delta) - math.log1p(delta)
+    return (
+        math.exp(rho * (math.log1p(-delta) - 1.0 + delta)) / (rho * delta),
+        (cplus / (cplus - 1.0)) * math.exp(-rho * cplus) / rho,
+    )
+
+
+def test_tail_J_closed_form_matches_quadrature():
+    grid = [(rho, d10 / 10.0) for rho in (5, 10, 20, 50, 100) for d10 in range(1, 10)]
+    for rho, delta in grid + [(50, 0.2), (10, 0.999)]:
+        want = _quadrature_tails(rho, delta)
+        got = [math.exp(v) for v in audit.log_tail_J(rho, delta)]
+        assert got == pytest.approx(want, rel=1e-9), (rho, delta)
+        verdicts = ["ok" if j <= b * (1 + 1e-9) else "FAIL" for j, b in zip(want, _tail_bounds(rho, delta))]
+        rep = audit.tail_J(rho, delta)
+        assert re.findall(r"\((ok|FAIL)\)", rep.notes) == verdicts, (rho, delta)
+        assert rep.passed == (verdicts == ["ok", "ok"])
+        assert rep.lhs == pytest.approx(sum(want), rel=1e-9)
+
+
+def test_tail_J_decides_from_logs_below_the_double_range(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rho, delta = 2000.0, 0.9
+    scale = -(rho + 1) * mpmath.log(rho)
+    exact = (
+        scale + mpmath.log(mpmath.gammainc(rho + 1, 0, rho * (1 - delta))),
+        scale + mpmath.log(mpmath.gammainc(rho + 1, rho * (1 + delta), mpmath.inf)),
+    )
+    logs = audit.log_tail_J(rho, delta)
+    assert logs == pytest.approx([float(v) for v in exact], rel=1e-13)
+    assert max(logs) < -745  # both tails underflow as doubles
+    rep = audit.tail_J(rho, delta)
+    assert rep.passed and rep.lhs == 0.0 and rep.ratio == math.inf
+    # J- above its bound by a factor e, and still 0.0 as a double: the check must fail
+    log_bound_minus = rho * (math.log1p(-delta) - 1.0 + delta) - math.log(rho * delta)
+    monkeypatch.setattr(audit, "log_tail_J", lambda r, d: (log_bound_minus + 1.0, logs[1]))
+    rep = audit.tail_J(rho, delta)
+    assert not rep.passed and "J-=0.000e+00 vs 0.000e+00 (FAIL)" in rep.notes
+
+
 def test_tail_delta_grid():
     rep = audit.tail_delta_inequality(99)
     assert rep.passed and rep.lhs <= 0.0
@@ -136,6 +194,31 @@ def test_localization_report_in_window():
         rep = audit.localization_report(params, k)
         assert rep.passed
         assert rep.ratio < 1.0  # far below the packaged bound at these scales
+
+
+def test_localization_report_decides_below_the_double_range(monkeypatch):
+    # hsos audit --suite localization --N 5000 --epsilon 1: E is about e^-768 for each k
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    h, eps = 1 / 5000, 1.0
+    params = audit.RegimeParams(h=h, N=5000, m=2, n=2, epsilon=eps)
+    M = params.M
+    for k in range(3):
+        # the inner tail is empty (ε = 1), so E^2 = h^k Γ(M+k+n, (1+ε)/h) / Γ(M+n)
+        upper = mpmath.gammainc(M + k + 2, (1 + eps) / h, mpmath.inf)
+        exact = 0.5 * (k * mpmath.log(h) + mpmath.log(upper) - mpmath.loggamma(M + 2))
+        log_e = audit.log_localization_E(h, M, k, eps, 2)
+        assert log_e == pytest.approx(float(exact), rel=1e-12)
+        rep = audit.localization_report(params, k)
+        log_ratio = log_e - audit.localization_bound_log(h, M, k, eps, 2)
+        assert rep.lhs == 0.0 and rep.passed
+        assert rep.ratio > 0 and rep.ratio == pytest.approx(math.exp(log_ratio), rel=1e-12)
+    # E above the bound by a factor e: the check fails
+    monkeypatch.setattr(
+        audit, "log_localization_E", lambda h, M, k, eps, n: audit.localization_bound_log(h, M, k, eps, n) + 1.0
+    )
+    rep = audit.localization_report(params, 0)
+    assert rep.ratio == pytest.approx(math.e) and not rep.passed
 
 
 def test_localization_report_window_violation():

@@ -278,18 +278,38 @@ def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expec
         assert descents == []
 
 
-def test_exact_commands_load_no_scipy(tmp_path):
-    cert = str(tmp_path / "cert.json")
+def _scipy_modules_after(argvs):
+    """The scipy modules loaded by one fresh process that runs each `hsos --json` argv in turn."""
     code = (
-        "import sys; from hsos import cli\n"
-        f"for argv in {[['search', FC1], ['certify', FC1, '1', '--out', cert], ['verify', cert]]!r}:\n"
-        "    assert cli.main(['--json', *argv]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import json, sys; from hsos import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert cli.main(['--json', *argv]) == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
     )
     env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_exact_commands_load_no_scipy(tmp_path):
+    cert = str(tmp_path / "cert.json")
+    assert _scipy_modules_after([["search", FC1], ["certify", FC1, "1", "--out", cert], ["verify", cert]]) == []
+
+
+def test_only_the_radial_audit_loads_scipy():
+    numeric = [
+        ["analyze", FC1],
+        ["bounds", FC1],
+        ["audit", "--suite", "basic", "--form", FC1],
+        ["audit", "--suite", "laplacian", "--form", FC1],
+        ["audit", "--suite", "localization"],
+        ["audit", "--suite", "tails"],
+        ["audit", "--suite", "tails", "--rho", "2000", "--delta", "0.9"],
+    ]
+    assert _scipy_modules_after(numeric) == []
+    # audit.radial_I1's adaptive quadrature is the one remaining scipy call site
+    assert "scipy.integrate" in _scipy_modules_after([["audit", "--suite", "radial"]])
 
 
 def test_search(capsys, fc1_path):
@@ -365,6 +385,13 @@ def test_audit_json_is_strict_when_values_overflow(capsys):
     doc = json.loads(out, parse_constant=reject)
     tail = next(r for r in doc["reports"] if r["check"] == "tail-J")
     assert tail["ratio"] is None
+
+
+def test_audit_tails_that_do_not_converge_exit_numerical(capsys):
+    # ρ beyond 2^53: the incomplete gamma series cannot converge
+    code, out, err = run(capsys, ["audit", "--suite", "tails", "--rho", "1e17", "--delta", "1e-9"])
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
 
 
 def test_audit_laplacian_requires_form(capsys):
