@@ -12,9 +12,12 @@ rational weights w_j > 0, the only kind of certificate.  The shift scan asks
 only for the verdict, and `psd_decided` proves most verdicts in floating point
 first: a verified Cholesky (Rump 2006) for a PD block, an eigenvector witness
 checked exactly for a not-PSD one; only what neither settles reaches the
-exact kernel.  Verification rejects any weight <= 0, re-expands the squares
-exactly in Gaussian integers over their own common denominator L and compares
-every entry of the multiplier matrix by cross-multiplication.
+exact kernel.  The scan starts at the first shift whose diagonal, the
+coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a (Polya), has no negative
+entry, computed without assembly; every earlier shift fails on that entry.
+Verification rejects any weight <= 0, re-expands the squares exactly in
+Gaussian integers over their own common denominator L and compares every
+entry of the multiplier matrix by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -381,6 +384,51 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
     return True
 
 
+def _polya_diagonals(form: HermitianForm, n_max: int):
+    """D times the diagonal of the multiplier matrix at N = 0, ..., n_max, as {code: int} maps.
+
+    Entry (rho, rho) gets c_ab only where a = b, so the diagonal at shift N is
+    1/D times the coefficient list Q_N of (x_1 + ... + x_n)^N p(x), p the sum
+    of D c_aa x^a (Polya's theorem; Powers-Reznick 2001), and
+    Q_{N+1}[rho + e_k] += Q_N[rho].  Monomials are keyed by the additive
+    integer codes of `multiplier_matrix`, in the base m + n_max + 1 that holds
+    every shift up to n_max; a missing or zero entry is a zero diagonal.
+    The imaginary parts of the c_aa are left out.
+    """
+    digit = [(form.m + n_max + 1) ** k for k in range(form.n - 1, -1, -1)]
+    D = _common_denominator(form.coeffs.values())
+    Q = {sum(map(operator.mul, a, digit)): _gaussian(c, D)[0] for (a, b), c in form.coeffs.items() if a == b}
+    for N in range(n_max + 1):
+        yield Q
+        if N < n_max:
+            nxt: dict[int, int] = {}
+            for r, v in Q.items():
+                if v:
+                    for d in digit:
+                        nxt[r + d] = nxt.get(r + d, 0) + v
+            Q = nxt
+
+
+def _polya_start(form: HermitianForm, n_max: int, size_cap: int) -> Optional[int]:
+    """First N <= n_max whose multiplier matrix has no negative diagonal entry, else None.
+
+    Every shift below it has a negative diagonal entry, the first thing
+    `psd_decided` refutes, so the shift scan may start here.  Like
+    `multiplier_matrix` at a skipped shift, it raises SizeCapExceeded at the
+    first shift whose dimension is over the cap; a diagonal coefficient that
+    is not real gives 0, so that the probe at N = 0 raises as it would.
+    """
+    if any(c.im for (a, b), c in form.coeffs.items() if a == b):
+        return 0
+    for N, Q in enumerate(_polya_diagonals(form, n_max)):
+        dim = mi.dim_homogeneous(form.n, form.m + N)
+        if dim > size_cap:
+            raise SizeCapExceeded(dim, size_cap)
+        if min(Q.values(), default=0) >= 0:
+            return N
+    return None
+
+
 def minimal_sos_N(
     form: HermitianForm,
     n_max: int,
@@ -388,12 +436,16 @@ def minimal_sos_N(
 ) -> Optional[int]:
     """Smallest N <= n_max whose multiplier matrix is PSD (a `psd_decided` proof), else None.
 
-    Linear scan from 0; by monotonicity of the PSD property in N the first
-    success is the minimum.
+    Linear scan from the Polya diagonal bound of `_polya_start`, below which
+    every shift has a negative diagonal entry, so no matrix is assembled there;
+    by monotonicity of the PSD property in N the first success is the minimum.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    for N in range(n_max + 1):
+    start = _polya_start(form, n_max, size_cap)
+    if start is None:
+        return None
+    for N in range(start, n_max + 1):
         if psd_decided(multiplier_matrix(form, N, size_cap=size_cap)):
             return N
     return None

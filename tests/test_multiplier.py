@@ -12,6 +12,7 @@ from hsos import formats, forms, multiindex as mi, multiplier as mult
 from hsos.exact import QC_ZERO, qc
 
 from conftest import (
+    C_GRID,
     coordinate_power,
     diag_n3_form,
     product_expansion_oracle,
@@ -339,6 +340,85 @@ def test_minimal_N_already_sos():
 
 def test_minimal_N_not_found():
     assert mult.minimal_sos_N(forms.fc_form(2), 4) is None
+
+
+def _linear_scan(form, n_max, size_cap=mult.DEFAULT_SIZE_CAP):
+    """Reference shift scan: every N from 0 assembled and decided by psd_decided."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    for N in range(n_max + 1):
+        if mult.psd_decided(mult.multiplier_matrix(form, N, size_cap=size_cap)):
+            return N
+    return None
+
+
+def _outcome(scan, form, n_max, size_cap=mult.DEFAULT_SIZE_CAP):
+    """The scan's value, or the type and message of what it raised."""
+    try:
+        return scan(form, n_max, size_cap)
+    except (ValueError, mult.SizeCapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_shifted_forms())
+def test_polya_diagonals_are_the_diagonal_numerators(case):
+    form, n_max = case[0], 6
+    digit = [(form.m + n_max + 1) ** k for k in range(form.n - 1, -1, -1)]
+    for N, Q in enumerate(mult._polya_diagonals(form, n_max)):
+        matrix = mult.multiplier_matrix(form, N)
+        codes = [sum(x * d for x, d in zip(rho, digit)) for rho in matrix.basis]
+        diagonal = {codes[i]: matrix.numerators.get((i, i), (0, 0)) for i in range(matrix.dim)}
+        assert all(im == 0 for _, im in diagonal.values())
+        assert {c: v for c, v in Q.items() if v} == {c: re for c, (re, _) in diagonal.items() if re}  # cancelled: 0
+    assert N == n_max
+
+
+@pytest.mark.parametrize("size_cap", [mult.DEFAULT_SIZE_CAP, 10])
+def test_scan_matches_linear_scan_on_sample_and_fc_forms(size_cap):
+    cases = [formats.load_form(path) for path in sorted(SAMPLES.glob("*.json"))]
+    cases += [forms.fc_form(c) for c in C_GRID]
+    for form in cases:
+        assert _outcome(mult.minimal_sos_N, form, 20, size_cap) == _outcome(_linear_scan, form, 20, size_cap)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shifted_forms(), st.sampled_from([mult.DEFAULT_SIZE_CAP, 20]))
+def test_scan_matches_linear_scan_on_random_forms(case, size_cap):
+    form, _ = case
+    assert _outcome(mult.minimal_sos_N, form, 5, size_cap) == _outcome(_linear_scan, form, 5, size_cap)
+
+
+@pytest.mark.parametrize("form, n_max, found, assembled", [
+    (forms.fc_form(2), 4, None, []),  # no shift has a nonnegative diagonal
+    (forms.fc_form(Fraction(7, 4)), 20, 13, [13]),
+    (forms.fc_form(Fraction(3, 2)), 20, 5, [5]),
+])
+def test_scan_assembles_nothing_below_the_polya_bound(form, n_max, found, assembled, monkeypatch):
+    shifts, assemble = [], mult.multiplier_matrix
+
+    def counted(f, N, size_cap=mult.DEFAULT_SIZE_CAP):
+        shifts.append(N)
+        return assemble(f, N, size_cap)
+
+    monkeypatch.setattr(mult, "multiplier_matrix", counted)
+    assert mult.minimal_sos_N(form, n_max) == found
+    assert shifts == assembled
+
+
+def test_scan_raises_the_size_cap_of_a_skipped_shift():
+    # fc_7_4 first has a nonnegative diagonal at N = 13; the cap is first exceeded at N = 8 (dim 11)
+    form = formats.load_form(SAMPLES / "fc_7_4.json")
+    expected = (mult.SizeCapExceeded, "matrix dimension 11 exceeds size cap 10")
+    assert _outcome(mult.minimal_sos_N, form, 20, 10) == _outcome(_linear_scan, form, 20, 10) == expected
+
+
+def test_scan_raises_on_a_non_real_diagonal_coefficient_at_zero():
+    # the real parts (1, -1, 1) are negative until N = 1, but N = 0 already raises: its entry 1 is z1 z2
+    f = forms.fc_form(1)
+    g = forms.HermitianForm(2, 2, {**f.coeffs, ((1, 1), (1, 1)): qc(-1, Fraction(1, 3))})
+    expected = (ValueError, "diagonal entry 1 not real; matrix not hermitian")
+    assert _outcome(mult.minimal_sos_N, g, 5) == _outcome(_linear_scan, g, 5) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
