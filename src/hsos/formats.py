@@ -3,7 +3,9 @@
 Rationals cross the file boundary as strings "p/q" (plain integers and decimal
 strings are accepted on input and converted exactly), so forms and
 certificates reload bit-exactly.  Unknown fields and duplicate coefficient keys
-are rejected, and so is a certificate whose mode is not "exact".
+are rejected, and so is a certificate whose mode is not "exact".  Integers are
+checked with `type(x) is int`, since Python reads JSON true and false as the
+ints 1 and 0 (bool is a subclass of int).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class ParseError(ValueError):
 
 def parse_rational(text, context: str = "") -> Fraction:
     """Exact rational from "p/q", integer, or decimal notation with |exponent| <= 4300."""
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if isinstance(text, float):
         raise ParseError(f"floating value {text!r} not allowed; use a string", context)
@@ -58,7 +60,7 @@ def _expect_keys(obj: dict, allowed: set[str], required: set[str], context: str)
 
 
 def _parse_index(value, n: int, context: str) -> mi.MultiIndex:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
         raise ParseError(f"index must be a list of integers, got {value!r}", context)
     if len(value) != n:
         raise ParseError(f"index {value} has length {len(value)}, expected {n}", context)
@@ -86,12 +88,12 @@ def form_from_dict(data: dict) -> HermitianForm:
         raise ParseError("form document must be a JSON object")
     _expect_keys(data, {"format_version", "n", "m", "terms"}, {"n", "m", "terms"}, "form")
     version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version}", "form")
     n, m = data["n"], data["m"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}", "form")
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         raise ParseError(f"m must be a non-negative integer, got {m!r}", "form")
     if not isinstance(data["terms"], list):
         raise ParseError("terms must be a list", "form")
@@ -159,13 +161,13 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         "certificate",
     )
     version = data.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version}", "certificate")
     if data["mode"] != "exact":
         raise ParseError(f"mode must be 'exact', got {data['mode']!r}", "certificate")
     n, m, N = data["n"], data["m"], data["N"]
     for name, v in (("n", n), ("m", m), ("N", N)):
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise ParseError(f"{name} must be a non-negative integer", "certificate")
     if not isinstance(data["squares"], list):
         raise ParseError("squares must be a list", "certificate")

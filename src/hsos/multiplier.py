@@ -16,13 +16,17 @@ exact kernel.  The scan starts at the first shift whose diagonal, the
 coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a (Polya), has no negative
 entry, computed without assembly; every earlier shift fails on that entry.
 Verification rejects any weight <= 0, re-expands the squares exactly in
-Gaussian integers over their own common denominator L and compares every
-entry of the multiplier matrix by cross-multiplication.
+Gaussian integers and compares every entry of the multiplier matrix by
+cross-multiplication.  Each entry of the expansion is kept over its own
+horizon denominator, the lcm of the scaled weights' denominators up to the
+earlier of the last squares holding each of its two indices: no later square
+holds both, so none adds to it.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -475,33 +479,51 @@ def sos_decompose(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP)
     return SosCertificate(form.n, form.m, N, cert.squares, status, residual)
 
 
-def _gaussian_expansion(cert: SosCertificate) -> tuple[dict[tuple[int, int], tuple[int, int]], int]:
-    """Upper triangle (i <= j) of a certificate's expansion as Gaussian integers (re, im) over L.
+def _gaussian_expansion(cert: SosCertificate) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Upper triangle (i <= j) of a certificate's expansion as Gaussian integers (re, im) over their own L_h.
 
-    Square j, scaled by den (the lcm of its coefficient denominators) to Gaussian integers g, keeps
-    s_j = w_j / den^2; L = lcm_j den(s_j), and square j adds g_i conj(g_k) num(s_j) L / den(s_j).
+    Square t, scaled by den (the lcm of its coefficient denominators) to Gaussian integers g, keeps
+    s_t = w_t / den^2.  Basis index i is held last by square last(i), and entry (i, j) is kept over
+    L_h = lcm(den(s_0), ..., den(s_h)) for its horizon h = min(last(i), last(j)): only squares t <= h
+    hold both indices, and each adds g_i conj(g_j) f(t, h) with f(t, h) = num(s_t) L_h / den(s_t),
+    computed once per square and horizon.  Values are (re, im, L_h).
     """
     position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
-    scaled = []
-    for sq in cert.squares:
+    scaled, last = [], {}
+    for t, sq in enumerate(cert.squares):
         den = _common_denominator(sq.coefficients.values())
-        g = sorted((position[a], *_gaussian(c, den)) for a, c in sq.coefficients.items())
-        scaled.append((Fraction(sq.weight) / (den * den), g))
-    L = math.lcm(*(s.denominator for s, _ in scaled))
-    upper: dict[tuple[int, int], tuple[int, int]] = {}
+        g = [(position[a], *_gaussian(c, den)) for a, c in sq.coefficients.items()]
+        wn, wd = sq.weight.as_integer_ratio()  # one Fraction constructor, cheaper than Fraction division
+        scaled.append((Fraction(wn, wd * den * den), g))
+        for i, _, _ in g:
+            last[i] = t
+    prefix = list(itertools.accumulate((s.denominator for s, _ in scaled), math.lcm))  # L_h
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     for s, g in scaled:
-        f = s.numerator * (L // s.denominator)
-        for p, (i, ar, ai) in enumerate(g):  # sorted by position, so i <= j below
-            for j, br, bi in g[p:]:  # small products first, then the scale f
-                re, im = upper.get((i, j), (0, 0))
-                upper[(i, j)] = (re + (ar * br + ai * bi) * f, im + (ai * br - ar * bi) * f)
-    return upper, L
+        sn, sd, f, rows = s.numerator, s.denominator, {}, []
+        # latest horizon first: one order of the indices for every square, so a pair is keyed one way
+        for _, i, ar, ai in sorted((-last[i], i, ar, ai) for i, ar, ai in g):
+            h = last[i]
+            if h not in f:
+                f[h] = sn * (prefix[h] // sd)
+            rows.append((i, ar, ai, f[h]))
+        for p, (i, ar, ai, _) in enumerate(rows):
+            for j, br, bi, fj in rows[p:]:  # last(j) <= last(i), so j's scale; small products first
+                re, im = pairs.get((i, j), (0, 0))
+                pairs[(i, j)] = (re + (ar * br + ai * bi) * fj, im + (ai * br - ar * bi) * fj)
+    return {
+        (i, j) if i <= j else (j, i): (re, im if i <= j else -im, prefix[last[j]])
+        for (i, j), (re, im) in pairs.items()
+    }
 
 
 def expand_squares(cert: SosCertificate) -> dict[tuple[int, int], QC]:
     """Coefficient matrix of sum_j w_j Q_j(z) conj(Q_j(z)) over the ranked basis, both orientations, zeros left out."""
-    upper, L = _gaussian_expansion(cert)
-    half = {(i, j): QC(Fraction(re, L), Fraction(im, L)) for (i, j), (re, im) in upper.items() if re or im}
+    half = {
+        (i, j): QC(Fraction(re, L), Fraction(im, L))
+        for (i, j), (re, im, L) in _gaussian_expansion(cert).items()
+        if re or im
+    }
     return {**half, **{(j, i): c.conj() for (i, j), c in half.items()}}
 
 
@@ -513,8 +535,8 @@ def verify_certificate(
     """Independent exact re-expansion check of a certificate against the multiplier matrix.
 
     The certificate's (n, m) must be the form's, every weight must be positive and the squares must
-    reproduce every entry exactly, compared over the expansion's common denominator without building a
-    Fraction.  Returns ("exact-pass", 0.0) or ("fail", None).
+    reproduce every entry exactly, each compared over its own denominator in the expansion without
+    building a Fraction.  Returns ("exact-pass", 0.0) or ("fail", None).
     """
     return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert)
 
@@ -522,13 +544,13 @@ def verify_certificate(
 def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate) -> tuple[str, Optional[float]]:
     if (cert.n, cert.m, cert.N) != (matrix.n, matrix.m, matrix.N) or any(not sq.weight > 0 for sq in cert.squares):
         return "fail", None
-    upper, L = _gaussian_expansion(cert)
+    upper = _gaussian_expansion(cert)
     for (i, j), (a_re, a_im) in matrix.numerators.items():  # (re + i im) / L == (a_re + i a_im) / D
-        re, im = upper.get((min(i, j), max(i, j)), (0, 0))
+        re, im, L = upper.get((min(i, j), max(i, j)), (0, 0, 1))  # an entry no square holds is 0
         sign = 1 if i <= j else -1  # conjugated below the diagonal
         if re * matrix.D != a_re * L or sign * im * matrix.D != a_im * L:
             return "fail", None
     if any((re or im) and ((i, j) not in matrix.numerators or (j, i) not in matrix.numerators)
-           for (i, j), (re, im) in upper.items()):
+           for (i, j), (re, im, _) in upper.items()):
         return "fail", None
     return "exact-pass", 0.0

@@ -141,6 +141,17 @@ def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path,
     assert code == 2 and "input error" in err
 
 
+def test_verify_boolean_integer_is_input_error(capsys, fc1_path, tmp_path):
+    # Python reads JSON true as 1, so this file once verified with exit 0 and printed "N": true
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify", fc1_path, "1", "--out", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    doc["N"] = doc["format_version"] = True
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["--json", "verify", str(cert_path)])
+    assert code == 2 and out == "" and err == "input error: unsupported format_version True (at certificate)\n"
+
+
 def test_verify_rejects_certificate_of_another_shape(capsys, tmp_path):
     # one square |z1^2|^2 at (n, m, N) = (2, 2, 0) has the matrix of the embedded |z1|^2 (m = 1)
     cert_path = tmp_path / "cert.json"

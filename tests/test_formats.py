@@ -247,7 +247,24 @@ def _mutated_documents(draw):
 
 
 def _parse(kind, doc):
-    return (formats.form_from_dict if kind == "form" else formats.certificate_from_dict)(doc)
+    return (formats.form_from_dict if kind.endswith("form") else formats.certificate_from_dict)(doc)
+
+
+# JSON true where an integer belongs, each in a document that loads with 1 in its place
+_ONE_SQUARE = {"n": 1, "m": 1, "N": 0, "mode": "exact", "squares": [{"weight": "1", "coefficients": [{"index": [1], "re": "1"}]}]}
+_ONE_TERM = {"n": 1, "m": 1, "terms": [{"alpha": [1], "beta": [1], "re": "1"}]}
+_BOOLEAN_DOCUMENTS = [
+    ("boolean certificate", {**_DOCUMENTS[3][1], "N": True, "format_version": True}),
+    ("boolean certificate", {**_ONE_SQUARE, "n": True}),
+    ("boolean certificate", {**_ONE_SQUARE, "m": True}),
+    ("boolean certificate", {**_ONE_SQUARE, "squares": [{"weight": "1", "coefficients": [{"index": [True], "re": "1"}]}]}),
+    ("boolean certificate", {**_ONE_SQUARE, "squares": [{"weight": True, "coefficients": [{"index": [1], "re": "1"}]}]}),
+    ("boolean form", {**_ONE_TERM, "n": True}),
+    ("boolean form", {**_ONE_TERM, "format_version": True}),
+    ("boolean form", {"n": 2, "m": 2, "terms": [{"alpha": [True, True], "beta": [1, 1], "re": "1"}]}),
+    ("boolean form", {"n": 2, "m": 2, "terms": [{"alpha": [1, 1], "beta": [True, True], "re": "1"}]}),
+    ("boolean form", {**_ONE_TERM, "terms": [{"alpha": [1], "beta": [1], "re": True}]}),
+]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -255,9 +272,20 @@ def _parse(kind, doc):
 @example(("certificate", {**_DOCUMENTS[3][1], "form_path": 5}))
 @example(("certificate", {**_DOCUMENTS[3][1], "form_path": "\x00"}))
 @example(("certificate", {**_DOCUMENTS[2][1], "squares": [{**_DOCUMENTS[2][1]["squares"][0], "weight": float("nan")}]}))
+@example(_BOOLEAN_DOCUMENTS[0])
+@example(_BOOLEAN_DOCUMENTS[1])
+@example(_BOOLEAN_DOCUMENTS[2])
+@example(_BOOLEAN_DOCUMENTS[3])
+@example(_BOOLEAN_DOCUMENTS[4])
+@example(_BOOLEAN_DOCUMENTS[5])
+@example(_BOOLEAN_DOCUMENTS[6])
+@example(_BOOLEAN_DOCUMENTS[7])
+@example(_BOOLEAN_DOCUMENTS[8])
+@example(_BOOLEAN_DOCUMENTS[9])
 def test_malformed_documents_raise_only_input_errors(case):
     kind, doc = case
-    if kind == "float certificate":  # under any edit: the mode is read before the squares
+    # a float certificate under any edit (the mode is read before the squares), a boolean as given
+    if kind in ("float certificate", "boolean certificate", "boolean form"):
         with pytest.raises(formats.ParseError):
             _parse(kind, doc)
         return

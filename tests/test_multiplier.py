@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -722,3 +723,41 @@ def test_expand_squares_matches_reference_and_verifies_exactly(cert):
             tampered.append(mult.SosSquare(sq.weight, {**sq.coefficients, missing: qc(1)}))
         for square in tampered:
             assert mult.verify_certificate(form, _with_square(cert, k, square))[0] == "fail"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _decomposed(name: str) -> tuple[forms.HermitianForm, mult.SosCertificate]:
+    """A sample form at its golden certificate's shift, or the seed-26 form of kernel_random.json at
+    N = 2 (15 squares, each weight with its own denominator), with its sos_decompose certificate."""
+    if name == "kernel-random-26":
+        (case,) = [c for c in json.loads((GOLDEN / "kernel_random.json").read_text())["cases"] if c["seed"] == 26]
+        form, N = formats.form_from_dict(case["form"]), 2
+    else:
+        form = formats.load_form(SAMPLES / f"{name}.json")
+        N = formats.load_certificate(GOLDEN / f"certificate_{name}.json")[0].N
+    return form, mult.sos_decompose(form, N)
+
+
+@pytest.mark.parametrize("name", [path.stem for path in sorted(SAMPLES.glob("*.json"))] + ["kernel-random-26"])
+def test_verification_does_not_depend_on_square_order(name):
+    # each entry of the expansion is kept over the denominators of the squares up to the last one
+    # holding its indices, so reordering the squares moves those horizons
+    form, cert = _decomposed(name)
+    shuffled = random.Random(name).sample(cert.squares, len(cert.squares))
+    for squares in (cert.squares[::-1], tuple(shuffled)):
+        reordered = mult.SosCertificate(cert.n, cert.m, cert.N, squares)
+        assert mult.expand_squares(reordered) == mult.expand_squares(cert)
+        assert mult.verify_certificate(form, reordered) == ("exact-pass", 0.0)
+    *rest, final = cert.squares
+    assert mult.verify_certificate(form, mult.SosCertificate(cert.n, cert.m, cert.N, tuple(rest)))[0] == "fail"
+    alpha, c = list(final.coefficients.items())[-1]
+    changed = mult.SosSquare(final.weight, {**final.coefficients, alpha: c + qc(1 if c.re >= 0 else -1)})
+    assert mult.verify_certificate(form, _with_square(cert, len(rest), changed))[0] == "fail"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("certificate_*.json")), ids=lambda p: p.stem)
+def test_expand_squares_matches_reference_on_golden_certificates(path):
+    cert, _ = formats.load_certificate(path)
+    assert mult.expand_squares(cert) == reference_expansion(cert)
