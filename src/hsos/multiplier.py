@@ -8,11 +8,14 @@ denominator D, the lcm of f's coefficient denominators, and every consumer
 reads those integers.  One exact kernel, a pivoted fraction-free LDL* of each
 connected block of the sparsity pattern, decides PSD, raises NotPsdError with
 an exactly checked witness, and yields certificates sum_j w_j |Q_j(z)|^2 with
-rational weights w_j > 0, the only kind of certificate.  The shift scan asks
-only for the verdict, and `psd_decided` proves most verdicts in floating point
-first: a verified Cholesky (Rump 2006) for a PD block, an eigenvector witness
-checked exactly for a not-PSD one; only what neither settles reaches the
-exact kernel.  The scan starts at the first shift whose diagonal, the
+rational weights w_j > 0, the only kind of certificate.  Its pivot order is
+minimum degree: a negative diagonal first, then the positive diagonal with the
+fewest off-diagonal entries left in its row, since only the differences of f's
+exponents couple two rows and the largest diagonal would fill that sparsity in.
+The shift scan asks only for the verdict, and `psd_decided` proves most
+verdicts in floating point first: a verified Cholesky (Rump 2006) for a PD
+block, an eigenvector witness checked exactly for a not-PSD one; only what
+neither settles reaches the exact kernel.  The scan starts at the first shift whose diagonal, the
 coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a (Polya), has no negative
 entry, computed without assembly; every earlier shift fails on that entry.
 Verification rejects any weight <= 0, re-expands the squares exactly in
@@ -150,8 +153,8 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
             key = (row_a[t], row_b[t])
             old_re, old_im = numerators.get(key, (0, 0))
             s = (old_re + w * re, old_im + w * im)
-            if s == (0, 0):  # popped where a partial sum cancels: the insertion order fixes _ldlt's fill-in
-                numerators.pop(key, None)
+            if s == (0, 0):  # popped where a partial sum cancels: the insertion order is _ldlt's row order,
+                numerators.pop(key, None)  # which picks the entry its zero-pivot witness takes
             else:
                 numerators[key] = s
     return MultiplierMatrix(form.n, form.m, N, basis, D, numerators)
@@ -234,9 +237,17 @@ def _ldlt(matrix: MultiplierMatrix):
     A[i][j] = (a A[i][j] - A[i][k] A[k][j]) // b, b the block's previous pivot
     (1 at first), a division Sylvester's identity makes exact (Bareiss 1968):
     no gcd per entry.  The Schur complement is A / (b D), so d = a / (b D) and
-    l_i = conj(A[k][i]) / a.  The pivot is the largest |diagonal| of the Schur
-    complement left, ties by index; it updates only its connected block of the
-    sparsity pattern, so a heap over each block's candidate keeps that order.
+    l_i = conj(A[k][i]) / a.  A pivot updates only its connected block of
+    the sparsity pattern.  Within a block a negative diagonal comes first (the
+    largest |diagonal|, ties by index) and refutes; otherwise the pivot is the
+    positive diagonal whose active row has the fewest off-diagonal entries,
+    ties by the largest diagonal and then the index, a minimum-degree order
+    (Tinney-Walker 1967; George-Liu 1989): its column holds only those entries,
+    and the rank-one update fills in at most their pairs, where the largest
+    diagonal would fill a sparse block almost densely.  Zero diagonals come
+    last.  A heap over the blocks' candidates pops the negative ones first and
+    the rest by the largest |diagonal| of the Schur complement, ties by index,
+    so 1x1 blocks, 2x2 blocks and dense ones pivot on the largest diagonal.
 
     Returns (processed, pivots) where processed is a list of (pivot_index,
     column dict) in elimination order.  A matrix that is not PSD raises
@@ -247,9 +258,15 @@ def _ldlt(matrix: MultiplierMatrix):
     blocks = _components(rows)
     prev = [1] * len(blocks)  # each block's last pivot b; its Schur complement is A / (b D)
 
+    def priority(i: int):
+        d = diag[i]
+        if d < 0:
+            return 0, 0, d, i
+        return (1, len(rows[i]), -d, i) if d else (2, 0, 0, i)
+
     def candidate(b: int):
-        k = min(blocks[b], key=lambda i: (-abs(diag[i]), i))
-        return -Fraction(abs(diag[k]), prev[b]), k, b
+        k = min(blocks[b], key=priority)
+        return diag[k] >= 0, -Fraction(abs(diag[k]), prev[b]), k, b
 
     heap = [candidate(b) for b in range(len(blocks))]
     heapq.heapify(heap)
@@ -258,7 +275,7 @@ def _ldlt(matrix: MultiplierMatrix):
     witness: Optional[dict[int, QC]] = None
 
     while heap:
-        _, k, b = heapq.heappop(heap)
+        _, _, k, b = heapq.heappop(heap)
         a, pb = diag[k], prev[b]
         if a < 0:
             witness = {k: QC_ONE}
@@ -463,7 +480,11 @@ def sos_decompose(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP)
     absorbing sqrt(w_j) into the polynomials would leave the rationals.  A
     matrix that is not PSD raises NotPsdError with its exactly checked witness.
     """
-    matrix = multiplier_matrix(form, N, size_cap=size_cap)
+    return _decompose(multiplier_matrix(form, N, size_cap=size_cap))
+
+
+def _decompose(matrix: MultiplierMatrix) -> SosCertificate:
+    """The verified certificate of `sos_decompose` from the multiplier matrix itself."""
     basis = matrix.basis
     processed, pivots = _ldlt(matrix)
     squares = []
@@ -472,11 +493,11 @@ def sos_decompose(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP)
         for i, l in col.items():
             coeffs[basis[i]] = l
         squares.append(SosSquare(d, coeffs))
-    cert = SosCertificate(form.n, form.m, N, tuple(squares))
+    cert = SosCertificate(matrix.n, matrix.m, matrix.N, tuple(squares))
     status, residual = _verify_against(matrix, cert)
     if status == "fail":
-        raise VerificationFailed(f"certificate at N={N} does not re-expand to the multiplier matrix")
-    return SosCertificate(form.n, form.m, N, cert.squares, status, residual)
+        raise VerificationFailed(f"certificate at N={matrix.N} does not re-expand to the multiplier matrix")
+    return SosCertificate(matrix.n, matrix.m, matrix.N, cert.squares, status, residual)
 
 
 def _gaussian_expansion(cert: SosCertificate) -> dict[tuple[int, int], tuple[int, int, int]]:

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -176,8 +177,54 @@ def test_stable_dump_is_deterministic():
 
 def test_stable_dump_rejects_non_finite_numbers():
     for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
-            formats.dumps_stable({"x": bad})
+        for doc in ({"x": bad}, [1, [bad]], {"x": {"y": [bad]}}, {bad: 1}, bad):
+            with pytest.raises(ValueError):
+                formats.dumps_stable(doc)
+
+
+def _json_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_stable_dump_matches_json_dumps_on_golden_documents():
+    paths = sorted((_ROOT / "tests" / "golden").glob("*.json"))
+    assert len(paths) > 50
+    for path in paths:
+        doc = json.loads(path.read_text())
+        assert (path.name, formats.dumps_stable(doc)) == (path.name, _json_dumps(doc))
+    cli = json.loads((_ROOT / "perfbench" / "golden_cli.json").read_text())
+    for name, entry in cli.items():
+        assert (name, formats.dumps_stable(entry["doc"])) == (name, _json_dumps(entry["doc"]))
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**300, -(2**64), 0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-300, 5e-324, 1e300, 0.1]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "€", "\U0001f600", "\ud800"]),
+)
+_json_keys = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n", "é", "\U0001f600", ""]))
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_json_keys, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_json_docs)
+@example({"": [], "a": {}, "b": [[], {}], "c": [-0.0, 1e-300, 10**400, True, False, None]})
+def test_stable_dump_matches_json_dumps_on_any_document(doc):
+    assert formats.dumps_stable(doc) == _json_dumps(doc)
 
 
 # ---------------------------------------------------------------------------

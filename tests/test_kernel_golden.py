@@ -8,8 +8,12 @@ tests/golden/kernel_random.json holds the same at N = 0..2 for seeded random
 hermitian forms whose coefficients have denominators 1, 2, 3, 4, 5, 7 and 12;
 the form documents are stored in the file, so the test does not depend on the
 generator.  Pivot order and pivots together determine the L factor, so these
-files pin the whole factorization.  A change that alters them must say why and
-re-record them with
+files pin the whole factorization.  The kernel pivots in minimum-degree order
+within each connected block: a negative diagonal first, then the positive
+diagonal whose row has the fewest off-diagonal entries left (ties by the
+largest diagonal, then the index), zero diagonals last; it was chosen for its
+fill-in, which the largest-diagonal rule made almost dense.  A change that
+alters these files must say why and re-record them with
 
     PYTHONPATH=src:tests python tests/test_kernel_golden.py
 """

@@ -314,6 +314,67 @@ def test_exact_kernel_agrees_with_eigvalsh_and_proves_its_verdicts(case):
         assert quadratic == qc(verdict.witness_value) and verdict.witness_value < 0
 
 
+def _form_of_matrix(n: int, m: int, upper: dict) -> forms.HermitianForm:
+    """The form whose multiplier matrix at N = 0 has the upper triangle {(i, j): c, i <= j} over the degree-m basis."""
+    basis = list(mi.iter_degree(n, m))
+    triples = [(basis[i], basis[j], c) for (i, j), c in upper.items()]
+    triples += [(basis[j], basis[i], c.conj()) for (i, j), c in upper.items() if i != j]
+    return forms.HermitianForm.from_terms(n, m, triples)
+
+
+def test_arrowhead_block_pivots_its_hub_last():
+    # hub 2 couples to every other row and has the largest diagonal.  Pivoting
+    # it first fills the other d - 1 rows in densely, d(d+1)/2 coefficients
+    # over the squares; the fewest off-diagonal entries first takes the leaves
+    # (one entry each) and keeps 2d - 1.  The hub's Schur diagonal 5 - 4(2/3)
+    # is below 3 when it ties with the last leaf, so the leaf goes first.
+    d, hub = 6, 2
+    upper = {(i, i): qc(5 if i == hub else 3) for i in range(d)}
+    upper |= {(min(i, hub), max(i, hub)): qc(1, 1) for i in range(d) if i != hub}
+    form = _form_of_matrix(2, d - 1, upper)
+    processed, pivots = mult._ldlt(mult.multiplier_matrix(form, 0))
+    assert [k for k, _ in processed] == [0, 1, 3, 4, 5, 2]
+    assert pivots[-1] == 5 - Fraction(5 * 2, 3)
+    assert sum(1 + len(col) for _, col in processed) == 2 * d - 1 < d * (d + 1) // 2
+    cert = mult.sos_decompose(form, 0)
+    assert cert.verified == "exact-pass"
+    assert sum(len(sq.coefficients) for sq in cert.squares) == 2 * d - 1
+
+
+def test_dense_block_pivots_on_the_largest_schur_diagonal():
+    # every row of a dense block holds the same count of off-diagonal entries,
+    # so the largest diagonal of the Schur complement goes first, ties by index
+    upper = {(0, 0): qc(4), (1, 1): qc(6), (2, 2): qc(6), (0, 1): qc(1), (0, 2): qc(1), (1, 2): qc(1)}
+    processed, pivots = mult._ldlt(mult.multiplier_matrix(_form_of_matrix(2, 2, upper), 0))
+    assert [k for k, _ in processed] == [1, 2, 0]
+    assert pivots == [6, Fraction(35, 6), Fraction(26, 7)]
+
+
+def test_negative_diagonal_refutes_before_a_larger_positive_one():
+    verdict = mult.is_psd(mult.multiplier_matrix(_form_of_matrix(2, 1, {(0, 0): qc(5), (1, 1): qc(-1), (0, 1): qc(1)}), 0))
+    assert (verdict.is_psd, verdict.witness, verdict.witness_value) == (False, (qc(0), qc(1)), -1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_shifted_forms(), st.randoms(use_true_random=False))
+@example((random_sos_form(random.Random(5), 3, 2), 1), random.Random(0))  # PSD with zero pivots
+def test_relabelling_the_basis_keeps_verdict_rank_and_certificate(case, rng):
+    form, N = case
+    matrix = mult.multiplier_matrix(form, N)
+    perm = list(range(matrix.dim))
+    rng.shuffle(perm)
+    relabelled = mult.MultiplierMatrix(
+        matrix.n, matrix.m, N, matrix.basis, matrix.D,
+        {(perm[i], perm[j]): c for (i, j), c in matrix.numerators.items()},
+    )
+    verdict, moved = mult.is_psd(matrix), mult.is_psd(relabelled)
+    assert (moved.is_psd, moved.rank) == (verdict.is_psd, verdict.rank)
+    if moved.is_psd:
+        assert mult._decompose(relabelled).verified == "exact-pass"
+    else:
+        assert moved.witness_value < 0  # checked exactly inside the kernel
+
+
 # ---------------------------------------------------------------------------
 # minimal shift search
 # ---------------------------------------------------------------------------
