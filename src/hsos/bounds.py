@@ -150,7 +150,6 @@ def bound_report(
     C=Fraction(1),
     n_max: int = 10,
     size_cap: int = mult.DEFAULT_SIZE_CAP,
-    search_C: bool = True,
 ) -> BoundReport:
     """Compute all invariants and bounds, run the empirical scan, and record checks."""
     forms_mod.require_valid(form)
@@ -215,7 +214,7 @@ def bound_report(
         if report.certified_N is not None:
             report.checks["empirical_le_certified"] = emp <= report.certified_N
 
-    if search_C and lam.value > 0:
+    if lam.value > 0:
         try:
             report.smallest_sufficient_C = _smallest_sufficient_C(
                 form, lam.value, big, emp, n_max, size_cap

@@ -45,9 +45,6 @@ class QC:
         other = qc(other)
         return QC(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other) -> "QC":
-        return qc(other) - self
-
     def __mul__(self, other) -> "QC":
         other = qc(other)
         return QC(
@@ -56,17 +53,6 @@ class QC:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QC":
-        if isinstance(other, (int, Rational)) and not isinstance(other, QC):
-            d = as_fraction(other)
-            return QC(self.re / d, self.im / d)
-        other = qc(other)
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero complex rational")
-        num = self * other.conj()
-        return QC(num.re / d, num.im / d)
 
     def __neg__(self) -> "QC":
         return QC(-self.re, -self.im)

@@ -3,9 +3,11 @@
 Rationals cross the file boundary as strings "p/q" (plain integers and decimal
 strings are accepted on input and converted exactly), so forms and
 certificates reload bit-exactly.  Unknown fields and duplicate coefficient keys
-are rejected, and so is a certificate whose mode is not "exact".  Integers are
-checked with `type(x) is int`, since Python reads JSON true and false as the
-ints 1 and 0 (bool is a subclass of int).
+are rejected, and so is a certificate whose mode is not "exact" or whose
+verification block holds an unknown status or a residual not null or finite.
+A square's coefficients are written in lowest terms, as `SosSquare` holds
+them.  Integers are checked with `type(x) is int`, since Python reads JSON
+true and false as the ints 1 and 0 (bool is a subclass of int).
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ def format_rational(x: Fraction) -> str:
 
 
 def _expect_keys(obj: dict, allowed: set[str], required: set[str], context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}", context)
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"unknown field(s) {sorted(unknown)}", context)
@@ -86,8 +90,6 @@ def form_to_dict(form: HermitianForm) -> dict:
 
 
 def form_from_dict(data: dict) -> HermitianForm:
-    if not isinstance(data, dict):
-        raise ParseError("form document must be a JSON object")
     _expect_keys(data, {"format_version", "n", "m", "terms"}, {"n", "m", "terms"}, "form")
     version = data.get("format_version", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:
@@ -103,8 +105,6 @@ def form_from_dict(data: dict) -> HermitianForm:
     triples = []
     for idx, term in enumerate(data["terms"]):
         ctx = f"terms[{idx}]"
-        if not isinstance(term, dict):
-            raise ParseError("term must be an object", ctx)
         _expect_keys(term, {"alpha", "beta", "re", "im"}, {"alpha", "beta", "re"}, ctx)
         alpha = _parse_index(term["alpha"], n, ctx)
         beta = _parse_index(term["beta"], n, ctx)
@@ -136,8 +136,9 @@ def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = No
     for sq in cert.squares:
         coeffs = []
         for alpha in sorted(sq.coefficients, key=mi.graded_lex_key):
-            c = sq.coefficients[alpha]
-            coeffs.append({"index": list(alpha), "re": format_rational(c.re), "im": format_rational(c.im)})
+            re, im = sq.coefficients[alpha]
+            coeffs.append({"index": list(alpha), "re": format_rational(Fraction(re, sq.den)),
+                           "im": format_rational(Fraction(im, sq.den))})
         squares.append({"weight": format_rational(sq.weight), "coefficients": coeffs})
     doc = {
         "format_version": FORMAT_VERSION,
@@ -154,8 +155,6 @@ def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = No
 
 
 def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[HermitianForm]]:
-    if not isinstance(data, dict):
-        raise ParseError("certificate document must be a JSON object")
     _expect_keys(
         data,
         {"format_version", "n", "m", "N", "mode", "squares", "verification", "form", "form_path"},
@@ -176,8 +175,6 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     squares = []
     for si, sq in enumerate(data["squares"]):
         ctx = f"squares[{si}]"
-        if not isinstance(sq, dict):
-            raise ParseError("square must be an object", ctx)
         _expect_keys(sq, {"weight", "coefficients"}, {"weight", "coefficients"}, ctx)
         weight = parse_rational(sq["weight"], ctx)
         if weight <= 0:
@@ -187,8 +184,6 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         coeffs: dict[mi.MultiIndex, QC] = {}
         for ci, entry in enumerate(sq["coefficients"]):
             ectx = f"{ctx}.coefficients[{ci}]"
-            if not isinstance(entry, dict):
-                raise ParseError("coefficient must be an object", ectx)
             _expect_keys(entry, {"index", "re", "im"}, {"index", "re"}, ectx)
             alpha = _parse_index(entry["index"], n, ectx)
             if sum(alpha) != m + N:
@@ -196,10 +191,14 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
             if alpha in coeffs:
                 raise ParseError(f"duplicate index {alpha}", ectx)
             coeffs[alpha] = qc(parse_rational(entry["re"], ectx), parse_rational(entry.get("im", "0"), ectx))
-        squares.append(SosSquare(weight, coeffs))
+        squares.append(SosSquare.from_rationals(weight, coeffs))
     verification = data.get("verification", {})
-    status = verification.get("status", "unverified") if isinstance(verification, dict) else "unverified"
-    residual = verification.get("residual") if isinstance(verification, dict) else None
+    _expect_keys(verification, {"status", "residual"}, set(), "verification")
+    status, residual = verification.get("status", "unverified"), verification.get("residual")
+    if status not in ("unverified", "exact-pass", "fail"):
+        raise ParseError(f"unknown verification status {status!r}", "verification")
+    if not (residual is None or type(residual) is int or (type(residual) is float and math.isfinite(residual))):
+        raise ParseError(f"residual must be null or a finite number, got {residual!r}", "verification")
     cert = SosCertificate(n, m, N, tuple(squares), status, residual)
 
     form: Optional[HermitianForm] = None

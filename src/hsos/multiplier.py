@@ -12,6 +12,8 @@ rational weights w_j > 0, the only kind of certificate.  Its pivot order is
 minimum degree: a negative diagonal first, then the positive diagonal with the
 fewest off-diagonal entries left in its row, since only the differences of f's
 exponents couple two rows and the largest diagonal would fill that sparsity in.
+Each square keeps the kernel's representation of its column, Gaussian integers
+over one denominator (in lowest terms), through verification and into the file.
 The shift scan asks only for the verdict, and `psd_decided` proves most
 verdicts in floating point first: a verified Cholesky (Rump 2006) for a PD
 block, an eigenvector witness checked exactly for a not-PSD one; only what
@@ -32,7 +34,7 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -185,14 +187,14 @@ def _witness_quadratic_value(matrix: MultiplierMatrix, v: dict[int, QC]) -> Frac
 
 
 def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
-    """Extend v so that (L* v) vanishes on all processed pivot rows."""
-    for k, col in reversed(processed):
-        s = QC_ZERO
-        for i, l in col.items():
+    """Extend v so that (L* v) vanishes on all processed pivot rows: v_k = -sum conj(c_i) v_i / a for c_i = a l_i."""
+    for k, a, col in reversed(processed):
+        re = im = Fraction(0)
+        for i, (cr, ci) in col.items():
             if i in v:
-                s = s + l.conj() * v[i]
-        if not s.is_zero:
-            v[k] = -s
+                re, im = re + cr * v[i].re + ci * v[i].im, im + cr * v[i].im - ci * v[i].re
+        if re or im:
+            v[k] = QC(-re / a, -im / a)
     return v
 
 
@@ -249,9 +251,10 @@ def _ldlt(matrix: MultiplierMatrix):
     the rest by the largest |diagonal| of the Schur complement, ties by index,
     so 1x1 blocks, 2x2 blocks and dense ones pivot on the largest diagonal.
 
-    Returns (processed, pivots) where processed is a list of (pivot_index,
-    column dict) in elimination order.  A matrix that is not PSD raises
-    NotPsdError with a witness v whose value <Mv, v> < 0 is checked exactly.
+    Returns (processed, pivots), processed listing (k, a, {i: a l_i}) in
+    elimination order, a l_i = conj(A[k][i]) as Gaussian integers (re, im).
+    A matrix that is not PSD raises NotPsdError with a witness v whose value
+    <Mv, v> < 0 is checked exactly.
     """
     D = matrix.D
     diag, rows = _pattern(matrix)
@@ -270,7 +273,7 @@ def _ldlt(matrix: MultiplierMatrix):
 
     heap = [candidate(b) for b in range(len(blocks))]
     heapq.heapify(heap)
-    processed: list[tuple[int, dict[int, QC]]] = []
+    processed: list[tuple[int, int, dict[int, tuple[int, int]]]] = []
     pivots: list[Fraction] = []
     witness: Optional[dict[int, QC]] = None
 
@@ -314,7 +317,7 @@ def _ldlt(matrix: MultiplierMatrix):
                     rowi[j], rows[j][i] = (re, im), (re, -im)
                 else:
                     del rowi[j], rows[j][i]
-        processed.append((k, {i: QC(Fraction(re, a), Fraction(-im, a)) for i, (re, im) in kcol.items()}))
+        processed.append((k, a, {i: (re, -im) for i, (re, im) in kcol.items()}))
         pivots.append(Fraction(a, pb * D))
         prev[b] = a
         if active:
@@ -349,8 +352,18 @@ def is_psd(matrix: MultiplierMatrix) -> PsdVerdict:
 
 @dataclass(frozen=True)
 class SosSquare:
+    """weight |Q(z)|^2, Q = sum of (re + i im) / den z^alpha over coefficients[alpha] = (re, im): the certificate
+    path's one representation, Gaussian integers over one den > 0 in lowest terms, as in `MultiplierMatrix`."""
+
     weight: Fraction  # > 0
-    coefficients: dict[mi.MultiIndex, QC]
+    den: int
+    coefficients: dict[mi.MultiIndex, tuple[int, int]]
+
+    @classmethod
+    def from_rationals(cls, weight: Fraction, coefficients: dict[mi.MultiIndex, QC]) -> "SosSquare":
+        """The square with these exact coefficients, over the lcm of their denominators, which is in lowest terms."""
+        den = _common_denominator(coefficients.values())
+        return cls(weight, den, {alpha: _gaussian(c, den) for alpha, c in coefficients.items()})
 
 
 @dataclass(frozen=True)
@@ -488,34 +501,31 @@ def _decompose(matrix: MultiplierMatrix) -> SosCertificate:
     basis = matrix.basis
     processed, pivots = _ldlt(matrix)
     squares = []
-    for (k, col), d in zip(processed, pivots):
-        coeffs: dict[mi.MultiIndex, QC] = {basis[k]: QC_ONE}
-        for i, l in col.items():
-            coeffs[basis[i]] = l
-        squares.append(SosSquare(d, coeffs))
+    for (k, a, col), d in zip(processed, pivots):
+        col = {k: (a, 0), **col}  # a (e_k + sum_i l_i e_i), reduced to lowest terms by its gcd with a
+        g = math.gcd(*itertools.chain.from_iterable(col.values()))
+        squares.append(SosSquare(d, a // g, {basis[i]: (re // g, im // g) for i, (re, im) in col.items()}))
     cert = SosCertificate(matrix.n, matrix.m, matrix.N, tuple(squares))
     status, residual = _verify_against(matrix, cert)
     if status == "fail":
         raise VerificationFailed(f"certificate at N={matrix.N} does not re-expand to the multiplier matrix")
-    return SosCertificate(matrix.n, matrix.m, matrix.N, cert.squares, status, residual)
+    return replace(cert, verified=status, residual=residual)
 
 
 def _gaussian_expansion(cert: SosCertificate) -> dict[tuple[int, int], tuple[int, int, int]]:
     """Upper triangle (i <= j) of a certificate's expansion as Gaussian integers (re, im) over their own L_h.
 
-    Square t, scaled by den (the lcm of its coefficient denominators) to Gaussian integers g, keeps
-    s_t = w_t / den^2.  Basis index i is held last by square last(i), and entry (i, j) is kept over
-    L_h = lcm(den(s_0), ..., den(s_h)) for its horizon h = min(last(i), last(j)): only squares t <= h
+    Square t, Gaussian integers g over den, keeps s_t = w_t / den^2.  Basis index i is held last by
+    square last(i), and entry (i, j) is kept over L_h = lcm(den(s_0), ..., den(s_h)) for its horizon h = min(last(i), last(j)): only squares t <= h
     hold both indices, and each adds g_i conj(g_j) f(t, h) with f(t, h) = num(s_t) L_h / den(s_t),
     computed once per square and horizon.  Values are (re, im, L_h).
     """
     position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
     scaled, last = [], {}
     for t, sq in enumerate(cert.squares):
-        den = _common_denominator(sq.coefficients.values())
-        g = [(position[a], *_gaussian(c, den)) for a, c in sq.coefficients.items()]
+        g = [(position[a], re, im) for a, (re, im) in sq.coefficients.items()]
         wn, wd = sq.weight.as_integer_ratio()  # one Fraction constructor, cheaper than Fraction division
-        scaled.append((Fraction(wn, wd * den * den), g))
+        scaled.append((Fraction(wn, wd * sq.den * sq.den), g))
         for i, _, _ in g:
             last[i] = t
     prefix = list(itertools.accumulate((s.denominator for s, _ in scaled), math.lcm))  # L_h

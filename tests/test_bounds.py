@@ -105,13 +105,13 @@ def test_bound_report_fc1():
 
 
 def test_bound_report_constant_form():
-    report = bounds.bound_report(forms.inner_power(2, 2), n_max=4, search_C=False)
+    report = bounds.bound_report(forms.inner_power(2, 2), n_max=4)
     assert report.empirical_minimal_N == 0
     assert all(report.checks.values())
 
 
 def test_bound_report_boundary_c2():
-    report = bounds.bound_report(forms.fc_form(2), n_max=3, search_C=False)
+    report = bounds.bound_report(forms.fc_form(2), n_max=3)
     assert report.empirical_minimal_N is None
     assert "empirical_minimal_N" in report.notes
     for key in ("certified_N", "powers_resnick_N", "to_yeung_N", "nie_schweighofer_N"):
@@ -120,7 +120,7 @@ def test_bound_report_boundary_c2():
 
 
 def test_bound_report_nondiagonal_skips_pr():
-    report = bounds.bound_report(ridge_form(), n_max=4, search_C=False)
+    report = bounds.bound_report(ridge_form(), n_max=4)
     assert report.powers_resnick_N is None
     assert "diagonal" in report.notes["powers_resnick_N"]
     assert report.empirical_minimal_N == 0

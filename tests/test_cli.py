@@ -128,14 +128,15 @@ def test_verify_tampered(capsys, fc1_path, tmp_path):
 
 @pytest.mark.parametrize(
     "mode, field, value",
-    [("exact", "squares", 7), ("exact", "coefficients", 7), ("exact", "weight", "abc"), ("float", "weight", "abc")],
+    [("exact", "squares", 7), ("exact", "coefficients", 7), ("exact", "weight", "abc"), ("float", "weight", "abc"),
+     ("exact", "verification", {"status": ["x"], "junk": 1, "residual": "abc"})],
 )
 def test_verify_malformed_certificate_is_input_error(capsys, fc1_path, tmp_path, mode, field, value):
     cert_path = tmp_path / "cert.json"
     run(capsys, ["certify", fc1_path, "1", "--out", str(cert_path)])
     doc = json.loads(cert_path.read_text())
     doc["mode"] = mode  # a file that still says "float" is refused whatever its squares hold
-    (doc if field == "squares" else doc["squares"][0])[field] = value
+    (doc if field in ("squares", "verification") else doc["squares"][0])[field] = value
     cert_path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["verify", str(cert_path)])
     assert code == 2 and "input error" in err

@@ -23,15 +23,6 @@ def test_conj_and_abs2():
     assert (a * a.conj()).im == 0
 
 
-def test_division_roundtrip():
-    a = qc(Fraction(7, 3), Fraction(-2, 5))
-    b = qc(Fraction(-1, 2), Fraction(4, 7))
-    assert (a / b) * b == a
-    assert a / 2 == qc(Fraction(7, 6), Fraction(-1, 5))
-    with pytest.raises(ZeroDivisionError):
-        a / QC_ZERO
-
-
 def test_scalar_mixing_and_complex():
     a = qc(1, 1)
     assert 2 * a == qc(2, 2)

@@ -312,6 +312,18 @@ _BOOLEAN_DOCUMENTS = [
     ("boolean form", {"n": 2, "m": 2, "terms": [{"alpha": [1, 1], "beta": [True, True], "re": "1"}]}),
     ("boolean form", {**_ONE_TERM, "terms": [{"alpha": [1], "beta": [1], "re": True}]}),
 ]
+# a verification block that is not an object, or holds an unknown key, status or a residual not null or finite
+_BAD_VERIFICATIONS = [
+    ("bad verification", {**_ONE_SQUARE, "verification": {"status": ["x"], "junk": 1, "residual": "abc"}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"status": "exact-pass", "junk": 1}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": ["exact-pass"]}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"status": "passed"}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"status": ["x"]}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"residual": "abc"}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"residual": float("nan")}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"residual": float("-inf")}}),
+    ("bad verification", {**_ONE_SQUARE, "verification": {"residual": False}}),
+]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -329,10 +341,20 @@ _BOOLEAN_DOCUMENTS = [
 @example(_BOOLEAN_DOCUMENTS[7])
 @example(_BOOLEAN_DOCUMENTS[8])
 @example(_BOOLEAN_DOCUMENTS[9])
+@example(_BAD_VERIFICATIONS[0])
+@example(_BAD_VERIFICATIONS[1])
+@example(_BAD_VERIFICATIONS[2])
+@example(_BAD_VERIFICATIONS[3])
+@example(_BAD_VERIFICATIONS[4])
+@example(_BAD_VERIFICATIONS[5])
+@example(_BAD_VERIFICATIONS[6])
+@example(_BAD_VERIFICATIONS[7])
+@example(_BAD_VERIFICATIONS[8])
 def test_malformed_documents_raise_only_input_errors(case):
     kind, doc = case
-    # a float certificate under any edit (the mode is read before the squares), a boolean as given
-    if kind in ("float certificate", "boolean certificate", "boolean form"):
+    # a float certificate under any edit (the mode is read before the squares), a boolean or a bad
+    # verification block as given
+    if kind in ("float certificate", "boolean certificate", "boolean form", "bad verification"):
         with pytest.raises(formats.ParseError):
             _parse(kind, doc)
         return

@@ -44,7 +44,7 @@ def kernel_record(matrix: mult.MultiplierMatrix) -> dict:
     return {
         "psd": True,
         "rank": len(pivots),
-        "order": [k for k, _ in processed],
+        "order": [k for k, _, _ in processed],
         "pivots": [str(d) for d in pivots],
     }
 

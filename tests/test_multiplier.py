@@ -333,9 +333,9 @@ def test_arrowhead_block_pivots_its_hub_last():
     upper |= {(min(i, hub), max(i, hub)): qc(1, 1) for i in range(d) if i != hub}
     form = _form_of_matrix(2, d - 1, upper)
     processed, pivots = mult._ldlt(mult.multiplier_matrix(form, 0))
-    assert [k for k, _ in processed] == [0, 1, 3, 4, 5, 2]
+    assert [k for k, _, _ in processed] == [0, 1, 3, 4, 5, 2]
     assert pivots[-1] == 5 - Fraction(5 * 2, 3)
-    assert sum(1 + len(col) for _, col in processed) == 2 * d - 1 < d * (d + 1) // 2
+    assert sum(1 + len(col) for _, _, col in processed) == 2 * d - 1 < d * (d + 1) // 2
     cert = mult.sos_decompose(form, 0)
     assert cert.verified == "exact-pass"
     assert sum(len(sq.coefficients) for sq in cert.squares) == 2 * d - 1
@@ -346,7 +346,7 @@ def test_dense_block_pivots_on_the_largest_schur_diagonal():
     # so the largest diagonal of the Schur complement goes first, ties by index
     upper = {(0, 0): qc(4), (1, 1): qc(6), (2, 2): qc(6), (0, 1): qc(1), (0, 2): qc(1), (1, 2): qc(1)}
     processed, pivots = mult._ldlt(mult.multiplier_matrix(_form_of_matrix(2, 2, upper), 0))
-    assert [k for k, _ in processed] == [1, 2, 0]
+    assert [k for k, _, _ in processed] == [1, 2, 0]
     assert pivots == [6, Fraction(35, 6), Fraction(26, 7)]
 
 
@@ -636,8 +636,7 @@ def test_single_square_certificate():
         assert cert.verified == "exact-pass"
         assert cert.num_squares() == 1
         (sq,) = cert.squares
-        assert sq.weight == 1
-        assert sq.coefficients == {(m, 0): qc(1)}
+        assert sq == mult.SosSquare(Fraction(1), 1, {(m, 0): (1, 0)})
 
 
 def test_fc_certificate_exact_roundtrip():
@@ -677,15 +676,7 @@ def test_verify_detects_perturbation():
     f = forms.fc_form(1)
     cert = mult.sos_decompose(f, 1)
     sq0 = cert.squares[0]
-    alpha0 = next(iter(sq0.coefficients))
-    tampered_coeffs = dict(sq0.coefficients)
-    tampered_coeffs[alpha0] = tampered_coeffs[alpha0] + qc(1)
-    tampered = mult.SosCertificate(
-        cert.n,
-        cert.m,
-        cert.N,
-        (mult.SosSquare(sq0.weight, tampered_coeffs),) + cert.squares[1:],
-    )
+    tampered = _with_square(cert, 0, _nudged(sq0, next(iter(sq0.coefficients))))
     status, _ = mult.verify_certificate(f, tampered)
     assert status == "fail"
 
@@ -695,7 +686,7 @@ def test_verify_detects_perturbation():
 @pytest.mark.parametrize("scalars, weight", [("exact", Fraction(-1)), ("exact", Fraction(0)), ("float", -1.0), ("float", 0.0)])
 def test_verify_rejects_non_positive_weight(scalars, weight):
     # weight * |z1|^2 reproduces weight * |z1|^2 exactly, but only a positive weight makes it a sum of squares
-    square = mult.SosSquare(weight, {(1, 0): qc(1) if scalars == "exact" else 1 + 0j})
+    square = mult.SosSquare(weight, 1, {(1, 0): (1, 0) if scalars == "exact" else (1.0, 0.0)})
     cert = mult.SosCertificate(2, 1, 0, (square,))
     form = forms.scale(coordinate_power(2, 1, 0), Fraction(weight))
     assert mult.verify_certificate(form, cert)[0] == "fail"
@@ -704,7 +695,7 @@ def test_verify_rejects_non_positive_weight(scalars, weight):
 @pytest.mark.parametrize("scalars", ["exact", "float"])
 def test_verify_rejects_certificate_of_another_shape(scalars):
     # |z1^2|^2 at (n, m, N) = (2, 2, 0) puts 1 at basis position 0, as |z1|^2 does at (2, 1, 0)
-    square = mult.SosSquare(Fraction(1) if scalars == "exact" else 1.0, {(2, 0): qc(1) if scalars == "exact" else 1 + 0j})
+    square = mult.SosSquare(Fraction(1) if scalars == "exact" else 1.0, 1, {(2, 0): (1, 0) if scalars == "exact" else (1.0, 0.0)})
     cert = mult.SosCertificate(2, 2, 0, (square,))
     assert mult.verify_certificate(coordinate_power(2, 1, 0), cert) == ("fail", None)
 
@@ -724,7 +715,7 @@ def reference_expansion(cert: mult.SosCertificate) -> dict:
     position = {alpha: i for i, alpha in enumerate(mi.iter_degree(cert.n, cert.m + cert.N))}
     out = {}
     for sq in cert.squares:
-        ranked = [(position[a], c) for a, c in sq.coefficients.items()]
+        ranked = [(position[a], qc(Fraction(re, sq.den), Fraction(im, sq.den))) for a, (re, im) in sq.coefficients.items()]
         for i, ci in ranked:
             for j, cj in ranked:
                 s = out.get((i, j), QC_ZERO) + sq.weight * ci * cj.conj()
@@ -749,19 +740,25 @@ def _exact_certificates(draw):
         monomials = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)))  # insertion order
         coeffs = {a: qc(draw(_cert_rationals), draw(_cert_rationals)) for a in monomials}
         weight = abs(draw(_cert_rationals)) + Fraction(1, draw(_denominators))
-        squares.append(mult.SosSquare(weight, coeffs))
+        squares.append(mult.SosSquare.from_rationals(weight, coeffs))
         if draw(st.booleans()):
             squares.append(squares[draw(st.integers(0, len(squares) - 1))])  # a repeated square
         if len(coeffs) > 1 and draw(st.booleans()):
             # same weight, one coefficient negated: its products with the others cancel
             flip = draw(st.sampled_from(monomials))
-            squares.append(mult.SosSquare(weight, {a: -c if a == flip else c for a, c in coeffs.items()}))
+            squares.append(mult.SosSquare.from_rationals(weight, {a: -c if a == flip else c for a, c in coeffs.items()}))
     return mult.SosCertificate(n, m, 0, tuple(draw(st.permutations(squares))))
 
 
 def _with_square(cert: mult.SosCertificate, k: int, square: mult.SosSquare) -> mult.SosCertificate:
     squares = cert.squares[:k] + (square,) + cert.squares[k + 1:]
     return mult.SosCertificate(cert.n, cert.m, cert.N, squares)
+
+
+def _nudged(sq: mult.SosSquare, alpha) -> mult.SosSquare:
+    """sq with the real part of its coefficient at alpha moved by 1 away from 0: (re +- den, im) over den."""
+    re, im = sq.coefficients[alpha]
+    return mult.SosSquare(sq.weight, sq.den, {**sq.coefficients, alpha: (re + (sq.den if re >= 0 else -sq.den), im)})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -774,14 +771,14 @@ def test_expand_squares_matches_reference_and_verifies_exactly(cert):
     assert mult.verify_certificate(form, cert) == ("exact-pass", 0.0)
     for k, sq in enumerate(cert.squares):
         tampered = []
-        if any(not c.is_zero for c in sq.coefficients.values()):
-            tampered.append(mult.SosSquare(sq.weight * (1 + Fraction(1, 10**30)), sq.coefficients))
-        for a, c in sq.coefficients.items():
+        if any(re or im for re, im in sq.coefficients.values()):
+            tampered.append(mult.SosSquare(sq.weight * (1 + Fraction(1, 10**30)), sq.den, sq.coefficients))
+        for a in sq.coefficients:
             # a real change of |c|^2 on the diagonal: w ((c.re + d)^2 - c.re^2) = w (2 |c.re| + 1) with d = +-1
-            tampered.append(mult.SosSquare(sq.weight, {**sq.coefficients, a: c + qc(1 if c.re >= 0 else -1)}))
+            tampered.append(_nudged(sq, a))
         missing = next((a for a in basis if a not in sq.coefficients), None)
         if missing is not None:
-            tampered.append(mult.SosSquare(sq.weight, {**sq.coefficients, missing: qc(1)}))
+            tampered.append(mult.SosSquare(sq.weight, sq.den, {**sq.coefficients, missing: (sq.den, 0)}))
         for square in tampered:
             assert mult.verify_certificate(form, _with_square(cert, k, square))[0] == "fail"
 
@@ -813,9 +810,30 @@ def test_verification_does_not_depend_on_square_order(name):
         assert mult.verify_certificate(form, reordered) == ("exact-pass", 0.0)
     *rest, final = cert.squares
     assert mult.verify_certificate(form, mult.SosCertificate(cert.n, cert.m, cert.N, tuple(rest)))[0] == "fail"
-    alpha, c = list(final.coefficients.items())[-1]
-    changed = mult.SosSquare(final.weight, {**final.coefficients, alpha: c + qc(1 if c.re >= 0 else -1)})
+    changed = _nudged(final, list(final.coefficients)[-1])
     assert mult.verify_certificate(form, _with_square(cert, len(rest), changed))[0] == "fail"
+
+
+def _psd_kernel_records(name: str):
+    """(form, N) of every PSD record of a kernel golden file."""
+    for case in json.loads((GOLDEN / name).read_text())["cases"]:
+        if name == "kernel_random.json":
+            form = formats.form_from_dict(case["form"])
+            yield from ((form, N) for N, shift in enumerate(case["shifts"]) if shift["psd"])
+        elif case["psd"]:
+            yield formats.load_form(SAMPLES / f"{case['form']}.json"), case["N"]
+
+
+@pytest.mark.parametrize("name", ["kernel_sample_forms.json", "kernel_random.json"])
+def test_squares_are_in_lowest_terms_with_pivot_coefficient_den(name):
+    for form, N in _psd_kernel_records(name):
+        matrix = mult.multiplier_matrix(form, N)
+        processed, pivots = mult._ldlt(matrix)
+        cert = mult.sos_decompose(form, N)
+        assert [sq.weight for sq in cert.squares] == pivots
+        for (k, _, _), sq in zip(processed, cert.squares):
+            assert sq.den > 0 and math.gcd(sq.den, *(x for c in sq.coefficients.values() for x in c)) == 1
+            assert sq.coefficients[matrix.basis[k]] == (sq.den, 0)
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("certificate_*.json")), ids=lambda p: p.stem)
