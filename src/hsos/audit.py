@@ -156,7 +156,7 @@ def radial_I1(h: float, M: int, n: int) -> AuditReport:
     ∫ t^(M+n-1) e^-t dt / (M! (n-1)!); h cancels exactly.  Also asserts the
     closing inequality I1 <= (M+n)^n.
     """
-    if h <= 0 or M < 0 or n < 1:
+    if not h > 0 or M < 0 or n < 1:
         raise ValueError(f"invalid (h, M, n) = ({h}, {M}, {n})")
     from scipy import integrate, special  # scipy loads on first use: only the audit suites need it
     a = M + n
@@ -272,7 +272,7 @@ def log_localization_E(h: float, M: int, k: int, epsilon: float, n: int) -> floa
     occurs when they are tiny and nothing underflows when E is below the
     double range.
     """
-    if h <= 0 or M < 0 or k < 0 or n < 1 or epsilon <= 0:
+    if not h > 0 or M < 0 or k < 0 or n < 1 or not epsilon > 0:
         raise ValueError(f"invalid localization parameters (h={h}, M={M}, k={k}, eps={epsilon}, n={n})")
     from .special import log_incomplete_gamma  # imported on first use, like spheremin's ndtri
     a = M + k + n

@@ -392,6 +392,10 @@ def main(argv=None) -> int:
     try:
         if args.size_cap < 1:
             raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
+        for name in ("h", "epsilon", "rho", "delta"):  # nan fails no range test such as h <= 0
+            value = getattr(args, name, None)  # only audit has these options
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
         return args.fn(args)
     except formats.ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)

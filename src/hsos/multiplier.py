@@ -5,12 +5,14 @@ basis is hermitian; the shifted form is a sum of squares of holomorphic
 polynomials exactly when that matrix is positive semidefinite.  It is
 assembled once as Gaussian integers (pairs of ints) over one common
 denominator D, the lcm of f's coefficient denominators, and every consumer
-reads those integers.  One exact kernel, a pivoted fraction-free LDL* of each
-connected block of the sparsity pattern, decides PSD, raises NotPsdError with
-an exactly checked witness, and yields certificates sum_j w_j |Q_j(z)|^2 with
-rational weights w_j > 0, the only kind of certificate.  Its pivot order is
-minimum degree: a negative diagonal first, then the positive diagonal with the
-fewest off-diagonal entries left in its row, since only the differences of f's
+reads those integers.  One exact kernel, a pivoted fraction-free LDL*, decides
+PSD, raises NotPsdError with an exactly checked witness, and yields
+certificates sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0, the only kind
+of certificate.  It eliminates the connected blocks of the sparsity pattern
+one at a time, the block with the largest diagonal first, so each block's
+squares stand alone.  Within a block its pivot order is minimum degree: a
+negative diagonal first, then the positive diagonal with the fewest
+off-diagonal entries left in its row, since only the differences of f's
 exponents couple two rows and the largest diagonal would fill that sparsity in.
 Each square keeps the kernel's representation of its column, Gaussian integers
 over one denominator (in lowest terms), through verification and into the file.
@@ -30,7 +32,6 @@ holds both, so none adds to it.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -235,21 +236,21 @@ def _ldlt(matrix: MultiplierMatrix):
 
     A holds the matrix's numerators, Gaussian integers (pairs of ints) over
     its common denominator D; any common denominator gives the same output.
-    Pivot a = A[k][k] updates its block as
+    The most negative diagonal refutes first (ties by index).  Otherwise the
+    connected blocks of the sparsity pattern, which never interact, are
+    eliminated one at a time, the block with the largest diagonal first (ties
+    by index).  Pivot a = A[k][k] updates its block as
     A[i][j] = (a A[i][j] - A[i][k] A[k][j]) // b, b the block's previous pivot
     (1 at first), a division Sylvester's identity makes exact (Bareiss 1968):
     no gcd per entry.  The Schur complement is A / (b D), so d = a / (b D) and
-    l_i = conj(A[k][i]) / a.  A pivot updates only its connected block of
-    the sparsity pattern.  Within a block a negative diagonal comes first (the
-    largest |diagonal|, ties by index) and refutes; otherwise the pivot is the
-    positive diagonal whose active row has the fewest off-diagonal entries,
-    ties by the largest diagonal and then the index, a minimum-degree order
-    (Tinney-Walker 1967; George-Liu 1989): its column holds only those entries,
-    and the rank-one update fills in at most their pairs, where the largest
-    diagonal would fill a sparse block almost densely.  Zero diagonals come
-    last.  A heap over the blocks' candidates pops the negative ones first and
-    the rest by the largest |diagonal| of the Schur complement, ties by index,
-    so 1x1 blocks, 2x2 blocks and dense ones pivot on the largest diagonal.
+    l_i = conj(A[k][i]) / a.  In a block a negative diagonal refutes (the
+    largest |diagonal|, ties by index); otherwise the pivot is the positive
+    diagonal whose active row has the fewest off-diagonal entries, ties by the
+    largest diagonal and then the index, a minimum-degree order (Tinney-Walker
+    1967; George-Liu 1989): its column holds only those entries, and the
+    rank-one update fills in at most their pairs, where the largest diagonal
+    would fill a sparse block almost densely.  Zero diagonals come last, and
+    any entry left beside them refutes.
 
     Returns (processed, pivots), processed listing (k, a, {i: a l_i}) in
     elimination order, a l_i = conj(A[k][i]) as Gaussian integers (re, im).
@@ -258,8 +259,8 @@ def _ldlt(matrix: MultiplierMatrix):
     """
     D = matrix.D
     diag, rows = _pattern(matrix)
-    blocks = _components(rows)
-    prev = [1] * len(blocks)  # each block's last pivot b; its Schur complement is A / (b D)
+    processed: list[tuple[int, int, dict[int, tuple[int, int]]]] = []
+    pivots: list[Fraction] = []
 
     def priority(i: int):
         d = diag[i]
@@ -267,61 +268,52 @@ def _ldlt(matrix: MultiplierMatrix):
             return 0, 0, d, i
         return (1, len(rows[i]), -d, i) if d else (2, 0, 0, i)
 
-    def candidate(b: int):
-        k = min(blocks[b], key=priority)
-        return diag[k] >= 0, -Fraction(abs(diag[k]), prev[b]), k, b
-
-    heap = [candidate(b) for b in range(len(blocks))]
-    heapq.heapify(heap)
-    processed: list[tuple[int, int, dict[int, tuple[int, int]]]] = []
-    pivots: list[Fraction] = []
-    witness: Optional[dict[int, QC]] = None
-
-    while heap:
-        _, _, k, b = heapq.heappop(heap)
-        a, pb = diag[k], prev[b]
-        if a < 0:
-            witness = {k: QC_ONE}
-            break
-        if a == 0:
-            # every remaining diagonal vanishes, so any nonzero entry c = S[i][j]
-            # of the remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2
-            scale = {i: prev[bb] * D for bb, block in enumerate(blocks) for i in block}
-            witness = next(({i: QC(Fraction(-re, scale[i]), Fraction(-im, scale[i])), j: QC_ONE}
-                            for i in sorted(scale) for j, (re, im) in rows[i].items()), None)
-            break
-        active = blocks[b]
-        active.remove(k)
-        del diag[k]
-        # A[k][i] in row k's order, which fixes where fill-in lands in each row
-        # and so which entry the zero-pivot witness takes
-        kcol = {i: c for i, c in rows.pop(k).items() if i in active}
-        for i in active:  # entries outside the rank-one update only rescale by a / pb
-            rowi, inside = rows[i], i in kcol
-            if inside:
-                del rowi[k]
-            else:
-                diag[i] = diag[i] * a // pb
-            for j, (re, im) in rowi.items():
-                if not (inside and j in kcol):
-                    rowi[j] = (re * a // pb, im * a // pb)
-        order = list(kcol)
-        for p, i in enumerate(order):
-            (kr, ki), rowi = kcol[i], rows[i]
-            diag[i] = (a * diag[i] - kr * kr - ki * ki) // pb
-            for j in order[p + 1:]:  # upper triangle; the lower one is its conjugate
-                (xr, xi), (old_re, old_im) = kcol[j], rowi.get(j, (0, 0))
-                re = (a * old_re - kr * xr - ki * xi) // pb  # conj(A[k][i]) A[k][j]
-                im = (a * old_im - kr * xi + ki * xr) // pb
-                if re or im:
-                    rowi[j], rows[j][i] = (re, im), (re, -im)
+    def eliminate(active: set[int]) -> Optional[dict[int, QC]]:  # factors one block; a witness if it refutes
+        pb = 1  # the block's last pivot b; its Schur complement is A / (b D)
+        while active:
+            k = min(active, key=priority)
+            a = diag[k]
+            if a < 0:
+                return {k: QC_ONE}
+            if a == 0:
+                # every diagonal left in the block vanishes, so any nonzero entry c = S[i][j]
+                # of its remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2
+                return next(({i: QC(Fraction(-re, pb * D), Fraction(-im, pb * D)), j: QC_ONE}
+                             for i in sorted(active) for j, (re, im) in rows[i].items()), None)
+            active.remove(k)
+            del diag[k]
+            # A[k][i] in row k's order, which fixes where fill-in lands in each row
+            # and so which entry the zero-pivot witness takes
+            kcol = {i: c for i, c in rows.pop(k).items() if i in active}
+            for i in active:  # entries outside the rank-one update only rescale by a / pb
+                rowi, inside = rows[i], i in kcol
+                if inside:
+                    del rowi[k]
                 else:
-                    del rowi[j], rows[j][i]
-        processed.append((k, a, {i: (re, -im) for i, (re, im) in kcol.items()}))
-        pivots.append(Fraction(a, pb * D))
-        prev[b] = a
-        if active:
-            heapq.heappush(heap, candidate(b))
+                    diag[i] = diag[i] * a // pb
+                for j, (re, im) in rowi.items():
+                    if not (inside and j in kcol):
+                        rowi[j] = (re * a // pb, im * a // pb)
+            order = list(kcol)
+            for p, i in enumerate(order):
+                (kr, ki), rowi = kcol[i], rows[i]
+                diag[i] = (a * diag[i] - kr * kr - ki * ki) // pb
+                for j in order[p + 1:]:  # upper triangle; the lower one is its conjugate
+                    (xr, xi), (old_re, old_im) = kcol[j], rowi.get(j, (0, 0))
+                    re = (a * old_re - kr * xr - ki * xi) // pb  # conj(A[k][i]) A[k][j]
+                    im = (a * old_im - kr * xi + ki * xr) // pb
+                    if re or im:
+                        rowi[j], rows[j][i] = (re, im), (re, -im)
+                    else:
+                        del rowi[j], rows[j][i]
+            processed.append((k, a, {i: (re, -im) for i, (re, im) in kcol.items()}))
+            pivots.append(Fraction(a, pb * D))
+            pb = a
+        return None
+
+    lowest, k = min((d, i) for i, d in diag.items())
+    blocks = sorted(_components(rows), key=lambda block: min((-diag[i], i) for i in block))
+    witness = {k: QC_ONE} if lowest < 0 else next(filter(None, map(eliminate, blocks)), None)  # stops at a refutation
 
     if witness is not None:
         v = _lift_through_columns(processed, witness)

@@ -284,7 +284,7 @@ def sphere_range(form: HermitianForm, certify: bool = True) -> tuple[SphereMinRe
     low, high = _minimum(form, 0, certify), _minimum(form, 1, certify)
     side = high if high.value <= low.value else low  # sup |f| = -min(min f, min -f)
     sharp = SphereMinResult(
-        max(-side.value, 0.0),
+        max(0.0, -side.value),  # 0.0, not -0.0, on a tie: max keeps its first argument
         side.minimizer,
         max(low.uncertainty, high.uncertainty),
         low.certified and high.certified,

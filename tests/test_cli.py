@@ -270,13 +270,16 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["--size-cap", "0", "certify", FC1, "1"], 2),
         (["audit", "--suite", "basic", "--form", FC1, "--h", "0"], 2),
         (["audit", "--suite", "localization", "--h", "-1", "--epsilon", "0.3"], 2),
+        (["audit", "--suite", "radial", "--h", "nan"], 2),
+        (["audit", "--suite", "localization", "--epsilon", "nan"], 2),
+        (["audit", "--suite", "tails", "--delta", "inf"], 2),
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
         "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
         "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
-        "localization-h-1-eps",
+        "localization-h-1-eps", "radial-h-nan", "localization-eps-nan", "tails-delta-inf",
     ],
 )
 def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):

@@ -8,8 +8,10 @@ tests/golden/kernel_random.json holds the same at N = 0..2 for seeded random
 hermitian forms whose coefficients have denominators 1, 2, 3, 4, 5, 7 and 12;
 the form documents are stored in the file, so the test does not depend on the
 generator.  Pivot order and pivots together determine the L factor, so these
-files pin the whole factorization.  The kernel pivots in minimum-degree order
-within each connected block: a negative diagonal first, then the positive
+files pin the whole factorization.  The kernel refutes on the most negative
+diagonal first; otherwise it eliminates the connected blocks one at a time,
+the block with the largest diagonal first (ties by index).  Within a block it
+pivots in minimum-degree order: a negative diagonal first, then the positive
 diagonal whose row has the fewest off-diagonal entries left (ties by the
 largest diagonal, then the index), zero diagonals last; it was chosen for its
 fill-in, which the largest-diagonal rule made almost dense.  A change that

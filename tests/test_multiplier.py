@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -232,7 +233,8 @@ def test_zero_pivot_witness_uses_rational_schur_entry_across_blocks():
     # three blocks.  {0, 1, 2}: after pivot 3/2 the Schur complement is
     # [[0, s], [conj(s), 0]] with s = 1/3 - i/6, so its scale b D is not 1 when
     # the remaining diagonal vanishes.  {3, 4}: positive pivots 1 and 24/25.
-    # {5, 6}: zero diagonal from the start.  The witness takes the first
+    # {5, 6}: zero diagonal from the start.  The block with the largest
+    # diagonal, {0, 1, 2}, goes first, and its witness takes the first
     # remaining row, 1: u = -s e_1 + e_2, lifted through column 0.  Any common
     # denominator of the entries gives the same verdict.
     h = Fraction(1, 2)
@@ -353,6 +355,62 @@ def test_dense_block_pivots_on_the_largest_schur_diagonal():
 def test_negative_diagonal_refutes_before_a_larger_positive_one():
     verdict = mult.is_psd(mult.multiplier_matrix(_form_of_matrix(2, 1, {(0, 0): qc(5), (1, 1): qc(-1), (0, 1): qc(1)}), 0))
     assert (verdict.is_psd, verdict.witness, verdict.witness_value) == (False, (qc(0), qc(1)), -1)
+
+
+def _blocks_in_order(matrix: mult.MultiplierMatrix, supports: list[set[int]]) -> list[int]:
+    """The connected blocks that the supports (basis positions of each pivot or square, in order) run
+    through, each once: one block per support, each block's supports contiguous, largest diagonal first."""
+    diag, rows = mult._pattern(matrix)
+    blocks = mult._components(rows)
+    owner = {i: b for b, block in enumerate(blocks) for i in block}
+    assert all(len({owner[i] for i in support}) == 1 for support in supports)
+    runs = [b for b, _ in itertools.groupby(owner[min(support)] for support in supports)]
+    assert len(runs) == len(set(runs))
+    keys = [min((-diag[i], i) for i in blocks[b]) for b in runs]  # largest diagonal, ties by index
+    assert keys == sorted(keys)
+    return runs
+
+
+def _hand_built_matrix(upper: dict) -> mult.MultiplierMatrix:
+    """The matrix with numerators {(i, j): (re, im), i <= j} over D = 1 and the 4-element basis of degree 3 in 2 variables."""
+    numerators = {**upper, **{(j, i): (re, -im) for (i, j), (re, im) in upper.items()}}
+    return mult.MultiplierMatrix(2, 3, 0, tuple(mi.iter_degree(2, 3)), 1, numerators)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_ridge_plus_power_pivots_block_by_block_largest_diagonal_first(N):
+    matrix = mult.multiplier_matrix(formats.load_form(SAMPLES / "ridge_plus_power.json"), N)
+    processed, _ = mult._ldlt(matrix)
+    assert len(processed) == matrix.dim
+    assert len(_blocks_in_order(matrix, [{k, *col} for k, _, col in processed])) > 1
+
+
+def test_two_block_certificate_keeps_each_blocks_squares_together():
+    # block {0, 1} has the largest diagonal, 4; its Schur diagonal 2 - 1/4 falls
+    # below block {2, 3}'s diagonal 3, which an order across the blocks by the
+    # largest Schur diagonal would pivot in between
+    matrix = _hand_built_matrix({(0, 0): (4, 0), (1, 1): (2, 0), (0, 1): (1, 0),
+                                 (2, 2): (3, 0), (3, 3): (3, 0), (2, 3): (0, 1)})
+    cert = mult._decompose(matrix)
+    assert cert.verified == "exact-pass"
+    position = {alpha: i for i, alpha in enumerate(matrix.basis)}
+    supports = [{position[alpha] for alpha in sq.coefficients} for sq in cert.squares]
+    assert supports == [{0, 1}, {1}, {2, 3}, {3}]
+    assert len(_blocks_in_order(matrix, supports)) == 2
+    assert [sq.weight for sq in cert.squares] == [4, Fraction(7, 4), 3, Fraction(8, 3)]
+
+
+def test_a_block_with_zero_remainder_does_not_stop_the_next_block():
+    # block {0, 1} = [[4, 2], [2, 1]] leaves a Schur complement with no entry after
+    # its pivot 4; the PD block {2, 3} is still factored
+    matrix = _hand_built_matrix({(0, 0): (4, 0), (1, 1): (1, 0), (0, 1): (2, 0),
+                                 (2, 2): (3, 0), (3, 3): (3, 0), (2, 3): (1, 0)})
+    verdict = mult.is_psd(matrix)
+    assert verdict.is_psd and verdict.rank == matrix.dim - 1
+    assert verdict.pivots == (4, 3, Fraction(8, 3))
+    processed, _ = mult._ldlt(matrix)
+    assert [k for k, _, _ in processed] == [0, 2, 3]
+    assert mult._decompose(matrix).verified == "exact-pass"
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import random
 import subprocess
@@ -69,6 +70,16 @@ def test_sphere_range_matches_separate_minimizations(name):
     assert sharp.converged == (r_min.converged and r_max.converged)
     assert sharp.starts == r_min.starts + r_max.starts
     assert sharp.grid_points == r_min.grid_points
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["bounds", "--n-max", "1"]])
+def test_zero_form_lambda_sharp_is_positive_zero(capsys, tmp_path, argv):
+    # sup |f| = max(0, -min) ties at 0 for the zero form; -0.0 would print as "-0.0"
+    assert math.copysign(1.0, spheremin.sphere_range(forms.HermitianForm.zero(2, 1))[1].value) == 1.0
+    path = tmp_path / "zero.json"
+    path.write_text('{"n": 2, "m": 1, "terms": []}')
+    assert cli.main(["--json", argv[0], str(path), *argv[1:]]) == 0
+    assert math.copysign(1.0, json.loads(capsys.readouterr().out)["lambda_sharp"]) == 1.0
 
 
 def _count_calls(monkeypatch, name, calls=None):
