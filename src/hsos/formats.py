@@ -1,26 +1,35 @@
 """File formats: forms and certificates as versioned JSON documents.
 
-Rationals cross the file boundary as strings "p/q" (plain integers and decimal
-strings are accepted on input and converted exactly), so forms and
-certificates reload bit-exactly.  Unknown fields and duplicate coefficient keys
-are rejected, and so is a certificate whose mode is not "exact" or whose
-verification block holds an unknown status or a residual not null or finite.
-A square's coefficients are written in lowest terms, as `SosSquare` holds
-them.  Integers are checked with `type(x) is int`, since Python reads JSON
-true and false as the ints 1 and 0 (bool is a subclass of int).
+Rationals cross the file boundary as strings "p/q" in lowest terms, so forms
+and certificates reload bit-exactly.  On input one ASCII grammar holds on every
+Python version: an optional sign and digits, then either "/" and digits (a
+nonzero denominator) or an optional decimal part "." digits and an optional
+exponent "e" or "E", sign and digits of magnitude at most 4300; surrounding
+whitespace is ignored, and a JSON integer is read as itself.  So "+3", "-0",
+"3/06", "0.5" and "1.25e2" are read exactly, and "1_000", ".5", "1/-2" and
+non-ASCII digits are errors.  Unknown fields and duplicate coefficient keys
+are rejected, and so is a certificate whose mode is not "exact", whose
+verification block holds an unknown status or a residual not null or finite,
+or that gives both an embedded "form" and a "form_path".  A square's
+coefficients are written in lowest terms, as `SosSquare` holds them, each in
+one text fragment; the document's bytes are those of json.dumps(doc,
+sort_keys=True, indent=2) and a newline.  Integers are checked with
+`type(x) is int`, since Python reads JSON true and false as the ints 1 and 0
+(bool is a subclass of int).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_string
 from pathlib import Path
 from typing import Optional
 
 from . import multiindex as mi
-from .exact import QC, qc
+from .exact import qc
 from .forms import HermitianForm
 from .multiplier import SosCertificate, SosSquare
 
@@ -33,21 +42,45 @@ class ParseError(ValueError):
         super().__init__(f"{message}" + (f" (at {context})" if context else ""))
 
 
-def parse_rational(text, context: str = "") -> Fraction:
-    """Exact rational from "p/q", integer, or decimal notation with |exponent| <= 4300."""
-    if type(text) is int:
-        return Fraction(text)
-    if isinstance(text, float):
-        raise ParseError(f"floating value {text!r} not allowed; use a string", context)
-    if not isinstance(text, str):
-        raise ParseError(f"expected rational string, got {type(text).__name__}", context)
+# an optional sign and ASCII digits, then "/digits" or a decimal part and an exponent, in optional whitespace
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+)|(\.[0-9]*)?(?:[eE]([+-]?[0-9]+))?)\s*")
+
+
+def _ratio(text, context: str) -> tuple[int, int]:
+    """(p, q) in lowest terms, q > 0, for a JSON integer or a string of the rational grammar."""
+    match = _RATIONAL.fullmatch(text) if type(text) is str else None
+    if match is None:
+        if type(text) is int:
+            return text, 1
+        if isinstance(text, float):
+            raise ParseError(f"floating value {text!r} not allowed; use a string", context)
+        if not isinstance(text, str):
+            raise ParseError(f"expected rational string, got {type(text).__name__}", context)
+        raise ParseError(f"malformed rational {text!r}", context)
+    whole, den, decimal, exponent = match.groups()
     try:
-        exponent = text.lower().partition("e")[2]
-        if exponent and abs(int(exponent)) > 4300:  # Python's default limit on int-string digits
-            raise ValueError("decimal exponent exceeds 4300 in magnitude")
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        if den is None and decimal is None and exponent is None:
+            return int(whole), 1
+        if den is not None:
+            p, q = int(whole), int(den)
+            if not q:
+                raise ValueError("zero denominator")
+        else:
+            e = int(exponent or 0)
+            if abs(e) > 4300:  # Python's default limit on int-string digits
+                raise ValueError("decimal exponent exceeds 4300 in magnitude")
+            digits = (decimal or ".")[1:]
+            p, e = int(whole + digits), e - len(digits)
+            p, q = (p * 10**e, 1) if e >= 0 else (p, 10**-e)
+    except ValueError as exc:  # also an integer over Python's limit on int-string digits
         raise ParseError(f"malformed rational {text!r}: {exc}", context) from None
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(text, context: str = "") -> Fraction:
+    """Exact rational from a JSON integer or a string of the rational grammar (see the module docstring)."""
+    return Fraction(*_ratio(text, context))
 
 
 def format_rational(x: Fraction) -> str:
@@ -57,12 +90,12 @@ def format_rational(x: Fraction) -> str:
 def _expect_keys(obj: dict, allowed: set[str], required: set[str], context: str) -> None:
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}", context)
+    if obj.keys() <= allowed and obj.keys() >= required:
+        return
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"unknown field(s) {sorted(unknown)}", context)
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"missing field(s) {sorted(missing)}", context)
+    raise ParseError(f"missing field(s) {sorted(required - set(obj))}", context)
 
 
 def _parse_index(value, n: int, context: str) -> mi.MultiIndex:
@@ -70,7 +103,7 @@ def _parse_index(value, n: int, context: str) -> mi.MultiIndex:
         raise ParseError(f"index must be a list of integers, got {value!r}", context)
     if len(value) != n:
         raise ParseError(f"index {value} has length {len(value)}, expected {n}", context)
-    if any(x < 0 for x in value):
+    if min(value, default=0) < 0:
         raise ParseError(f"negative exponent in {value}", context)
     return tuple(value)
 
@@ -132,26 +165,7 @@ def load_form(path) -> HermitianForm:
 
 
 def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = None) -> dict:
-    squares = []
-    for sq in cert.squares:
-        coeffs = []
-        for alpha in sorted(sq.coefficients, key=mi.graded_lex_key):
-            re, im = sq.coefficients[alpha]
-            coeffs.append({"index": list(alpha), "re": format_rational(Fraction(re, sq.den)),
-                           "im": format_rational(Fraction(im, sq.den))})
-        squares.append({"weight": format_rational(sq.weight), "coefficients": coeffs})
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n": cert.n,
-        "m": cert.m,
-        "N": cert.N,
-        "mode": "exact",
-        "squares": squares,
-        "verification": {"status": cert.verified, "residual": cert.residual},
-    }
-    if form is not None:
-        doc["form"] = form_to_dict(form)
-    return doc
+    return json.loads(_certificate_text(cert, form))
 
 
 def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[HermitianForm]]:
@@ -170,6 +184,8 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     for name, v in (("n", n), ("m", m), ("N", N)):
         if type(v) is not int or v < 0:
             raise ParseError(f"{name} must be a non-negative integer", "certificate")
+    if "form" in data and "form_path" in data:
+        raise ParseError("form and form_path are exclusive; give one", "certificate")
     if not isinstance(data["squares"], list):
         raise ParseError("squares must be a list", "certificate")
     squares = []
@@ -181,17 +197,20 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
             raise ParseError(f"weight must be positive, got {weight}", ctx)
         if not isinstance(sq["coefficients"], list):
             raise ParseError("coefficients must be a list", ctx)
-        coeffs: dict[mi.MultiIndex, QC] = {}
+        parts: dict[mi.MultiIndex, tuple[tuple[int, int], tuple[int, int]]] = {}
         for ci, entry in enumerate(sq["coefficients"]):
             ectx = f"{ctx}.coefficients[{ci}]"
             _expect_keys(entry, {"index", "re", "im"}, {"index", "re"}, ectx)
             alpha = _parse_index(entry["index"], n, ectx)
             if sum(alpha) != m + N:
                 raise ParseError(f"index {alpha} has degree {sum(alpha)}, expected {m + N}", ectx)
-            if alpha in coeffs:
+            if alpha in parts:
                 raise ParseError(f"duplicate index {alpha}", ectx)
-            coeffs[alpha] = qc(parse_rational(entry["re"], ectx), parse_rational(entry.get("im", "0"), ectx))
-        squares.append(SosSquare.from_rationals(weight, coeffs))
+            parts[alpha] = _ratio(entry["re"], ectx), _ratio(entry.get("im", 0), ectx)
+        # over the lcm of the parts' reduced denominators, which leaves the square in lowest terms
+        den = math.lcm(*(q for re_im in parts.values() for _, q in re_im))
+        squares.append(SosSquare(weight, den, {alpha: (p * (den // q), r * (den // s))
+                                               for alpha, ((p, q), (r, s)) in parts.items()}))
     verification = data.get("verification", {})
     _expect_keys(verification, {"status", "residual"}, set(), "verification")
     status, residual = verification.get("status", "unverified"), verification.get("residual")
@@ -216,7 +235,62 @@ def load_certificate(path) -> tuple[SosCertificate, Optional[HermitianForm]]:
 
 
 def save_certificate(cert: SosCertificate, path, form: Optional[HermitianForm] = None) -> None:
-    Path(path).write_text(dumps_stable(certificate_to_dict(cert, form)) + "\n")
+    Path(path).write_text(_certificate_text(cert, form))
+
+
+def _certificate_text(cert: SosCertificate, form: Optional[HermitianForm]) -> str:
+    """The certificate document as json.dumps(doc, sort_keys=True, indent=2) writes it, and a newline.
+
+    The squares array is written in one pass, the rest through `dumps_stable`'s writer.
+    """
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "n": cert.n,
+        "m": cert.m,
+        "N": cert.N,
+        "mode": "exact",
+        "squares": None,
+        "verification": {"status": cert.verified, "residual": cert.residual},
+    }
+    if form is not None:
+        doc["form"] = form_to_dict(form)
+    out = []
+    sep = "{\n  "
+    for key, value in sorted(doc.items()):
+        out.append(f"{sep}\"{key}\": ")
+        if key == "squares":
+            out.append(_squares_text(cert.squares))
+        else:
+            _write_json(value, "\n  ", out)
+        sep = ",\n  "
+    out.append("\n}\n")
+    return "".join(out)
+
+
+def _over(x: int, den: int) -> str:
+    """x / den in lowest terms, as format_rational writes it."""
+    g = math.gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
+def _squares_text(squares) -> str:
+    """The squares as the value of a top-level key, each coefficient one text fragment."""
+    index_text: dict[mi.MultiIndex, tuple] = {}  # alpha -> (sort key, the text between "im" and "re")
+    texts = []
+    for sq in squares:
+        den, coeffs = sq.den, []
+        for alpha, (re, im) in sq.coefficients.items():
+            if alpha not in index_text:
+                out = ['",\n          "index": ']
+                _write_json(list(alpha), "\n          ", out)
+                out.append(',\n          "re": "')
+                index_text[alpha] = mi.graded_lex_key(alpha), "".join(out)
+            coeffs.append((*index_text[alpha], re, im))
+        fragments = [f'{{\n          "im": "{_over(im, den)}{middle}{_over(re, den)}"\n        }}'
+                     for _, middle, re, im in sorted(coeffs)]  # the sort keys are distinct
+        listed = "[\n        " + ",\n        ".join(fragments) + "\n      ]" if fragments else "[]"
+        texts.append(f'{{\n      "coefficients": {listed},\n      "weight": "{format_rational(sq.weight)}"\n    }}')
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
 
 
 def dumps_stable(obj) -> str:

@@ -243,8 +243,15 @@ def _ldlt(matrix: MultiplierMatrix):
     A[i][j] = (a A[i][j] - A[i][k] A[k][j]) // b, b the block's previous pivot
     (1 at first), a division Sylvester's identity makes exact (Bareiss 1968):
     no gcd per entry.  The Schur complement is A / (b D), so d = a / (b D) and
-    l_i = conj(A[k][i]) / a.  In a block a negative diagonal refutes (the
-    largest |diagonal|, ties by index); otherwise the pivot is the positive
+    l_i = conj(A[k][i]) / a.  An entry outside the rank-one update would only
+    rescale by a / b, so the rows are scaled lazily: a row outside the pivot's
+    column keeps the pivot s at which its off-diagonal entries were last
+    current, and is brought current, entry * b // s (exact: the factors a / b
+    telescope to b / s), only when it enters a pivot column or is the pivot's
+    row; the zero-pivot witness reads an entry as entry / (s D).  The
+    diagonal, which the pivot order reads, is rescaled at every pivot.  In a
+    block a negative diagonal refutes (the largest |diagonal|, ties by
+    index); otherwise the pivot is the positive
     diagonal whose active row has the fewest off-diagonal entries, ties by the
     largest diagonal and then the index, a minimum-degree order (Tinney-Walker
     1967; George-Liu 1989): its column holds only those entries, and the
@@ -270,6 +277,7 @@ def _ldlt(matrix: MultiplierMatrix):
 
     def eliminate(active: set[int]) -> Optional[dict[int, QC]]:  # factors one block; a witness if it refutes
         pb = 1  # the block's last pivot b; its Schur complement is A / (b D)
+        scale = dict.fromkeys(active, 1)  # the b at which each row's off-diagonal entries were last current
         while active:
             k = min(active, key=priority)
             a = diag[k]
@@ -277,23 +285,27 @@ def _ldlt(matrix: MultiplierMatrix):
                 return {k: QC_ONE}
             if a == 0:
                 # every diagonal left in the block vanishes, so any nonzero entry c = S[i][j]
-                # of its remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2
-                return next(({i: QC(Fraction(-re, pb * D), Fraction(-im, pb * D)), j: QC_ONE}
+                # of its remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2; c is the
+                # stored entry over its row's scale, (re pb / s) / (pb D) = re / (s D)
+                return next(({i: QC(Fraction(-re, scale[i] * D), Fraction(-im, scale[i] * D)), j: QC_ONE}
                              for i in sorted(active) for j, (re, im) in rows[i].items()), None)
             active.remove(k)
             del diag[k]
-            # A[k][i] in row k's order, which fixes where fill-in lands in each row
-            # and so which entry the zero-pivot witness takes
-            kcol = {i: c for i, c in rows.pop(k).items() if i in active}
-            for i in active:  # entries outside the rank-one update only rescale by a / pb
-                rowi, inside = rows[i], i in kcol
-                if inside:
-                    del rowi[k]
-                else:
+            s = scale.pop(k)
+            # A[k][i], brought current, in row k's order, which fixes where fill-in lands
+            # in each row and so which entry the zero-pivot witness takes
+            kcol = {i: (re * pb // s, im * pb // s) for i, (re, im) in rows.pop(k).items() if i in active}
+            for i in active:
+                if i not in kcol:  # only the diagonal, which priority reads, is kept current
                     diag[i] = diag[i] * a // pb
-                for j, (re, im) in rowi.items():
-                    if not (inside and j in kcol):
-                        rowi[j] = (re * a // pb, im * a // pb)
+                    continue
+                rowi, s = rows[i], scale[i]
+                del rowi[k]
+                scale[i] = a
+                for j, (re, im) in rowi.items():  # the update reads its entries at pb; the rest go to a
+                    t = pb if j in kcol else a
+                    if t != s:
+                        rowi[j] = (re * t // s, im * t // s)
             order = list(kcol)
             for p, i in enumerate(order):
                 (kr, ki), rowi = kcol[i], rows[i]
@@ -350,12 +362,6 @@ class SosSquare:
     weight: Fraction  # > 0
     den: int
     coefficients: dict[mi.MultiIndex, tuple[int, int]]
-
-    @classmethod
-    def from_rationals(cls, weight: Fraction, coefficients: dict[mi.MultiIndex, QC]) -> "SosSquare":
-        """The square with these exact coefficients, over the lcm of their denominators, which is in lowest terms."""
-        den = _common_denominator(coefficients.values())
-        return cls(weight, den, {alpha: _gaussian(c, den) for alpha, c in coefficients.items()})
 
 
 @dataclass(frozen=True)

@@ -221,12 +221,14 @@ def _number(path, token):
     "mutate",
     [
         _form_path(5),
+        _set(("form_path",), str(SAMPLES / "fc_1.json")),  # beside the embedded form, which was read alone
+        _set(("form_path",), 5),
         _number(("squares", 0, "weight"), "NaN"),
         _number(("squares", 0, "weight"), "1e400"),
         _number(("squares", 0, "coefficients", 0, "re"), "Infinity"),
         _number(("squares", 0, "coefficients", 0, "im"), "-Infinity"),
     ],
-    ids=["form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity"],
+    ids=["form_path-5", "form-and-form_path", "form-and-form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity"],
 )
 def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mutate):
     cert_path = tmp_path / "cert.json"

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +34,30 @@ def test_parse_rational_rejects():
     for huge in ("1e4301", "2.5E-4301", "1e10000000"):
         with pytest.raises(formats.ParseError, match="exponent"):
             formats.parse_rational(huge)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1_000", None),  # int() and Fraction() read underscores on Python 3.11 on, not on 3.10
+    ("\u0661/\u0662", None),  # Arabic-Indic digits, which int() reads as 1/2
+    ("3/06", Fraction(1, 2)),
+    ("-0", 0),
+    ("+3", 3),
+    (" 3/6 ", Fraction(1, 2)),
+    (".5", None),  # a decimal starts with a digit
+    ("1/0", None),
+    ("1e4301", None),
+    ("-2.50E-1", Fraction(-1, 4)),
+    ("7.", 7),
+    ("1/-2", None),
+    ("1/2e3", None),
+    ("", None),
+])
+def test_rational_grammar(text, value):
+    if value is None:
+        with pytest.raises(formats.ParseError, match="malformed rational"):
+            formats.parse_rational(text)
+    else:
+        assert formats.parse_rational(text) == value
 
 
 def test_form_roundtrip_identity():
@@ -138,6 +163,49 @@ def test_certificate_roundtrip_exact(tmp_path, case):
     assert loaded == cert  # bit-exact: weights and coefficients, in order, and the verification status
     assert formats.certificate_from_dict(formats.certificate_to_dict(cert, f)) == (loaded, embedded)
     assert mult.verify_certificate(embedded, loaded) == ("exact-pass", 0.0)
+
+
+_parts = st.one_of(st.integers(-5, 5), st.integers(-(2**300), 2**300), st.sampled_from([0, 2**300 - 1, -(2**299)]))
+
+
+@st.composite
+def _written_certificates(draw):
+    """Any certificate in lowest terms, without or with its form: empty squares, squares with no coefficient,
+    zero, negative and 300-bit parts, den > 1."""
+    n, m, N = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    basis = list(mi.iter_degree(n, m + N))
+    squares = []
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = {a: (draw(_parts), draw(_parts)) for a in draw(st.lists(st.sampled_from(basis), unique=True, max_size=4))}
+        den = draw(st.one_of(st.integers(1, 12), st.integers(2, 2**300)))
+        g = math.gcd(den, *(x for c in coeffs.values() for x in c))
+        weight = Fraction(draw(st.integers(1, 2**300)), draw(st.integers(1, 2**64)))
+        squares.append(mult.SosSquare(weight, den // g, {a: (re // g, im // g) for a, (re, im) in coeffs.items()}))
+    status, residual = draw(st.sampled_from([("unverified", None), ("exact-pass", 0.0), ("fail", None)]))
+    cert = mult.SosCertificate(n, m, N, tuple(squares), status, residual)
+    form = random_hermitian_form(random.Random(draw(st.integers(0, 99))), n, m) if m and draw(st.booleans()) else None
+    return cert, form
+
+
+# the one file is rewritten by every example
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_written_certificates())
+@example((mult.SosCertificate(1, 1, 0, ()), None))
+@example((mult.SosCertificate(2, 1, 1, (mult.SosSquare(Fraction(3, 2), 1, {}),)), forms.fc_form(1)))
+def test_certificate_writer_matches_json_dumps_and_reloads(tmp_path, case):
+    cert, form = case
+    path = tmp_path / "cert.json"
+    formats.save_certificate(cert, path, form=form)
+    text = path.read_text()
+    assert text == json.dumps(formats.certificate_to_dict(cert, form), indent=2, sort_keys=True) + "\n"
+    for sq in json.loads(text)["squares"]:  # in lowest terms and in graded-lex order, as the goldens are
+        assert all(entry[part] == str(Fraction(entry[part])) for entry in sq["coefficients"] for part in ("re", "im"))
+        indices = [tuple(entry["index"]) for entry in sq["coefficients"]]
+        assert indices == sorted(indices, key=mi.graded_lex_key)
+    loaded, loaded_form = formats.load_certificate(path)
+    assert loaded == cert
+    assert (loaded_form is None) if form is None else (loaded_form.n, loaded_form.m, loaded_form.coeffs) == (form.n, form.m, form.coeffs)
 
 
 def test_certificate_rejects_wrong_degree():
@@ -312,6 +380,11 @@ _BOOLEAN_DOCUMENTS = [
     ("boolean form", {"n": 2, "m": 2, "terms": [{"alpha": [1, 1], "beta": [True, True], "re": "1"}]}),
     ("boolean form", {**_ONE_TERM, "terms": [{"alpha": [1], "beta": [1], "re": True}]}),
 ]
+# an embedded form beside a form_path, which loaded and ignored the path, even one that is not a string
+_FORM_AND_FORM_PATH = [
+    ("form and form_path", {**_DOCUMENTS[2][1], "form_path": str(_SAMPLE_FORM)}),
+    ("form and form_path", {**_DOCUMENTS[2][1], "form_path": 5}),
+]
 # a verification block that is not an object, or holds an unknown key, status or a residual not null or finite
 _BAD_VERIFICATIONS = [
     ("bad verification", {**_ONE_SQUARE, "verification": {"status": ["x"], "junk": 1, "residual": "abc"}}),
@@ -329,6 +402,8 @@ _BAD_VERIFICATIONS = [
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_mutated_documents())
 @example(("certificate", {**_DOCUMENTS[3][1], "form_path": 5}))
+@example(_FORM_AND_FORM_PATH[0])
+@example(_FORM_AND_FORM_PATH[1])
 @example(("certificate", {**_DOCUMENTS[3][1], "form_path": "\x00"}))
 @example(("certificate", {**_DOCUMENTS[2][1], "squares": [{**_DOCUMENTS[2][1]["squares"][0], "weight": float("nan")}]}))
 @example(_BOOLEAN_DOCUMENTS[0])
@@ -352,9 +427,9 @@ _BAD_VERIFICATIONS = [
 @example(_BAD_VERIFICATIONS[8])
 def test_malformed_documents_raise_only_input_errors(case):
     kind, doc = case
-    # a float certificate under any edit (the mode is read before the squares), a boolean or a bad
-    # verification block as given
-    if kind in ("float certificate", "boolean certificate", "boolean form", "bad verification"):
+    # a float certificate under any edit (the mode is read before the squares), a boolean, a bad
+    # verification block or a form beside a form_path as given
+    if kind in ("float certificate", "boolean certificate", "boolean form", "bad verification", "form and form_path"):
         with pytest.raises(formats.ParseError):
             _parse(kind, doc)
         return
@@ -368,7 +443,7 @@ def test_bad_form_path_and_non_finite_weight_are_parse_errors():
     exact_doc = _DOCUMENTS[2][1]
     bad = [{**_DOCUMENTS[3][1], "form_path": value} for value in (5, None, ["a"], "\x00")]
     bad += [{**exact_doc, "squares": [{**exact_doc["squares"][0], "weight": w}]} for w in (float("nan"), float("inf"), 1e300)]
-    bad.append(FLOAT_CERTIFICATE)
+    bad += [FLOAT_CERTIFICATE, *(doc for _, doc in _FORM_AND_FORM_PATH)]
     for doc in bad:
         with pytest.raises(formats.ParseError):
             formats.certificate_from_dict(doc)

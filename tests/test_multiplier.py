@@ -3,6 +3,7 @@ import json
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -413,6 +414,112 @@ def test_a_block_with_zero_remainder_does_not_stop_the_next_block():
     assert mult._decompose(matrix).verified == "exact-pass"
 
 
+def _eager_ldlt(matrix: mult.MultiplierMatrix):
+    """The reference for `_ldlt`: the same kernel with every active entry of a block rescaled by a / b at each pivot."""
+    D = matrix.D
+    diag, rows = mult._pattern(matrix)
+    processed, pivots = [], []
+
+    def priority(i):
+        d = diag[i]
+        if d < 0:
+            return 0, 0, d, i
+        return (1, len(rows[i]), -d, i) if d else (2, 0, 0, i)
+
+    def eliminate(active):
+        pb = 1
+        while active:
+            k = min(active, key=priority)
+            a = diag[k]
+            if a < 0:
+                return {k: qc(1)}
+            if a == 0:
+                return next(({i: qc(Fraction(-re, pb * D), Fraction(-im, pb * D)), j: qc(1)}
+                             for i in sorted(active) for j, (re, im) in rows[i].items()), None)
+            active.remove(k)
+            del diag[k]
+            kcol = {i: c for i, c in rows.pop(k).items() if i in active}
+            for i in active:
+                rowi, inside = rows[i], i in kcol
+                if inside:
+                    del rowi[k]
+                else:
+                    diag[i] = diag[i] * a // pb
+                for j, (re, im) in rowi.items():
+                    if not (inside and j in kcol):
+                        rowi[j] = (re * a // pb, im * a // pb)
+            order = list(kcol)
+            for p, i in enumerate(order):
+                (kr, ki), rowi = kcol[i], rows[i]
+                diag[i] = (a * diag[i] - kr * kr - ki * ki) // pb
+                for j in order[p + 1:]:
+                    (xr, xi), (old_re, old_im) = kcol[j], rowi.get(j, (0, 0))
+                    re = (a * old_re - kr * xr - ki * xi) // pb
+                    im = (a * old_im - kr * xi + ki * xr) // pb
+                    if re or im:
+                        rowi[j], rows[j][i] = (re, im), (re, -im)
+                    else:
+                        del rowi[j], rows[j][i]
+            processed.append((k, a, {i: (re, -im) for i, (re, im) in kcol.items()}))
+            pivots.append(Fraction(a, pb * D))
+            pb = a
+        return None
+
+    lowest, k = min((d, i) for i, d in diag.items())
+    blocks = sorted(mult._components(rows), key=lambda block: min((-diag[i], i) for i in block))
+    witness = {k: qc(1)} if lowest < 0 else next(filter(None, map(eliminate, blocks)), None)
+    if witness is not None:
+        v = mult._lift_through_columns(processed, witness)
+        return False, tuple(v.get(i, QC_ZERO) for i in range(matrix.dim)), mult._witness_quadratic_value(matrix, v)
+    return True, processed, pivots
+
+
+def _kernel_outcome(matrix: mult.MultiplierMatrix):
+    """`_ldlt`'s result as `_eager_ldlt` gives it, each column as its items in order."""
+    try:
+        processed, pivots = mult._ldlt(matrix)
+    except mult.NotPsdError as exc:
+        return False, exc.witness, exc.witness_value
+    return True, processed, pivots
+
+
+def _assert_kernel_matches_eager(matrix: mult.MultiplierMatrix):
+    lazy, eager = _kernel_outcome(matrix), _eager_ldlt(matrix)
+    if eager[0]:  # the columns' order too: it fixes the certificate's coefficient order in memory
+        eager = (True, [(k, a, list(col.items())) for k, a, col in eager[1]], eager[2])
+        lazy = (lazy[0], [(k, a, list(col.items())) for k, a, col in lazy[1]], lazy[2]) if lazy[0] else lazy
+    assert lazy == eager
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_shifted_forms(), _assembly_cases()))
+@example((random_sos_form(random.Random(5), 3, 2), 1))  # PSD with zero pivots
+def test_lazy_row_scaling_matches_eager_elimination(case):
+    form, N = case
+    _assert_kernel_matches_eager(mult.multiplier_matrix(form, N))
+
+
+@pytest.mark.parametrize("upper", [
+    # two blocks; three blocks as in the zero-pivot witness test (a zero Schur remainder, a PD block, a zero diagonal)
+    {(0, 0): (4, 0), (1, 1): (2, 0), (0, 1): (1, 0), (2, 2): (3, 0), (3, 3): (3, 0), (2, 3): (0, 1)},
+    {(0, 0): (9, 0), (0, 1): (3, 0), (0, 2): (0, 3), (1, 1): (1, 0), (1, 2): (2, 0), (2, 2): (1, 0),
+     (3, 3): (6, 0), (3, 4): (1, 0), (4, 4): (6, 0), (5, 6): (1, 0)},
+    # a block whose remainder holds no entry after its pivot, then a PD block
+    {(0, 0): (4, 0), (1, 1): (1, 0), (0, 1): (2, 0), (2, 2): (3, 0), (3, 3): (3, 0), (2, 3): (1, 0)},
+    # the path 0-1-2-3: pivots 3 and 2 pass row 0 by, then pivot 0 leaves row 1 a negative diagonal
+    {(0, 0): (2, 0), (1, 1): (1, 0), (2, 2): (5, 0), (3, 3): (5, 0), (0, 1): (3, 0), (1, 2): (1, 1), (2, 3): (2, 0)},
+    # the path 0-1-2-3: pivot 3 zeroes row 2, and the witness reads row 0, not rescaled since the matrix's start
+    {(3, 3): (2, 0), (2, 2): (2, 0), (2, 3): (2, 0), (1, 2): (1, 0), (0, 1): (3, -1)},
+])
+def test_lazy_row_scaling_matches_eager_elimination_on_hand_built_blocks(upper):
+    dim = 1 + max(j for _, j in upper)
+    numerators = {**upper, **{(j, i): (re, -im) for (i, j), (re, im) in upper.items()}}
+    matrix = mult.MultiplierMatrix(2, dim - 1, 0, tuple(mi.iter_degree(2, dim - 1)), 1, numerators)
+    _assert_kernel_matches_eager(matrix)
+    _assert_kernel_matches_eager(replace(matrix, D=6))  # any common denominator gives the same output
+
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_shifted_forms(), st.randoms(use_true_random=False))
 @example((random_sos_form(random.Random(5), 3, 2), 1), random.Random(0))  # PSD with zero pivots
@@ -616,6 +723,12 @@ def test_psd_decided_agrees_with_exact_kernel_at_the_boundary(matrix):
     assert mult.psd_decided(matrix) == mult.is_psd(matrix).is_psd
 
 
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_boundary_matrices())
+def test_lazy_row_scaling_matches_eager_elimination_at_the_boundary(matrix):
+    _assert_kernel_matches_eager(matrix)
+
+
 def test_indefinite_by_a_rounding_error_is_not_taken_for_pd():
     # ||z||^4 + t G at G's float threshold, n = 2, N = 0: the block [[1, c], [conj(c), 2]] with
     # |c|^2 above 2 by 3.1e-16, so lambda_min = -3.3e-16; a float Cholesky of the block without
@@ -788,6 +901,12 @@ _denominators = st.one_of(st.integers(1, 12), st.sampled_from([10**9 + 7, 2**61 
 _cert_rationals = st.builds(Fraction, st.integers(-30, 30), _denominators)
 
 
+def _square(weight: Fraction, coefficients: dict) -> mult.SosSquare:
+    """The square with these exact coefficients, over the lcm of their denominators, which is in lowest terms."""
+    den = mult._common_denominator(coefficients.values())
+    return mult.SosSquare(weight, den, {alpha: mult._gaussian(c, den) for alpha, c in coefficients.items()})
+
+
 @st.composite
 def _exact_certificates(draw):
     """Weighted squares that do not come from LDL*: any order, repeats, cancellations, zero squares."""
@@ -798,13 +917,13 @@ def _exact_certificates(draw):
         monomials = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)))  # insertion order
         coeffs = {a: qc(draw(_cert_rationals), draw(_cert_rationals)) for a in monomials}
         weight = abs(draw(_cert_rationals)) + Fraction(1, draw(_denominators))
-        squares.append(mult.SosSquare.from_rationals(weight, coeffs))
+        squares.append(_square(weight, coeffs))
         if draw(st.booleans()):
             squares.append(squares[draw(st.integers(0, len(squares) - 1))])  # a repeated square
         if len(coeffs) > 1 and draw(st.booleans()):
             # same weight, one coefficient negated: its products with the others cancel
             flip = draw(st.sampled_from(monomials))
-            squares.append(mult.SosSquare.from_rationals(weight, {a: -c if a == flip else c for a, c in coeffs.items()}))
+            squares.append(_square(weight, {a: -c if a == flip else c for a, c in coeffs.items()}))
     return mult.SosCertificate(n, m, 0, tuple(draw(st.permutations(squares))))
 
 
@@ -872,19 +991,25 @@ def test_verification_does_not_depend_on_square_order(name):
     assert mult.verify_certificate(form, _with_square(cert, len(rest), changed))[0] == "fail"
 
 
-def _psd_kernel_records(name: str):
-    """(form, N) of every PSD record of a kernel golden file."""
+def _kernel_records(name: str):
+    """(form, N, psd) of every record of a kernel golden file."""
     for case in json.loads((GOLDEN / name).read_text())["cases"]:
         if name == "kernel_random.json":
             form = formats.form_from_dict(case["form"])
-            yield from ((form, N) for N, shift in enumerate(case["shifts"]) if shift["psd"])
-        elif case["psd"]:
-            yield formats.load_form(SAMPLES / f"{case['form']}.json"), case["N"]
+            yield from ((form, N, shift["psd"]) for N, shift in enumerate(case["shifts"]))
+        else:
+            yield formats.load_form(SAMPLES / f"{case['form']}.json"), case["N"], case["psd"]
+
+
+@pytest.mark.parametrize("name", ["kernel_sample_forms.json", "kernel_random.json"])
+def test_lazy_row_scaling_matches_eager_elimination_on_the_kernel_golden_forms(name):
+    for form, N, _ in _kernel_records(name):
+        _assert_kernel_matches_eager(mult.multiplier_matrix(form, N))
 
 
 @pytest.mark.parametrize("name", ["kernel_sample_forms.json", "kernel_random.json"])
 def test_squares_are_in_lowest_terms_with_pivot_coefficient_den(name):
-    for form, N in _psd_kernel_records(name):
+    for form, N in ((form, N) for form, N, psd in _kernel_records(name) if psd):
         matrix = mult.multiplier_matrix(form, N)
         processed, pivots = mult._ldlt(matrix)
         cert = mult.sos_decompose(form, N)
