@@ -43,7 +43,7 @@ class ParseError(ValueError):
 
 
 # an optional sign and ASCII digits, then "/digits" or a decimal part and an exponent, in optional whitespace
-_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+)|(\.[0-9]*)?(?:[eE]([+-]?[0-9]+))?)\s*")
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)\s*")
 
 
 def _ratio(text, context: str) -> tuple[int, int]:
@@ -69,7 +69,7 @@ def _ratio(text, context: str) -> tuple[int, int]:
             e = int(exponent or 0)
             if abs(e) > 4300:  # Python's default limit on int-string digits
                 raise ValueError("decimal exponent exceeds 4300 in magnitude")
-            digits = (decimal or ".")[1:]
+            digits = decimal or ""
             p, e = int(whole + digits), e - len(digits)
             p, q = (p * 10**e, 1) if e >= 0 else (p, 10**-e)
     except ValueError as exc:  # also an integer over Python's limit on int-string digits

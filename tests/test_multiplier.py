@@ -475,7 +475,7 @@ def _eager_ldlt(matrix: mult.MultiplierMatrix):
 
 
 def _kernel_outcome(matrix: mult.MultiplierMatrix):
-    """`_ldlt`'s result as `_eager_ldlt` gives it, each column as its items in order."""
+    """`_ldlt`'s result in `_eager_ldlt`'s shape: (True, processed, pivots) or (False, witness, witness_value)."""
     try:
         processed, pivots = mult._ldlt(matrix)
     except mult.NotPsdError as exc:
@@ -483,12 +483,14 @@ def _kernel_outcome(matrix: mult.MultiplierMatrix):
     return True, processed, pivots
 
 
+def _in_order(outcome):
+    """Each column as its items in order, which fixes the order of a square's coefficients in memory."""
+    psd, first, second = outcome
+    return psd, [(k, a, list(col.items())) for k, a, col in first] if psd else first, second
+
+
 def _assert_kernel_matches_eager(matrix: mult.MultiplierMatrix):
-    lazy, eager = _kernel_outcome(matrix), _eager_ldlt(matrix)
-    if eager[0]:  # the columns' order too: it fixes the certificate's coefficient order in memory
-        eager = (True, [(k, a, list(col.items())) for k, a, col in eager[1]], eager[2])
-        lazy = (lazy[0], [(k, a, list(col.items())) for k, a, col in lazy[1]], lazy[2]) if lazy[0] else lazy
-    assert lazy == eager
+    assert _in_order(_kernel_outcome(matrix)) == _in_order(_eager_ldlt(matrix))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
