@@ -26,6 +26,7 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_NUMERICAL = 4
+SAMPLES_CAP = 2_000_000  # audit --samples: each suite draws at most this many points at once
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:
@@ -220,7 +221,7 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             if suite == "laplacian":
                 raise formats.ParseError("--suite laplacian requires --form")
         else:
-            samples = 10_000 if args.samples is None else args.samples
+            samples = min(10_000 if args.samples is None else args.samples, SAMPLES_CAP)
             reports.extend(audit_mod.check_laplacian_powers(form, samples=samples))
 
     if suite in ("radial", "all"):
@@ -261,7 +262,7 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
                         notes=f"window violated: {exc}",
                     )
                 )
-        mc_samples = min(200_000 if args.samples is None else args.samples, 2_000_000)
+        mc_samples = min(200_000 if args.samples is None else args.samples, SAMPLES_CAP)
         reports.append(
             audit_mod.mc_localization_check(
                 2, 6, 2, h=1.0 / 6.0, epsilon=0.3, samples=mc_samples, seed=args.seed
@@ -380,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int, help="default 10000 (laplacian), 200000 (localization Monte-Carlo)")
+    p.add_argument(
+        "--samples", type=int, help="default 10000 (laplacian), 200000 (localization Monte-Carlo); at most 2000000"
+    )
     p.set_defaults(fn=cmd_audit)
 
     return parser

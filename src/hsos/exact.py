@@ -8,11 +8,10 @@ from numbers import Rational
 
 
 def as_fraction(x) -> Fraction:
+    """x as a Fraction; x must be an int or another exact rational (a str is a TypeError)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, Rational)):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 

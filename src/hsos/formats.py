@@ -5,17 +5,21 @@ and certificates reload bit-exactly.  On input one ASCII grammar holds on every
 Python version: an optional sign and digits, then either "/" and digits (a
 nonzero denominator) or an optional decimal part "." digits and an optional
 exponent "e" or "E", sign and digits of magnitude at most 4300; surrounding
-whitespace is ignored, and a JSON integer is read as itself.  So "+3", "-0",
-"3/06", "0.5" and "1.25e2" are read exactly, and "1_000", ".5", "1/-2" and
-non-ASCII digits are errors.  Unknown fields and duplicate coefficient keys
-are rejected, and so is a certificate whose mode is not "exact", whose
-verification block holds an unknown status or a residual not null or finite,
-or that gives both an embedded "form" and a "form_path".  A square's
-coefficients are written in lowest terms, as `SosSquare` holds them, each in
-one text fragment; the document's bytes are those of json.dumps(doc,
-sort_keys=True, indent=2) and a newline.  Integers are checked with
-`type(x) is int`, since Python reads JSON true and false as the ints 1 and 0
-(bool is a subclass of int).
+whitespace is ignored, and a JSON integer is read as itself.  In lowest terms
+the numerator and denominator have at most 4300 digits each, Python's limit on
+int-string digits, so every value read can be written again.  So "+3", "-0",
+"3/06", "0.5", "1.25e2" and "1e4299" are read exactly, and "1_000", ".5",
+"1/-2", "1e4300" and non-ASCII digits are errors.  Unknown fields and
+duplicate coefficient keys are rejected, and so is a certificate whose mode is
+not "exact", whose verification block holds an unknown status or a residual
+not null or finite, or that gives both an embedded "form" and a "form_path".
+A square's coefficients are written in lowest terms, as `SosSquare` holds
+them, each in one text fragment.  The squares array is written in one pass and
+json.dumps(..., sort_keys=True, indent=2, allow_nan=False) writes every other
+byte, so a certificate's bytes are those of json.dumps(doc, sort_keys=True,
+indent=2) and a newline.  Integers are checked with `type(x) is int`, since
+Python reads JSON true and false as the ints 1 and 0 (bool is a subclass of
+int).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import json
 import math
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_string
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +47,7 @@ class ParseError(ValueError):
 
 # an optional sign and ASCII digits, then "/digits" or a decimal part and an exponent, in optional whitespace
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)\s*")
+_DIGITS_LIMIT = 10**4300  # the least integer with more digits than Python's int-string limit allows
 
 
 def _ratio(text, context: str) -> tuple[int, int]:
@@ -75,7 +79,10 @@ def _ratio(text, context: str) -> tuple[int, int]:
     except ValueError as exc:  # also an integer over Python's limit on int-string digits
         raise ParseError(f"malformed rational {text!r}: {exc}", context) from None
     g = math.gcd(p, q)
-    return p // g, q // g
+    p, q = p // g, q // g
+    if abs(p) >= _DIGITS_LIMIT or q >= _DIGITS_LIMIT:
+        raise ParseError(f"malformed rational {text!r}: more than 4300 digits in lowest terms", context)
+    return p, q
 
 
 def parse_rational(text, context: str = "") -> Fraction:
@@ -241,7 +248,8 @@ def save_certificate(cert: SosCertificate, path, form: Optional[HermitianForm] =
 def _certificate_text(cert: SosCertificate, form: Optional[HermitianForm]) -> str:
     """The certificate document as json.dumps(doc, sort_keys=True, indent=2) writes it, and a newline.
 
-    The squares array is written in one pass, the rest through `dumps_stable`'s writer.
+    The squares array is written in one pass; every other value is `dumps_stable`'s
+    text indented one level, which leaves its strings alone, since JSON strings hold no raw newline.
     """
     doc = {
         "format_version": FORMAT_VERSION,
@@ -254,17 +262,11 @@ def _certificate_text(cert: SosCertificate, form: Optional[HermitianForm]) -> st
     }
     if form is not None:
         doc["form"] = form_to_dict(form)
-    out = []
-    sep = "{\n  "
+    fields = []
     for key, value in sorted(doc.items()):
-        out.append(f"{sep}\"{key}\": ")
-        if key == "squares":
-            out.append(_squares_text(cert.squares))
-        else:
-            _write_json(value, "\n  ", out)
-        sep = ",\n  "
-    out.append("\n}\n")
-    return "".join(out)
+        text = _squares_text(cert.squares) if key == "squares" else dumps_stable(value).replace("\n", "\n  ")
+        fields.append(f'"{key}": {text}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"
 
 
 def _over(x: int, den: int) -> str:
@@ -281,10 +283,9 @@ def _squares_text(squares) -> str:
         den, coeffs = sq.den, []
         for alpha, (re, im) in sq.coefficients.items():
             if alpha not in index_text:
-                out = ['",\n          "index": ']
-                _write_json(list(alpha), "\n          ", out)
-                out.append(',\n          "re": "')
-                index_text[alpha] = mi.graded_lex_key(alpha), "".join(out)
+                exponents = ",\n            ".join(map(str, alpha))
+                exponents = f"[\n            {exponents}\n          ]" if alpha else "[]"
+                index_text[alpha] = mi.graded_lex_key(alpha), f'",\n          "index": {exponents},\n          "re": "'
             coeffs.append((*index_text[alpha], re, im))
         fragments = [f'{{\n          "im": "{_over(im, den)}{middle}{_over(re, den)}"\n        }}'
                      for _, middle, re, im in sorted(coeffs)]  # the sort keys are distinct
@@ -296,57 +297,6 @@ def _squares_text(squares) -> str:
 def dumps_stable(obj) -> str:
     """Deterministic RFC 8259 JSON (NaN and infinities raise ValueError): sorted keys, fixed separators.
 
-    The bytes are those of json.dumps(obj, sort_keys=True, indent=2, allow_nan=False),
-    written by one recursive pass: `indent` sends json.dumps to its pure-Python
-    encoder, about twice as slow on a certificate document.
+    json.dumps writes every JSON byte hsos emits except a certificate's squares array.
     """
-    out: list[str] = []
-    _write_json(obj, "\n", out)
-    return "".join(out)
-
-
-def _json_scalar(x) -> str:
-    """A str, None, bool, int or float as json.dumps writes it; a key other than a str is this text, quoted."""
-    if isinstance(x, str):
-        return _encode_string(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _write_json(obj, newline: str, out: list[str]) -> None:
-    """Append obj's indented JSON to out; newline is the line break and indentation of obj's own line."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for x in obj:
-            out.append(sep)
-            _write_json(x, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, x in sorted(obj.items()):
-            out.append(sep + _encode_string(key if isinstance(key, str) else _json_scalar(key)) + ": ")
-            _write_json(x, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        out.append(_json_scalar(obj))
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)

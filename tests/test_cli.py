@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hsos import cli, formats, forms, spheremin
+from hsos import audit, cli, formats, forms, spheremin
 
 from conftest import FLOAT_CERTIFICATE, save_form
 
@@ -60,6 +60,22 @@ def test_analyze_huge_decimal_exponent_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["analyze", str(bad)])
     assert code == 2 and "exponent" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_certify_unprintable_rational_is_input_error_before_assembly(capsys, monkeypatch, tmp_path):
+    # 10^4300 has 4301 digits, more than Python's int-string limit lets a writer print
+    def assemble(*args, **kwargs):
+        raise AssertionError("assembled a form that should not have loaded")
+
+    monkeypatch.setattr(cli.mult, "multiplier_matrix", assemble)
+    monkeypatch.setattr(cli.mult, "sos_decompose", assemble)
+    for value in ("1e4300", "1e-4300"):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"n": 2, "m": 2, "terms": [{"alpha": [2,0], "beta": [2,0], "re": "%s"}]}' % value)
+        code, out, err = run(capsys, ["--json", "certify", str(bad), "0", "--out", str(tmp_path / "c.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and value in err and "4300 digits" in err
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_analyze_non_hermitian(capsys, tmp_path):
@@ -380,7 +396,7 @@ def test_audit_localization(capsys):
     assert "sigma-window" in out and "localization-E" in out and "localization-mc" in out
 
 
-def test_audit_samples_option_is_honoured(capsys, fc1_path):
+def test_audit_samples_option_is_honoured(capsys, monkeypatch, fc1_path):
     def samples(argv, check):
         code, out, _ = run(capsys, ["--json", "audit", *argv])
         assert code == 0
@@ -390,6 +406,10 @@ def test_audit_samples_option_is_honoured(capsys, fc1_path):
     assert samples(["--suite", "localization"], "localization-mc") == [200_000]
     assert samples(["--suite", "laplacian", "--form", fc1_path], "laplacian-power-j0") == [10_000]
     assert samples(["--suite", "laplacian", "--form", fc1_path, "--samples", "500"], "laplacian-power-j0") == [500]
+
+    # both suites draw at most 2 000 000 points; the stand-in sampler keeps the laplacian run small
+    monkeypatch.setattr(audit, "unit_sphere_samples", lambda n, count: spheremin.unit_sphere_samples(n, 100))
+    assert samples(["--suite", "laplacian", "--form", fc1_path, "--samples", "3000000"], "laplacian-power-j0") == [2_000_000]
 
 
 def test_audit_json_is_strict_when_values_overflow(capsys):

@@ -34,3 +34,12 @@ def test_scalar_mixing_and_complex():
 def test_rejects_inexact():
     with pytest.raises(TypeError):
         qc(0.5)
+
+
+def test_rejects_strings():
+    # rationals are read from text only by formats, whose grammar refuses "1_000" and non-ASCII digits
+    for text in ("1/2", "1_000", "\u0661/\u0662"):
+        with pytest.raises(TypeError):
+            qc(text)
+        with pytest.raises(TypeError):
+            qc(0, text)

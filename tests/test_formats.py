@@ -20,8 +20,9 @@ def test_parse_rational():
     assert formats.parse_rational(5) == 5
     assert formats.parse_rational("0.5") == Fraction(1, 2)
     assert formats.parse_rational("1.25e2") == 125
-    assert formats.parse_rational("1e4300") == 10**4300
-    assert formats.parse_rational("1E-4300") == Fraction(1, 10**4300)
+    assert formats.parse_rational("1e4299") == 10**4299
+    assert formats.parse_rational("1E-4299") == Fraction(1, 10**4299)
+    assert formats.parse_rational("-" + "9" * 4300 + "e0") == 1 - 10**4300  # 4300 digits, the most a writer prints
 
 
 def test_parse_rational_rejects():
@@ -51,6 +52,12 @@ def test_parse_rational_rejects():
     ("1/-2", None),
     ("1/2e3", None),
     ("", None),
+    ("1e4300", None),  # 4301 digits, more than Python's int-string limit lets a writer print
+    ("1e-4300", None),
+    ("-1e4300", None),
+    ("100e4298", None),
+    ("1e4299", Fraction(10**4299)),
+    ("10e-4300", Fraction(1, 10**4299)),  # the bound holds in lowest terms
 ])
 def test_rational_grammar(text, value):
     if value is None:
@@ -192,6 +199,7 @@ def _written_certificates(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_written_certificates())
 @example((mult.SosCertificate(1, 1, 0, ()), None))
+@example((mult.SosCertificate(0, 0, 0, (mult.SosSquare(Fraction(2), 3, {(): (1, 0)}),)), None))  # "index": []
 @example((mult.SosCertificate(2, 1, 1, (mult.SosSquare(Fraction(3, 2), 1, {}),)), forms.fc_form(1)))
 def test_certificate_writer_matches_json_dumps_and_reloads(tmp_path, case):
     cert, form = case
@@ -248,6 +256,16 @@ def test_stable_dump_rejects_non_finite_numbers():
         for doc in ({"x": bad}, [1, [bad]], {"x": {"y": [bad]}}, {bad: 1}, bad):
             with pytest.raises(ValueError):
                 formats.dumps_stable(doc)
+
+
+def test_certificate_writer_rejects_non_finite_residual(tmp_path):
+    square = mult.SosSquare(Fraction(1), 1, {(2, 0): (1, 0)})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        cert = mult.SosCertificate(2, 2, 0, (square,), "fail", bad)
+        path = tmp_path / "cert.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            formats.save_certificate(cert, path, form=forms.fc_form(1))
+        assert not path.exists()
 
 
 def _json_dumps(obj) -> str:
