@@ -314,7 +314,7 @@ def cmd_audit(args) -> int:
         "reports": [
             {
                 "check": r.check_name,
-                "parameters": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in r.parameters.items()},
+                "parameters": r.parameters,
                 "lhs": None if isinstance(r.lhs, float) and not math.isfinite(r.lhs) else r.lhs,
                 "rhs": None if isinstance(r.rhs, float) and not math.isfinite(r.rhs) else r.rhs,
                 "ratio": None if isinstance(r.ratio, float) and not math.isfinite(r.ratio) else r.ratio,

@@ -5,29 +5,31 @@ basis is hermitian; the shifted form is a sum of squares of holomorphic
 polynomials exactly when that matrix is positive semidefinite.  It is
 assembled once as Gaussian integers (pairs of ints) over one common
 denominator D, the lcm of f's coefficient denominators, and every consumer
-reads those integers.  One exact kernel, a pivoted fraction-free LDL*, decides
-PSD, raises NotPsdError with an exactly checked witness, and yields
-certificates sum_j w_j |Q_j(z)|^2 with rational weights w_j > 0, the only kind
-of certificate.  It eliminates the connected blocks of the sparsity pattern
-one at a time, the block with the largest diagonal first, so each block's
-squares stand alone.  Within a block its pivot order is minimum degree: a
-negative diagonal first, then the positive diagonal with the fewest
-off-diagonal entries left in its row, since only the differences of f's
-exponents couple two rows and the largest diagonal would fill that sparsity in.
-Each square keeps the kernel's representation of its column, Gaussian integers
-over one denominator (in lowest terms), through verification and into the file.
-The shift scan asks only for the verdict, and `psd_decided` proves most
-verdicts in floating point first: a verified Cholesky (Rump 2006) for a PD
-block, an eigenvector witness checked exactly for a not-PSD one; only what
-neither settles reaches the exact kernel.  The scan starts at the first shift whose diagonal, the
-coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a (Polya), has no negative
-entry, computed without assembly; every earlier shift fails on that entry.
-Verification rejects any weight <= 0, re-expands the squares exactly in
-Gaussian integers and compares every entry of the multiplier matrix by
-cross-multiplication.  Each entry of the expansion is kept over its own
-horizon denominator, the lcm of the scaled weights' denominators up to the
-earlier of the last squares holding each of its two indices: no later square
-holds both, so none adds to it.
+reads those integers.  Only the upper triangle (i <= j) is stored, each
+hermitian pair once, and no exact result depends on the order of its entries;
+`entries` and `to_dense` give both orientations.  One exact kernel, a pivoted
+fraction-free LDL*, decides PSD, raises NotPsdError with an exactly checked
+witness, and yields certificates sum_j w_j |Q_j(z)|^2 with rational weights
+w_j > 0, the only kind of certificate.  It eliminates the connected blocks of
+the sparsity pattern one at a time, the block with the largest diagonal first,
+so each block's squares stand alone.  Within a block its pivot order is
+minimum degree: a negative diagonal first, then the positive diagonal with the
+fewest off-diagonal entries left in its row, since only the differences of f's
+exponents couple two rows and the largest diagonal would fill that sparsity
+in.  Each square keeps the kernel's representation of its column, Gaussian
+integers over one denominator (in lowest terms), through verification and into
+the file.  The shift scan asks only for the verdict, and `psd_decided` proves
+most verdicts in floating point first: a verified Cholesky (Rump 2006) for a
+PD block, an eigenvector witness checked exactly for a not-PSD one; only what
+neither settles reaches the exact kernel.  The scan starts at the first shift
+whose diagonal, the coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a
+(Polya), has no negative entry, computed without assembly; every earlier shift
+fails on that entry.  Verification rejects any weight <= 0, re-expands the
+squares exactly in Gaussian integers and compares every entry of the
+multiplier matrix by cross-multiplication.  Each entry of the expansion is
+kept over its own horizon denominator, the lcm of the scaled weights'
+denominators up to the earlier of the last squares holding each of its two
+indices: no later square holds both, so none adds to it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from . import multiindex as mi, verified
 from .exact import QC, QC_ONE, QC_ZERO
-from .forms import HermitianForm
+from .forms import HermitianForm, require_valid
 
 
 class SizeCapExceeded(RuntimeError):
@@ -81,8 +83,8 @@ def _gaussian(c: QC, den: int) -> tuple[int, int]:
 class MultiplierMatrix:
     """Hermitian coefficient matrix of ||z||^(2N) f over the degree-(m+N) basis.
 
-    Entry (i, j) is (re + i im) / D for numerators[(i, j)] = (re, im); both
-    orientations are stored and zero entries left out.
+    Entry (i, j) is (re + i im) / D for numerators[(i, j)] = (re, im), stored for
+    i <= j in any order; entry (j, i) is its conjugate and zero entries are left out.
     """
 
     n: int
@@ -97,21 +99,22 @@ class MultiplierMatrix:
         return len(self.basis)
 
     def entry(self, i: int, j: int) -> QC:
-        re, im = self.numerators.get((i, j), (0, 0))
-        return QC(Fraction(re, self.D), Fraction(im, self.D))
+        re, im = self.numerators.get((min(i, j), max(i, j)), (0, 0))
+        return QC(Fraction(re, self.D), Fraction(im if i <= j else -im, self.D))
 
     @property
     def entries(self) -> dict[tuple[int, int], QC]:
         """The nonzero entries as exact QC values, both orientations."""
-        return {key: self.entry(*key) for key in self.numerators}
+        upper = {key: self.entry(*key) for key in self.numerators}
+        return {**upper, **{(j, i): c.conj() for (i, j), c in upper.items() if i != j}}
 
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j) in self.numerators)
 
     def to_dense(self) -> np.ndarray:
         A = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), (re, im) in self.numerators.items():
-            A[i, j] = complex(re / self.D, im / self.D)  # correctly rounded, as float(Fraction(re, D))
+        for (i, j), (re, im) in self.numerators.items():  # correctly rounded, as float(Fraction(re, D))
+            A[j, i], A[i, j] = complex(re / self.D, -im / self.D), complex(re / self.D, im / self.D)
         return A
 
 
@@ -126,7 +129,8 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
     base-(m+N+1) number, so code(a + mu) = code(a) + code(mu) and the loop sums
     no multi-indices.  Each c_ab is scaled once to a Gaussian integer over D,
     the lcm of f's coefficient denominators, and N!/mu! is an integer, so the
-    sums stay in ints.
+    sums stay in ints.  Only the terms with a >= b are summed: the basis is lex-descending
+    and adding mu keeps lex order, so they give the keys i <= j; zero sums are dropped last.
     """
     if N < 0:
         raise ValueError("shift degree N must be non-negative")
@@ -147,7 +151,7 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
         offset = code(alpha)
         row[alpha] = [position[offset + c] for c in mu_codes]
     D = _common_denominator(form.coeffs.values())
-    scaled = [(row[alpha], row[beta], *_gaussian(c, D)) for (alpha, beta), c in form.coeffs.items()]
+    scaled = [(row[alpha], row[beta], *_gaussian(c, D)) for (alpha, beta), c in form.coeffs.items() if alpha >= beta]
     numerators: dict[tuple[int, int], tuple[int, int]] = {}
     fact = [math.factorial(k) for k in range(N + 1)]
     for t, mu in enumerate(mus):
@@ -155,12 +159,8 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
         for row_a, row_b, re, im in scaled:
             key = (row_a[t], row_b[t])
             old_re, old_im = numerators.get(key, (0, 0))
-            s = (old_re + w * re, old_im + w * im)
-            if s == (0, 0):  # popped where a partial sum cancels: the insertion order is _ldlt's row order,
-                numerators.pop(key, None)  # which picks the entry its zero-pivot witness takes
-            else:
-                numerators[key] = s
-    return MultiplierMatrix(form.n, form.m, N, basis, D, numerators)
+            numerators[key] = (old_re + w * re, old_im + w * im)
+    return MultiplierMatrix(form.n, form.m, N, basis, D, {key: s for key, s in numerators.items() if s != (0, 0)})
 
 
 @dataclass(frozen=True)
@@ -173,18 +173,17 @@ class PsdVerdict:
 
 
 def _witness_quadratic_value(matrix: MultiplierMatrix, v: dict[int, QC]) -> Fraction:
-    """<Mv, v>: v scaled by s to Gaussian integers g, sum conj(g_i) A_ij g_j over the numerators, / (s^2 D)."""
+    """<Mv, v>: v scaled by s to Gaussian integers g, sum Re(conj(g_i) A_ij g_j) over the numerators, / (s^2 D);
+    an off-diagonal numerator counts twice, for itself and its conjugate below the diagonal."""
     s = _common_denominator(v.values())
     g = {i: _gaussian(c, s) for i, c in v.items()}
-    re = im = 0
+    total = 0
     for (i, j), (ar, ai) in matrix.numerators.items():
         if i in g and j in g:
             (xr, xi), (yr, yi) = g[i], g[j]
             pr, pi = xr * ar + xi * ai, xr * ai - xi * ar  # conj(g_i) A_ij
-            re, im = re + pr * yr - pi * yi, im + pr * yi + pi * yr
-    if im:
-        raise ValueError("witness quadratic value not real; matrix not hermitian")
-    return Fraction(re, s * s * matrix.D)
+            total += (pr * yr - pi * yi) * (1 if i == j else 2)
+    return Fraction(total, s * s * matrix.D)
 
 
 def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
@@ -200,12 +199,12 @@ def _lift_through_columns(processed, v: dict[int, QC]) -> dict[int, QC]:
 
 
 def _pattern(matrix: MultiplierMatrix) -> tuple[dict[int, int], dict[int, dict[int, tuple[int, int]]]]:
-    """The diagonal numerators and, per row, the off-diagonal ones in the numerators' order."""
+    """The diagonal numerators and, per row, the off-diagonal ones, each pair written in both rows."""
     diag = {i: 0 for i in range(matrix.dim)}
     rows: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in range(matrix.dim)}
     for (i, j), (re, im) in matrix.numerators.items():
         if i != j:
-            rows[i][j] = (re, im)
+            rows[i][j], rows[j][i] = (re, im), (re, -im)
         elif im:
             raise ValueError(f"diagonal entry {i} not real; matrix not hermitian")
         else:
@@ -257,7 +256,8 @@ def _ldlt(matrix: MultiplierMatrix):
     1967; George-Liu 1989): its column holds only those entries, and the
     rank-one update fills in at most their pairs, where the largest diagonal
     would fill a sparse block almost densely.  Zero diagonals come last, and
-    any entry left beside them refutes.
+    any entry left beside them refutes: the least (i, j), so that no output
+    depends on the order of the matrix's entries.
 
     Returns (processed, pivots), processed listing (k, a, {i: a l_i}) in
     elimination order, a l_i = conj(A[k][i]) as Gaussian integers (re, im).
@@ -287,13 +287,13 @@ def _ldlt(matrix: MultiplierMatrix):
                 # every diagonal left in the block vanishes, so any nonzero entry c = S[i][j]
                 # of its remainder S gives u = -c e_i + e_j with <Su, u> = -2|c|^2; c is the
                 # stored entry over its row's scale, (re pb / s) / (pb D) = re / (s D)
-                return next(({i: QC(Fraction(-re, scale[i] * D), Fraction(-im, scale[i] * D)), j: QC_ONE}
-                             for i in sorted(active) for j, (re, im) in rows[i].items()), None)
+                for i, j in sorted((i, j) for i in active for j in rows[i])[:1]:  # the least (i, j)
+                    re, im = rows[i][j]
+                    return {i: QC(Fraction(-re, scale[i] * D), Fraction(-im, scale[i] * D)), j: QC_ONE}
+                return None
             active.remove(k)
             del diag[k]
             s = scale.pop(k)
-            # A[k][i], brought current, in row k's order, which fixes where fill-in lands
-            # in each row and so which entry the zero-pivot witness takes
             kcol = {i: (re * pb // s, im * pb // s) for i, (re, im) in rows.pop(k).items() if i in active}
             for i in active:
                 if i not in kcol:  # only the diagonal, which priority reads, is kept current
@@ -489,9 +489,10 @@ def sos_decompose(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP)
     Square j is w_j |e_k + sum_i l_i e_i|^2 for the pivot k, its positive
     pivot w_j and its column l of `_ldlt`; the weights stay rational, since
     absorbing sqrt(w_j) into the polynomials would leave the rationals.  A
-    matrix that is not PSD raises NotPsdError with its exactly checked witness.
+    matrix that is not PSD raises NotPsdError with its exactly checked witness,
+    and a form that is not hermitian of bidegree (m, m) a FormError.
     """
-    return _decompose(multiplier_matrix(form, N, size_cap=size_cap))
+    return _decompose(multiplier_matrix(require_valid(form), N, size_cap=size_cap))
 
 
 def _decompose(matrix: MultiplierMatrix) -> SosCertificate:
@@ -563,23 +564,22 @@ def verify_certificate(
 ) -> tuple[str, Optional[float]]:
     """Independent exact re-expansion check of a certificate against the multiplier matrix.
 
-    The certificate's (n, m) must be the form's, every weight must be positive and the squares must
-    reproduce every entry exactly, each compared over its own denominator in the expansion without
-    building a Fraction.  Returns ("exact-pass", 0.0) or ("fail", None).
+    The form must be valid (a FormError otherwise), the certificate's (n, m) must be the form's, every
+    weight must be positive and the squares must reproduce every entry exactly, each compared over its
+    own denominator in the expansion without building a Fraction.  Returns ("exact-pass", 0.0) or
+    ("fail", None).
     """
-    return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert)
+    return _verify_against(multiplier_matrix(require_valid(form), cert.N, size_cap=size_cap), cert)
 
 
 def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate) -> tuple[str, Optional[float]]:
     if (cert.n, cert.m, cert.N) != (matrix.n, matrix.m, matrix.N) or any(not sq.weight > 0 for sq in cert.squares):
         return "fail", None
-    upper = _gaussian_expansion(cert)
-    for (i, j), (a_re, a_im) in matrix.numerators.items():  # (re + i im) / L == (a_re + i a_im) / D
-        re, im, L = upper.get((min(i, j), max(i, j)), (0, 0, 1))  # an entry no square holds is 0
-        sign = 1 if i <= j else -1  # conjugated below the diagonal
-        if re * matrix.D != a_re * L or sign * im * matrix.D != a_im * L:
+    upper = _gaussian_expansion(cert)  # the upper triangle, as the matrix stores it
+    for key, (a_re, a_im) in matrix.numerators.items():  # (re + i im) / L == (a_re + i a_im) / D
+        re, im, L = upper.get(key, (0, 0, 1))  # an entry no square holds is 0
+        if re * matrix.D != a_re * L or im * matrix.D != a_im * L:
             return "fail", None
-    if any((re or im) and ((i, j) not in matrix.numerators or (j, i) not in matrix.numerators)
-           for (i, j), (re, im, _) in upper.items()):
+    if any((re or im) and key not in matrix.numerators for key, (re, im, _) in upper.items()):
         return "fail", None
     return "exact-pass", 0.0

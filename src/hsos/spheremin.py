@@ -29,6 +29,7 @@ MAX_ITER = 500  # descent iterations per start
 TOL = 1e-9  # a start has converged once |projected gradient| <= TOL * (1 + |f|)
 QUASI_STARTS = 64  # Halton starts on top of the axes and the balanced points
 GRID_BUDGET = 160_000  # evaluations of the certified grid pass (n <= 3)
+EVAL_CHUNK = 65536  # points per evaluation batch of the certified grid and of sampled audits
 
 
 @dataclass(frozen=True)
@@ -145,15 +146,15 @@ def _pgd_batch(obj: _Objective, X0: np.ndarray):
     return fx, X, converged
 
 
-def _halton(d: int, count: int) -> np.ndarray:
-    """The first `count` points of the unscrambled Halton sequence in [0, 1)^d.
+def _halton(d: int, count: int, start: int = 0) -> np.ndarray:
+    """Points start, ..., start + count - 1 of the unscrambled Halton sequence in [0, 1)^d.
 
     Coordinate j is the radical inverse of the index in the j-th prime, digits added in scipy's order.
     """
     primes = [p for p in range(2, d * d + 3) if all(p % q for q in range(2, math.isqrt(p) + 1))][:d]
     out = np.zeros((count, d))
     for j, base in enumerate(primes):
-        index = np.arange(count)
+        index = np.arange(start, start + count)
         weight = 1.0 / base
         while index.any():
             out[:, j] += (index % base) * weight
@@ -162,12 +163,23 @@ def _halton(d: int, count: int) -> np.ndarray:
     return out
 
 
-def unit_sphere_samples(n: int, count: int) -> np.ndarray:
-    """Deterministic quasi-random points on the unit sphere of C^n: Halton, ndtri, normalize."""
+def _sphere_points(n: int, count: int, start: int) -> np.ndarray:
+    """Halton points start, ..., start + count - 1 on the unit sphere of C^n: ndtri, normalize."""
     from .special import ndtri  # imported on first use, so the exact commands never load it
-    g = ndtri(np.clip(_halton(2 * n, count), 1e-12, 1 - 1e-12))
+    g = ndtri(np.clip(_halton(2 * n, count, start), 1e-12, 1 - 1e-12))
     z = g[:, :n] + 1j * g[:, n:]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def unit_sphere_samples(n: int, count: int) -> np.ndarray:
+    """Deterministic quasi-random points on the unit sphere of C^n: Halton, ndtri, normalize."""
+    return _sphere_points(n, count, 0)
+
+
+def unit_sphere_chunks(n: int, count: int):
+    """The points of unit_sphere_samples(n, count), EVAL_CHUNK at a time; each depends on its index alone."""
+    for lo in range(0, count, EVAL_CHUNK):
+        yield _sphere_points(n, min(EVAL_CHUNK, count - lo), lo)
 
 
 def _starting_points(n: int) -> np.ndarray:
@@ -216,9 +228,8 @@ def _certified_grid(form: HermitianForm):
         Z[:, j] = Z[:, j] * np.exp(1j * thetas[:, j])
 
     grid_min, grid_max = math.inf, -math.inf
-    chunk = 65536
-    for lo in range(0, total, chunk):
-        vals = forms.evaluate_batch(form, Z[lo : lo + chunk])
+    for lo in range(0, total, EVAL_CHUNK):
+        vals = forms.evaluate_batch(form, Z[lo : lo + EVAL_CHUNK])
         grid_min = min(grid_min, float(vals.min()))
         grid_max = max(grid_max, float(vals.max()))
     return grid_min, grid_max, cover, total

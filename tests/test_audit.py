@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hsos import audit, forms
+from hsos import audit, forms, spheremin
 
 from conftest import random_hermitian_form
 
@@ -40,6 +40,17 @@ def test_laplacian_powers_random_forms():
     for _ in range(10):
         f = random_hermitian_form(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]))
         assert all(r.passed for r in audit.check_laplacian_powers(f, samples=2000))
+
+
+def test_laplacian_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # a running maximum over chunks is the maximum over all points, and each point depends on its index alone
+    rng = random.Random(41)
+    cases = [(forms.fc_form(1), 1000), (random_hermitian_form(rng, 3, 2), 1000), (forms.HermitianForm.zero(2, 2), 10)]
+    whole = [audit.check_laplacian_powers(f, samples=samples) for f, samples in cases]  # one chunk each
+    points = spheremin.unit_sphere_samples(3, 1000)
+    monkeypatch.setattr(spheremin, "EVAL_CHUNK", 7)
+    assert [audit.check_laplacian_powers(f, samples=samples) for f, samples in cases] == whole
+    assert np.array_equal(np.concatenate(list(spheremin.unit_sphere_chunks(3, 1000))), points)
 
 
 # ---------------------------------------------------------------------------

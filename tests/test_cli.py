@@ -233,27 +233,42 @@ def _number(path, token):
     return _set(path, f"<number {token}>")
 
 
+def _unit_squares_and_term(alpha):
+    """Unit squares on the whole degree-3 basis, and |z^alpha|^2 added to the embedded fc_1 form (m = 2).
+
+    A degree-5 alpha's base-4 codes alias onto the basis entries (2, 1) and (1, 2), so an unvalidated
+    form makes the matrix the identity, which these squares reproduce; a degree-3 alpha has no code.
+    """
+    def mutate(doc):
+        doc["squares"] = [{"weight": "1", "coefficients": [{"index": [3 - k, k], "re": "1"}]} for k in range(4)]
+        doc["form"]["terms"].append({"alpha": alpha, "beta": alpha, "re": "1"})
+    return mutate
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, error",
     [
-        _form_path(5),
-        _set(("form_path",), str(SAMPLES / "fc_1.json")),  # beside the embedded form, which was read alone
-        _set(("form_path",), 5),
-        _number(("squares", 0, "weight"), "NaN"),
-        _number(("squares", 0, "weight"), "1e400"),
-        _number(("squares", 0, "coefficients", 0, "re"), "Infinity"),
-        _number(("squares", 0, "coefficients", 0, "im"), "-Infinity"),
+        (_form_path(5), "input error"),
+        (_set(("form_path",), str(SAMPLES / "fc_1.json")), "input error"),  # beside the embedded form, which was read alone
+        (_set(("form_path",), 5), "input error"),
+        (_number(("squares", 0, "weight"), "NaN"), "input error"),
+        (_number(("squares", 0, "weight"), "1e400"), "input error"),
+        (_number(("squares", 0, "coefficients", 0, "re"), "Infinity"), "input error"),
+        (_number(("squares", 0, "coefficients", 0, "im"), "-Infinity"), "input error"),
+        (_unit_squares_and_term([0, 5]), "invalid form"),
+        (_unit_squares_and_term([3, 0]), "invalid form"),
     ],
-    ids=["form_path-5", "form-and-form_path", "form-and-form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity"],
+    ids=["form_path-5", "form-and-form_path", "form-and-form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity",
+         "form-term-of-degree-5", "form-term-of-degree-3"],
 )
-def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mutate):
+def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mutate, error):
     cert_path = tmp_path / "cert.json"
     run(capsys, ["certify", fc1_path, "1", "--out", str(cert_path)])
     doc = json.loads(cert_path.read_text())
     mutate(doc)
     cert_path.write_text(re.sub(r'"<number (\S+)>"', r"\1", json.dumps(doc)))  # tokens json.loads reads as floats
-    code, _, err = run(capsys, ["verify", str(cert_path)])
-    assert code == 2 and "input error" in err
+    code, out, err = run(capsys, ["verify", str(cert_path)])
+    assert (code, out) == (2, "") and err.startswith(f"{error}:") and len(err.splitlines()) == 1
 
 
 def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
@@ -408,7 +423,7 @@ def test_audit_samples_option_is_honoured(capsys, monkeypatch, fc1_path):
     assert samples(["--suite", "laplacian", "--form", fc1_path, "--samples", "500"], "laplacian-power-j0") == [500]
 
     # both suites draw at most 2 000 000 points; the stand-in sampler keeps the laplacian run small
-    monkeypatch.setattr(audit, "unit_sphere_samples", lambda n, count: spheremin.unit_sphere_samples(n, 100))
+    monkeypatch.setattr(audit, "unit_sphere_chunks", lambda n, count: spheremin.unit_sphere_chunks(n, 100))
     assert samples(["--suite", "laplacian", "--form", fc1_path, "--samples", "3000000"], "laplacian-power-j0") == [2_000_000]
 
 

@@ -69,28 +69,6 @@ def _add(alpha, beta):
     return tuple(x + y for x, y in zip(alpha, beta))
 
 
-def _direct_assembly(form, N):
-    """Numerators of the multiplier matrix in insertion order, by a direct loop over shifts and terms.
-
-    The loop sums alpha + mu per term and computes N!/mu! per shift; a partial
-    sum that cancels is popped, so the entry is inserted again at the end.
-    """
-    position = {alpha: i for i, alpha in enumerate(mi.iter_degree(form.n, form.m + N))}
-    D = math.lcm(*(x.denominator for c in form.coeffs.values() for x in (c.re, c.im)))
-    numerators = {}
-    for mu in mi.iter_degree(form.n, N):
-        w = math.factorial(N) // math.prod(math.factorial(x) for x in mu)
-        for (alpha, beta), c in form.coeffs.items():
-            key = (position[_add(alpha, mu)], position[_add(beta, mu)])
-            old_re, old_im = numerators.get(key, (0, 0))
-            s = (old_re + w * int(c.re * D), old_im + w * int(c.im * D))
-            if s == (0, 0):
-                numerators.pop(key, None)
-            else:
-                numerators[key] = s
-    return list(numerators.items())
-
-
 _sevenths = st.builds(Fraction, st.integers(-6, 6), st.integers(2, 7))
 
 
@@ -130,38 +108,14 @@ def test_matches_symbolic_product_expansion(case):
     assert math.lcm(*(x.denominator for c in matrix.entries.values() for x in (c.re, c.im))) == matrix.D
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_assembly_cases())
-# |z1|^2 - |z2|^2 + |z3|^2 at N = 2: the diagonal entry at z1 z2 z3 receives 2, then -2 (the sum
-# cancels and is popped), then 2 (inserted again, last)
-@example((forms.HermitianForm.from_terms(3, 1, [(e, e, qc(c)) for e, c in zip(mi.iter_degree(3, 1), (1, -1, 1))]), 2))
-def test_numerators_insertion_order_matches_direct_loop(case):
-    f, N = case
-    assert list(mult.multiplier_matrix(f, N).numerators.items()) == _direct_assembly(f, N)
-
-
-def test_dense_form_insertion_order_matches_direct_loop():
-    rng = random.Random(11)
-    basis = list(mi.iter_degree(3, 2))
-    triples = []
-    for p, a in enumerate(basis):
-        triples.append((a, a, qc(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)))))
-        for b in basis[p + 1:]:
-            c = qc(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-            triples += [(a, b, c), (b, a, c.conj())]
-    f = forms.HermitianForm.from_terms(3, 2, triples)
-    assert len(f.coeffs) == len(basis) ** 2
-    for N in range(7):
-        assert list(mult.multiplier_matrix(f, N).numerators.items()) == _direct_assembly(f, N)
-
-
 def test_hermitian_and_dimension_invariants():
     rng = random.Random(77)
     for _ in range(10):
         f = random_hermitian_form(rng, rng.choice([2, 3]), rng.choice([1, 2]))
         N = rng.choice([0, 1, 2])
         matrix = mult.multiplier_matrix(f, N)
-        assert all(matrix.numerators.get((j, i)) == (re, -im) for (i, j), (re, im) in matrix.numerators.items())
+        entries = matrix.entries
+        assert all(entries[(j, i)] == c.conj() for (i, j), c in entries.items())
         assert matrix.dim == mi.dim_homogeneous(f.n, f.m + N)
 
 
@@ -235,9 +189,9 @@ def test_zero_pivot_witness_uses_rational_schur_entry_across_blocks():
     # [[0, s], [conj(s), 0]] with s = 1/3 - i/6, so its scale b D is not 1 when
     # the remaining diagonal vanishes.  {3, 4}: positive pivots 1 and 24/25.
     # {5, 6}: zero diagonal from the start.  The block with the largest
-    # diagonal, {0, 1, 2}, goes first, and its witness takes the first
-    # remaining row, 1: u = -s e_1 + e_2, lifted through column 0.  Any common
-    # denominator of the entries gives the same verdict.
+    # diagonal, {0, 1, 2}, goes first, and its witness takes the least
+    # remaining entry, (1, 2): u = -s e_1 + e_2, lifted through column 0.  Any
+    # common denominator of the entries gives the same verdict.
     h = Fraction(1, 2)
     upper = {
         (0, 0): qc(Fraction(3, 2)), (0, 1): qc(h), (0, 2): qc(0, h),
@@ -249,7 +203,7 @@ def test_zero_pivot_witness_uses_rational_schur_entry_across_blocks():
     basis = tuple(mi.iter_degree(2, 6))
     s = qc(Fraction(1, 3), Fraction(-1, 6))
     for D in (210, 6 * 210):
-        numerators = {key: (int(c.re * D), int(c.im * D)) for key, c in entries.items()}
+        numerators = {key: (int(c.re * D), int(c.im * D)) for key, c in upper.items()}
         matrix = mult.MultiplierMatrix(2, 6, 0, basis, D, numerators)
         assert matrix.entries == entries
         verdict = mult.is_psd(matrix)
@@ -374,8 +328,7 @@ def _blocks_in_order(matrix: mult.MultiplierMatrix, supports: list[set[int]]) ->
 
 def _hand_built_matrix(upper: dict) -> mult.MultiplierMatrix:
     """The matrix with numerators {(i, j): (re, im), i <= j} over D = 1 and the 4-element basis of degree 3 in 2 variables."""
-    numerators = {**upper, **{(j, i): (re, -im) for (i, j), (re, im) in upper.items()}}
-    return mult.MultiplierMatrix(2, 3, 0, tuple(mi.iter_degree(2, 3)), 1, numerators)
+    return mult.MultiplierMatrix(2, 3, 0, tuple(mi.iter_degree(2, 3)), 1, upper)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -433,9 +386,9 @@ def _eager_ldlt(matrix: mult.MultiplierMatrix):
             a = diag[k]
             if a < 0:
                 return {k: qc(1)}
-            if a == 0:
+            if a == 0:  # the least entry (i, j) left
                 return next(({i: qc(Fraction(-re, pb * D), Fraction(-im, pb * D)), j: qc(1)}
-                             for i in sorted(active) for j, (re, im) in rows[i].items()), None)
+                             for i, j, (re, im) in sorted((i, j, rows[i][j]) for i in active for j in rows[i])), None)
             active.remove(k)
             del diag[k]
             kcol = {i: c for i, c in rows.pop(k).items() if i in active}
@@ -483,14 +436,8 @@ def _kernel_outcome(matrix: mult.MultiplierMatrix):
     return True, processed, pivots
 
 
-def _in_order(outcome):
-    """Each column as its items in order, which fixes the order of a square's coefficients in memory."""
-    psd, first, second = outcome
-    return psd, [(k, a, list(col.items())) for k, a, col in first] if psd else first, second
-
-
 def _assert_kernel_matches_eager(matrix: mult.MultiplierMatrix):
-    assert _in_order(_kernel_outcome(matrix)) == _in_order(_eager_ldlt(matrix))
+    assert _kernel_outcome(matrix) == _eager_ldlt(matrix)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -515,8 +462,7 @@ def test_lazy_row_scaling_matches_eager_elimination(case):
 ])
 def test_lazy_row_scaling_matches_eager_elimination_on_hand_built_blocks(upper):
     dim = 1 + max(j for _, j in upper)
-    numerators = {**upper, **{(j, i): (re, -im) for (i, j), (re, im) in upper.items()}}
-    matrix = mult.MultiplierMatrix(2, dim - 1, 0, tuple(mi.iter_degree(2, dim - 1)), 1, numerators)
+    matrix = mult.MultiplierMatrix(2, dim - 1, 0, tuple(mi.iter_degree(2, dim - 1)), 1, upper)
     _assert_kernel_matches_eager(matrix)
     _assert_kernel_matches_eager(replace(matrix, D=6))  # any common denominator gives the same output
 
@@ -530,16 +476,39 @@ def test_relabelling_the_basis_keeps_verdict_rank_and_certificate(case, rng):
     matrix = mult.multiplier_matrix(form, N)
     perm = list(range(matrix.dim))
     rng.shuffle(perm)
-    relabelled = mult.MultiplierMatrix(
-        matrix.n, matrix.m, N, matrix.basis, matrix.D,
-        {(perm[i], perm[j]): c for (i, j), c in matrix.numerators.items()},
-    )
+    moved = {}
+    for (i, j), (re, im) in matrix.numerators.items():  # a key that lands below the diagonal is swapped and conjugated
+        p, q = perm[i], perm[j]
+        moved[(min(p, q), max(p, q))] = (re, im if p <= q else -im)
+    relabelled = mult.MultiplierMatrix(matrix.n, matrix.m, N, matrix.basis, matrix.D, moved)
     verdict, moved = mult.is_psd(matrix), mult.is_psd(relabelled)
     assert (moved.is_psd, moved.rank) == (verdict.is_psd, verdict.rank)
     if moved.is_psd:
         assert mult._decompose(relabelled).verified == "exact-pass"
     else:
         assert moved.witness_value < 0  # checked exactly inside the kernel
+
+
+def _exact_outcomes(matrix: mult.MultiplierMatrix):
+    """`_ldlt`'s outcome, `psd_decided`'s verdict, and `_decompose`'s certificate or witness."""
+    try:
+        decomposed = mult._decompose(matrix)
+    except mult.NotPsdError as exc:
+        decomposed = exc.witness, exc.witness_value
+    return _kernel_outcome(matrix), mult.psd_decided(matrix), decomposed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_shifted_forms(), _assembly_cases()), st.randoms(use_true_random=False))
+# a zero diagonal block with three entries, so its witness could take any of them
+@example((_form_of_matrix(2, 2, {(0, 1): qc(1), (0, 2): qc(0, 1), (1, 2): qc(2)}), 0), random.Random(0))
+@example((random_sos_form(random.Random(5), 3, 2), 1), random.Random(0))  # PSD with zero pivots
+def test_no_exact_result_depends_on_the_order_of_the_entries(case, rng):
+    matrix = mult.multiplier_matrix(*case)
+    assert all(i <= j for i, j in matrix.numerators)
+    items = list(matrix.numerators.items())
+    rng.shuffle(items)
+    assert _exact_outcomes(replace(matrix, numerators=dict(items))) == _exact_outcomes(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +707,7 @@ def test_indefinite_by_a_rounding_error_is_not_taken_for_pd():
     D = 3 * 2**54
     c = (36234795250144211, 67293191178839249)
     matrix = mult.MultiplierMatrix(2, 2, 0, ((2, 0), (1, 1), (0, 2)), D, {
-        (0, 0): (D, 0), (1, 1): (2 * D, 0), (2, 2): (D, 0), (0, 1): c, (1, 0): (c[0], -c[1])})
+        (0, 0): (D, 0), (1, 1): (2 * D, 0), (2, 2): (D, 0), (0, 1): c})
     assert c[0] ** 2 + c[1] ** 2 > 2 * D * D
     assert not mult.psd_decided(matrix)
 
@@ -790,10 +759,7 @@ def test_pd_ladder_form_decides_without_exact_kernel(monkeypatch):
 ])
 def test_huge_numerators_do_not_overflow(entries, psd, escalations, ldlt_calls):
     big = 2**1100 + 1  # beyond the double range, so a float(...) of an entry would raise OverflowError
-    numerators = {}
-    for (i, j), (re, im) in entries.items():
-        numerators[(i, j)] = (re * big, im * big)
-        numerators[(j, i)] = (re * big, -im * big)
+    numerators = {key: (re * big, im * big) for key, (re, im) in entries.items()}
     matrix = mult.MultiplierMatrix(2, 2, 0, ((2, 0), (1, 1), (0, 2)), 3, numerators)
     assert mult.psd_decided(matrix) == psd == mult.is_psd(matrix).is_psd
     assert len(ldlt_calls) == escalations + 1  # + the is_psd call of the assertion
