@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import multiindex as mi
-from .exact import qc
+from .exact import QC
 from .forms import HermitianForm
 from .multiplier import SosCertificate, SosSquare
 
@@ -142,7 +142,7 @@ def form_from_dict(data: dict) -> HermitianForm:
     if not isinstance(data["terms"], list):
         raise ParseError("terms must be a list", "form")
     seen: set[tuple] = set()
-    triples = []
+    coeffs = {}  # the indices are checked and the keys distinct, so no term needs HermitianForm.from_terms
     for idx, term in enumerate(data["terms"]):
         ctx = f"terms[{idx}]"
         _expect_keys(term, {"alpha", "beta", "re", "im"}, {"alpha", "beta", "re"}, ctx)
@@ -153,8 +153,9 @@ def form_from_dict(data: dict) -> HermitianForm:
         seen.add((alpha, beta))
         re = parse_rational(term["re"], ctx)
         im = parse_rational(term.get("im", "0"), ctx)
-        triples.append((alpha, beta, qc(re, im)))
-    return HermitianForm.from_terms(n, m, triples)
+        if re or im:
+            coeffs[(alpha, beta)] = QC(re, im)
+    return HermitianForm(n, m, coeffs)
 
 
 def _read_json(path):

@@ -24,12 +24,13 @@ PD block, an eigenvector witness checked exactly for a not-PSD one; only what
 neither settles reaches the exact kernel.  The scan starts at the first shift
 whose diagonal, the coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a
 (Polya), has no negative entry, computed without assembly; every earlier shift
-fails on that entry.  Verification rejects any weight <= 0, re-expands the
-squares exactly in Gaussian integers and compares every entry of the
-multiplier matrix by cross-multiplication.  Each entry of the expansion is
-kept over its own horizon denominator, the lcm of the scaled weights'
-denominators up to the earlier of the last squares holding each of its two
-indices: no later square holds both, so none adds to it.
+fails on that entry, and a diagonal form's scan ends there.  Verification
+rejects any weight <= 0, re-expands the squares exactly in Gaussian integers
+and compares every entry of the multiplier matrix by cross-multiplication.
+Each entry of the expansion is kept over its own horizon denominator, the lcm
+of the scaled weights' denominators up to the earlier of the last squares
+holding each of its two indices: no later square holds both, so none adds to
+it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import multiindex as mi, verified
 from .exact import QC, QC_ONE, QC_ZERO
-from .forms import HermitianForm, require_valid
+from .forms import HermitianForm, is_diagonal, require_valid
 
 
 class SizeCapExceeded(RuntimeError):
@@ -172,11 +173,9 @@ class PsdVerdict:
     rank: Optional[int] = None
 
 
-def _witness_quadratic_value(matrix: MultiplierMatrix, v: dict[int, QC]) -> Fraction:
-    """<Mv, v>: v scaled by s to Gaussian integers g, sum Re(conj(g_i) A_ij g_j) over the numerators, / (s^2 D);
+def _witness_quadratic_value(matrix: MultiplierMatrix, g: dict[int, tuple[int, int]], s: int) -> Fraction:
+    """<Mv, v> for v = g / s, g Gaussian integers (re, im): sum Re(conj(g_i) A_ij g_j) over the numerators, / (s^2 D);
     an off-diagonal numerator counts twice, for itself and its conjugate below the diagonal."""
-    s = _common_denominator(v.values())
-    g = {i: _gaussian(c, s) for i, c in v.items()}
     total = 0
     for (i, j), (ar, ai) in matrix.numerators.items():
         if i in g and j in g:
@@ -329,7 +328,8 @@ def _ldlt(matrix: MultiplierMatrix):
 
     if witness is not None:
         v = _lift_through_columns(processed, witness)
-        value = _witness_quadratic_value(matrix, v)
+        s = _common_denominator(v.values())
+        value = _witness_quadratic_value(matrix, {i: _gaussian(c, s) for i, c in v.items()}, s)
         if value >= 0:
             raise AssertionError("internal error: PSD witness failed exact verification")
         raise NotPsdError(
@@ -390,7 +390,8 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
     one, a 1x1 block by its sign; a larger block is PD if the verified Cholesky
     of `verified.cholesky_proves_pd` (Rump 2006; the shift is quoted there)
     succeeds on its scaled real embedding, and the matrix is not PSD if the
-    block's `eigh` eigenvector, rounded to Gaussian multiples of 2^-40, gives
+    lowest `eigh` eigenvector of the d x d complex block itself, half the
+    order of the embedding, rounded to Gaussian integers over 2^40, gives
     <Mv, v> < 0 exactly.  A block that neither settles (a singular or
     nearly singular one) escalates the whole matrix to `is_psd`, the exact
     `_ldlt`; that is the only escalation, and every verdict equals `is_psd`'s.
@@ -404,13 +405,13 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
         position = {i: p for p, i in enumerate(sorted(block))}
         entries = [(p, p, diag[i], 0) for i, p in position.items()]
         entries += [(p, position[j], re, im) for i, p in position.items() for j, (re, im) in rows[i].items()]
-        S = verified.real_embedding(len(block), entries)
-        if verified.cholesky_proves_pd(S):
+        H = verified.scaled_hermitian(len(block), entries)
+        if verified.cholesky_proves_pd(H):
             continue
-        x = verified.smallest_eigenvector(S, _WITNESS_BITS)  # 2^40 (Re v, Im v), rounded
-        d, one = len(block), 2**_WITNESS_BITS
-        witness = {i: QC(Fraction(x[p], one), Fraction(x[d + p], one)) for i, p in position.items() if x[p] or x[d + p]}
-        if _witness_quadratic_value(matrix, witness) < 0:
+        x = np.linalg.eigh(H)[1][:, 0]  # its lowest eigenvector, largest part scaled to 2^40, then rounded
+        x = np.rint(x * (2.0**_WITNESS_BITS / max(np.abs(x.real).max(), np.abs(x.imag).max())))
+        g = dict(zip(position, zip(x.real.astype(int).tolist(), x.imag.astype(int).tolist())))
+        if _witness_quadratic_value(matrix, g, 2**_WITNESS_BITS) < 0:
             return False
         return is_psd(matrix).is_psd
     return True
@@ -425,7 +426,7 @@ def _polya_diagonals(form: HermitianForm, n_max: int):
     Q_{N+1}[rho + e_k] += Q_N[rho].  Monomials are keyed by the additive
     integer codes of `multiplier_matrix`, in the base m + n_max + 1 that holds
     every shift up to n_max; a missing or zero entry is a zero diagonal.
-    The imaginary parts of the c_aa are left out.
+    The c_aa of a valid form are real.
     """
     digit = [(form.m + n_max + 1) ** k for k in range(form.n - 1, -1, -1)]
     D = _common_denominator(form.coeffs.values())
@@ -447,11 +448,8 @@ def _polya_start(form: HermitianForm, n_max: int, size_cap: int) -> Optional[int
     Every shift below it has a negative diagonal entry, the first thing
     `psd_decided` refutes, so the shift scan may start here.  Like
     `multiplier_matrix` at a skipped shift, it raises SizeCapExceeded at the
-    first shift whose dimension is over the cap; a diagonal coefficient that
-    is not real gives 0, so that the probe at N = 0 raises as it would.
+    first shift whose dimension is over the cap.
     """
-    if any(c.im for (a, b), c in form.coeffs.items() if a == b):
-        return 0
     for N, Q in enumerate(_polya_diagonals(form, n_max)):
         dim = mi.dim_homogeneous(form.n, form.m + N)
         if dim > size_cap:
@@ -471,12 +469,16 @@ def minimal_sos_N(
     Linear scan from the Polya diagonal bound of `_polya_start`, below which
     every shift has a negative diagonal entry, so no matrix is assembled there;
     by monotonicity of the PSD property in N the first success is the minimum.
+    A diagonal form (c_ab = 0 for a != b) has diagonal matrices, PSD exactly
+    when that diagonal is nonnegative, so its bound is the minimum and nothing
+    is assembled.  A form that is not hermitian of bidegree (m, m) raises a
+    FormError first.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    start = _polya_start(form, n_max, size_cap)
-    if start is None:
-        return None
+    start = _polya_start(require_valid(form), n_max, size_cap)
+    if start is None or is_diagonal(form):
+        return start
     for N in range(start, n_max + 1):
         if psd_decided(multiplier_matrix(form, N, size_cap=size_cap)):
             return N

@@ -1,11 +1,10 @@
 """Floating-point tests whose outcome is a proof about an exact hermitian matrix.
 
 A hermitian matrix H = Re + i Im is PD exactly when its real embedding
-[[Re, -Im], [Im, Re]] is, and an eigenvector (x, y) of the embedding is the
-eigenvector x + i y of H with the same eigenvalue.  `real_embedding` rounds an
-exact integer matrix into that embedding once; `cholesky_proves_pd` turns a
-floating Cholesky into a proof of positive definiteness; `smallest_eigenvector`
-gives a candidate witness of indefiniteness, which the caller checks exactly.
+[[Re, -Im], [Im, Re]] is.  `scaled_hermitian` rounds an exact integer matrix
+into a complex H once; `cholesky_proves_pd` turns a floating Cholesky of H's
+embedding into a proof of positive definiteness.  A witness of indefiniteness
+needs no bound here: the caller rounds an eigenvector of H and checks it exactly.
 """
 
 from __future__ import annotations
@@ -18,24 +17,25 @@ U = 2.0**-53  # unit roundoff of IEEE double
 ETA = 2.0**-1074  # smallest positive subnormal double
 
 
-def real_embedding(d: int, entries: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """[[Re, -Im], [Im, Re]] of the d x d matrix with entries (p, q, re, im), divided by its largest part.
+def scaled_hermitian(d: int, entries: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """The d x d complex matrix with entries (p, q, re, im), divided by its largest part.
 
     The entries are integers, both orientations of each off-diagonal pair
-    given.  Each embedded entry is one correctly rounded int / int division
-    into [-1, 1], so none overflows or is non-finite, whatever their size.
+    given.  Each part is one correctly rounded int / int division into
+    [-1, 1], so none overflows or is non-finite, whatever their size.
     """
     p, q, re, im = zip(*entries)
     scale = max(max(map(abs, re)), max(map(abs, im)))
     H = np.zeros((d, d), dtype=complex)
     H[p, q] = [complex(a / scale, b / scale) for a, b in zip(re, im)]
-    return np.block([[H.real, -H.imag], [H.imag, H.real]])
+    return H
 
 
-def cholesky_proves_pd(S: np.ndarray) -> bool:
-    """True only if the exact symmetric matrix that S rounds is positive definite (Rump 2006).
+def cholesky_proves_pd(H: np.ndarray) -> bool:
+    """True only if the exact hermitian matrix that H rounds is positive definite (Rump 2006).
 
-    S, of order k, holds the correctly rounded entries of an exact matrix A with
+    The proof runs on H's real embedding S = [[Re, -Im], [Im, Re]], of order
+    k, which holds the correctly rounded entries of the exact embedding A with
     |A_ij| <= 1 and A_ii >= 0.  If the floating Cholesky of X = fl(S - cI) runs
     to completion, Rump's bound (Verification of positive definiteness, BIT 46,
     2006) gives
@@ -47,6 +47,7 @@ def cholesky_proves_pd(S: np.ndarray) -> bool:
     c = 2 (gamma_{k+1}/(1 - gamma_{k+1}) tr(S) + 4k(2(k+2) + max S_ii) eta + u ||S||_F + k eta + u max S_ii),
     the factor 2 covering both u c and the few roundings made in evaluating c.
     """
+    S = np.block([[H.real, -H.imag], [H.imag, H.real]])
     k = S.shape[0]
     gamma = (k + 1) * U / (1 - (k + 1) * U)
     diag = np.diag(S)
@@ -58,9 +59,3 @@ def cholesky_proves_pd(S: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def smallest_eigenvector(S: np.ndarray, bits: int) -> list[int]:
-    """The `eigh` eigenvector of S's smallest eigenvalue, scaled so its largest part is 2^bits, rounded to integers."""
-    x = np.linalg.eigh(S)[1][:, 0]
-    return [int(t) for t in np.rint(x * (2.0**bits / np.abs(x).max()))]

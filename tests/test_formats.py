@@ -13,6 +13,8 @@ from hsos.exact import qc
 
 from conftest import FLOAT_CERTIFICATE, random_hermitian_form, ridge_form, save_form
 
+_SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_forms").glob("*.json"))
+
 
 def test_parse_rational():
     assert formats.parse_rational("3/7") == Fraction(3, 7)
@@ -122,6 +124,47 @@ def test_form_rejects_bad_indices():
     }
     with pytest.raises(formats.ParseError, match="length"):
         formats.form_from_dict(doc)
+
+
+def _form_by_from_terms(doc: dict) -> forms.HermitianForm:
+    """The form HermitianForm.from_terms builds from a valid form document's terms."""
+    value = formats.parse_rational
+    return forms.HermitianForm.from_terms(doc["n"], doc["m"], [
+        (term["alpha"], term["beta"], qc(value(term["re"]), value(term.get("im", "0")))) for term in doc["terms"]])
+
+
+_term_values = st.one_of(st.integers(-3, 3), st.sampled_from(["0", "-0", "0/5", "1/2", "3/06", "0.5", "-1.25e1", "+2"]))
+
+
+@st.composite
+def _form_documents(draw):
+    """Form documents with distinct keys in any order, zero coefficients, and "im" given or left out."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    basis = list(mi.iter_degree(n, m))
+    terms = []
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(basis), st.sampled_from(basis)), unique=True, max_size=8)):
+        term = {"alpha": list(a), "beta": list(b), "re": draw(_term_values)}
+        if draw(st.booleans()):
+            term["im"] = draw(_term_values)
+        terms.append(term)
+    return {"n": n, "m": m, "terms": terms}
+
+
+def _assert_read_as_by_from_terms(doc: dict) -> None:
+    form, reference = formats.form_from_dict(doc), _form_by_from_terms(doc)
+    assert form == reference
+    assert list(form.coeffs.items()) == list(reference.coeffs.items())  # term order, zeros left out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_form_documents())
+def test_form_reader_builds_the_from_terms_form(doc):
+    _assert_read_as_by_from_terms(doc)
+
+
+@pytest.mark.parametrize("path", _SAMPLES, ids=lambda p: p.stem)
+def test_form_reader_builds_the_from_terms_form_on_sample_forms(path):
+    _assert_read_as_by_from_terms(json.loads(path.read_text()))
 
 
 def test_non_hermitian_parses_but_fails_validation():

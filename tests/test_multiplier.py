@@ -423,7 +423,9 @@ def _eager_ldlt(matrix: mult.MultiplierMatrix):
     witness = {k: qc(1)} if lowest < 0 else next(filter(None, map(eliminate, blocks)), None)
     if witness is not None:
         v = mult._lift_through_columns(processed, witness)
-        return False, tuple(v.get(i, QC_ZERO) for i in range(matrix.dim)), mult._witness_quadratic_value(matrix, v)
+        s = mult._common_denominator(v.values())
+        value = mult._witness_quadratic_value(matrix, {i: mult._gaussian(c, s) for i, c in v.items()}, s)
+        return False, tuple(v.get(i, QC_ZERO) for i in range(matrix.dim)), value
     return True, processed, pivots
 
 
@@ -587,10 +589,23 @@ def test_scan_matches_linear_scan_on_random_forms(case, size_cap):
     assert _outcome(mult.minimal_sos_N, form, 5, size_cap) == _outcome(_linear_scan, form, 5, size_cap)
 
 
+def _ladder_form() -> forms.HermitianForm:
+    """Polya-type sum |z_i|^4 - (1/2) sum |z_i z_j|^2 plus three hermitian off-diagonal pairs, n = 3:
+    its diagonal is first nonnegative at N = 3, and it is PSD (PD, one dense block) from N = 5 on."""
+    terms = [(a, a, qc(1)) for a in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+    terms += [(a, a, qc(Fraction(-1, 2))) for a in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+    for a, b, c in [((2, 0, 0), (0, 1, 1), qc(Fraction(1, 16), Fraction(1, 16))),
+                    ((0, 2, 0), (1, 0, 1), qc(Fraction(-1, 16), Fraction(1, 32))),
+                    ((1, 1, 0), (0, 0, 2), qc(Fraction(1, 32), Fraction(-1, 16)))]:
+        terms += [(a, b, c), (b, a, c.conj())]
+    return forms.HermitianForm.from_terms(3, 2, terms)
+
+
 @pytest.mark.parametrize("form, n_max, found, assembled", [
     (forms.fc_form(2), 4, None, []),  # no shift has a nonnegative diagonal
-    (forms.fc_form(Fraction(7, 4)), 20, 13, [13]),
-    (forms.fc_form(Fraction(3, 2)), 20, 5, [5]),
+    (forms.fc_form(Fraction(7, 4)), 20, 13, []),  # diagonal: the Polya bound is the minimum
+    (forms.fc_form(Fraction(3, 2)), 20, 5, []),
+    (_ladder_form(), 10, 5, [3, 4, 5]),  # not diagonal: every shift from the bound to the minimum
 ])
 def test_scan_assembles_nothing_below_the_polya_bound(form, n_max, found, assembled, monkeypatch):
     shifts, assemble = [], mult.multiplier_matrix
@@ -612,11 +627,39 @@ def test_scan_raises_the_size_cap_of_a_skipped_shift():
 
 
 def test_scan_raises_on_a_non_real_diagonal_coefficient_at_zero():
-    # the real parts (1, -1, 1) are negative until N = 1, but N = 0 already raises: its entry 1 is z1 z2
+    # the real parts (1, -1, 1) are negative until N = 1; the scan rejects the form before any shift,
+    # and the unvalidated reference scan raises at N = 0, whose entry 1 is z1 z2
     f = forms.fc_form(1)
     g = forms.HermitianForm(2, 2, {**f.coeffs, ((1, 1), (1, 1)): qc(-1, Fraction(1, 3))})
-    expected = (ValueError, "diagonal entry 1 not real; matrix not hermitian")
-    assert _outcome(mult.minimal_sos_N, g, 5) == _outcome(_linear_scan, g, 5) == expected
+    assert _outcome(mult.minimal_sos_N, g, 5) == (
+        forms.SymmetryViolation, "c[(1, 1),(1, 1)] = -1+1/3i is not the conjugate of c[(1, 1),(1, 1)] = -1+1/3i")
+    assert _outcome(_linear_scan, g, 5) == (ValueError, "diagonal entry 1 not real; matrix not hermitian")
+
+
+def test_scan_rejects_a_term_of_the_wrong_degree():
+    # (0, 5) has degree 5, not m = 2: unvalidated, its code at N = 1 aliases onto a basis entry
+    f = forms.fc_form(1)
+    g = forms.HermitianForm(2, 2, {**f.coeffs, ((0, 5), (0, 5)): qc(1)})
+    assert _outcome(mult.minimal_sos_N, g, 5) == (forms.DegreeMismatch, "index (0, 5) has degree 5, expected 2")
+
+
+@st.composite
+def _diagonal_forms(draw):
+    """sum_a c_aa |z^a|^2 with signed c_aa on a random set of the degree-m monomials."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    basis = list(mi.iter_degree(n, m))
+    support = draw(st.lists(st.sampled_from(basis), unique=True, max_size=len(basis)))
+    return forms.HermitianForm.from_terms(n, m, [(a, a, qc(draw(_rationals))) for a in support])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_diagonal_forms(), st.integers(0, 8), st.sampled_from([mult.DEFAULT_SIZE_CAP, 10]))
+@example(forms.fc_form(Fraction(7, 4)), 20, 10)  # the cap fires at N = 8, before the bound 13
+def test_diagonal_forms_scan_without_assembly(form, n_max, size_cap):
+    expected = _outcome(_linear_scan, form, n_max, size_cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mult, "multiplier_matrix", _must_not_run)
+        assert _outcome(mult.minimal_sos_N, form, n_max, size_cap) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -666,6 +709,19 @@ def _must_not_run(*args):
 def test_psd_decided_agrees_with_exact_kernel(case):
     matrix = mult.multiplier_matrix(*case)
     assert mult.psd_decided(matrix) == mult.is_psd(matrix).is_psd
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_shifted_forms())
+def test_clearly_indefinite_matrices_are_refuted_without_the_exact_kernel(case):
+    # the eigenvector of the complex block, rounded to Gaussian integers over 2^40, is an exact witness
+    # wherever the float spectrum is clearly negative: no such matrix escalates to is_psd
+    matrix = mult.multiplier_matrix(*case)
+    A = matrix.to_dense()
+    if np.linalg.eigvalsh(A)[0] < -1e-6 * np.linalg.norm(A):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mult, "is_psd", _must_not_run)
+            assert not mult.psd_decided(matrix)
 
 
 @st.composite
@@ -735,15 +791,8 @@ def test_singular_block_escalates_to_exact_kernel(N, ldlt_calls):
 
 
 def test_pd_ladder_form_decides_without_exact_kernel(monkeypatch):
-    # Polya-type sum |z_i|^4 - (1/2) sum |z_i z_j|^2 plus three hermitian off-diagonal pairs, n = 3:
     # PD at its minimal shift 5 (smallest eigenvalue 0.014 of the Frobenius norm), one dense block
-    terms = [(a, a, qc(1)) for a in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
-    terms += [(a, a, qc(Fraction(-1, 2))) for a in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
-    for a, b, c in [((2, 0, 0), (0, 1, 1), qc(Fraction(1, 16), Fraction(1, 16))),
-                    ((0, 2, 0), (1, 0, 1), qc(Fraction(-1, 16), Fraction(1, 32))),
-                    ((1, 1, 0), (0, 0, 2), qc(Fraction(1, 32), Fraction(-1, 16)))]:
-        terms += [(a, b, c), (b, a, c.conj())]
-    form = forms.HermitianForm.from_terms(3, 2, terms)
+    form = _ladder_form()
     matrix = mult.multiplier_matrix(form, 5)
     assert mult.is_psd(matrix).rank == matrix.dim == 36
     assert not mult.is_psd(mult.multiplier_matrix(form, 4)).is_psd
