@@ -23,7 +23,6 @@ from .forms import (
     q_evaluate,
     q_symbol,
     quarter_laplacian,
-    validate,
 )
 from .multiplier import (
     MultiplierMatrix,
@@ -45,7 +44,6 @@ __all__ = [
     "HermitianForm",
     "fc_form",
     "inner_power",
-    "validate",
     "evaluate",
     "evaluate_exact",
     "quarter_laplacian",

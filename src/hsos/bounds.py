@@ -151,8 +151,7 @@ def bound_report(
     n_max: int = 10,
     size_cap: int = mult.DEFAULT_SIZE_CAP,
 ) -> BoundReport:
-    """Compute all invariants and bounds, run the empirical scan, and record checks."""
-    forms_mod.require_valid(form)
+    """Compute all invariants and bounds, run the empirical scan, and record checks (the form was checked when built)."""
     C = as_fraction(C)
     if C < 0:
         raise ValueError(f"universal constant C must be non-negative, got {C}")

@@ -37,12 +37,8 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
             print(line)
 
 
-def _load_form(path):
-    return forms_mod.require_valid(formats.load_form(path))
-
-
 def cmd_analyze(args) -> int:
-    form = _load_form(args.form)
+    form = formats.load_form(args.form)
     lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
     lt = forms_mod.lambda_tilde(form)
@@ -81,7 +77,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    form = _load_form(args.form)
+    form = formats.load_form(args.form)
     if args.out and not Path(args.out).parent.is_dir():
         raise formats.ParseError(f"cannot write {args.out}: no such directory")
     try:
@@ -127,8 +123,8 @@ def cmd_verify(args) -> int:
     if form is None:
         if not args.form:
             raise formats.ParseError("certificate has no embedded form; pass --form")
-        form = _load_form(args.form)
-    elif args.form and _load_form(args.form) != form:
+        form = formats.load_form(args.form)
+    elif args.form and formats.load_form(args.form) != form:
         raise formats.ParseError(f"--form {args.form} differs from the form embedded in the certificate")
     status, residual = mult.verify_certificate(form, cert, size_cap=args.size_cap)
     payload = {
@@ -143,7 +139,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    form = _load_form(args.form)
+    form = formats.load_form(args.form)
     found = mult.minimal_sos_N(form, args.n_max, size_cap=args.size_cap)
     payload = {"command": "search", "n_max": args.n_max, "minimal_N": found}
     if found is None:
@@ -154,7 +150,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    form = _load_form(args.form)
+    form = formats.load_form(args.form)
     report = bounds_mod.bound_report(
         form,
         C=Fraction(args.C).limit_denominator(10**9),
@@ -214,7 +210,7 @@ def cmd_bounds(args) -> int:
 def _audit_reports(args) -> list[audit_mod.AuditReport]:
     reports: list[audit_mod.AuditReport] = []
     suite = args.suite
-    form = _load_form(args.form) if args.form else None
+    form = formats.load_form(args.form) if args.form else None
 
     if suite in ("laplacian", "all"):
         if form is None:

@@ -141,20 +141,17 @@ def form_from_dict(data: dict) -> HermitianForm:
         raise ParseError(f"m must be a non-negative integer, got {m!r}", "form")
     if not isinstance(data["terms"], list):
         raise ParseError("terms must be a list", "form")
-    seen: set[tuple] = set()
-    coeffs = {}  # the indices are checked and the keys distinct, so no term needs HermitianForm.from_terms
+    # the keys are distinct, so no term needs HermitianForm.from_terms; the form drops the zero terms
+    # and raises a FormError for a term of the wrong degree or a c_ba that is not conj(c_ab)
+    coeffs = {}
     for idx, term in enumerate(data["terms"]):
         ctx = f"terms[{idx}]"
         _expect_keys(term, {"alpha", "beta", "re", "im"}, {"alpha", "beta", "re"}, ctx)
         alpha = _parse_index(term["alpha"], n, ctx)
         beta = _parse_index(term["beta"], n, ctx)
-        if (alpha, beta) in seen:
+        if (alpha, beta) in coeffs:
             raise ParseError(f"duplicate coefficient key ({alpha}, {beta})", ctx)
-        seen.add((alpha, beta))
-        re = parse_rational(term["re"], ctx)
-        im = parse_rational(term.get("im", "0"), ctx)
-        if re or im:
-            coeffs[(alpha, beta)] = QC(re, im)
+        coeffs[(alpha, beta)] = QC(parse_rational(term["re"], ctx), parse_rational(term.get("im", "0"), ctx))
     return HermitianForm(n, m, coeffs)
 
 

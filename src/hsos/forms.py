@@ -2,8 +2,9 @@
 
 A form f(z, z̄) = sum_{|a|=|b|=m} c_ab z^a z̄^b is stored as a sparse map from
 exponent pairs to exact complex-rational coefficients.  Reality of f on C^n is
-equivalent to hermitian symmetry c_ba = conj(c_ab), which is what validate()
-checks.  The four scalar invariants live here:
+equivalent to hermitian symmetry c_ba = conj(c_ab), which HermitianForm checks
+when a form is built, so every form in hand is real of bidegree (m, m).  The
+four scalar invariants live here:
 
   lambda_min    min of f on the unit sphere            (numerical, certified radius)
   big_lambda    weighted Frobenius norm  (sum (a!b!/m!^2)|c_ab|^2)^(1/2); big_lambda_sq is exact
@@ -13,6 +14,7 @@ checks.  The four scalar invariants live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +65,10 @@ REALITY_TOL = 1e-12  # evaluate's bound on |Im f(z)| relative to sum |c_ab| ||z|
 class HermitianForm:
     """Sparse coefficient map of a bidegree-(m, m) form in n complex variables.
 
+    Built only valid: the constructor coerces each coefficient with `qc`, drops
+    the zero ones and raises the first FormError of, in order, an index that is
+    not n entries of degree m (DegreeMismatch), a c_ba that is not conj(c_ab)
+    (SymmetryViolation) and an exponent that is not a non-negative integer.
     Treated as immutable after construction; safe to share.
     """
 
@@ -70,19 +76,29 @@ class HermitianForm:
     m: int
     coeffs: dict[CoeffKey, QC]
 
+    def __post_init__(self):
+        coeffs = {key: qc(c) for key, c in self.coeffs.items() if c}
+        object.__setattr__(self, "coeffs", coeffs)
+        for alpha, beta in coeffs:
+            if len(alpha) != self.n or len(beta) != self.n or sum(alpha) != self.m or sum(beta) != self.m:
+                wrong = [a for a in (alpha, beta) if len(a) != self.n] or [a for a in (alpha, beta) if sum(a) != self.m]
+                raise DegreeMismatch(wrong[0], self.m)
+        for (alpha, beta), c in coeffs.items():
+            mirror = coeffs.get((beta, alpha), QC_ZERO)
+            if mirror.re != c.re or mirror.im != -c.im:  # mirror != c.conj(), without building a QC
+                raise SymmetryViolation(alpha, beta, c, mirror)
+        for index in itertools.chain.from_iterable(coeffs):
+            if not all(type(x) is int and x >= 0 for x in index):
+                raise FormError(f"index {index} has an exponent that is not a non-negative integer")
+
     @staticmethod
     def from_terms(n: int, m: int, terms: Iterable[tuple[Sequence[int], Sequence[int], QC]]) -> "HermitianForm":
         """Build a form from (alpha, beta, coefficient) triples, summing repeats."""
         acc: dict[CoeffKey, QC] = {}
         for alpha, beta, c in terms:
-            a = mi.validate_index(alpha)
-            b = mi.validate_index(beta)
-            if len(a) != n or len(b) != n:
-                raise DimensionMismatch(f"index pair ({a}, {b}) incompatible with n = {n}")
-            c = qc(c)
-            key = (a, b)
+            key = (mi.validate_index(alpha), mi.validate_index(beta))
             acc[key] = acc.get(key, QC_ZERO) + c
-        return HermitianForm(n, m, {k: v for k, v in acc.items() if not v.is_zero})
+        return HermitianForm(n, m, acc)
 
     @staticmethod
     def zero(n: int, m: int) -> "HermitianForm":
@@ -144,7 +160,7 @@ def inner_power(n: int, m: int) -> HermitianForm:
 
 def scale(form: HermitianForm, t) -> HermitianForm:
     t = qc(t)
-    return HermitianForm(form.n, form.m, {k: v * t for k, v in form.coeffs.items() if not (v * t).is_zero})
+    return HermitianForm(form.n, form.m, {k: v * t for k, v in form.coeffs.items()})
 
 
 def add_forms(a: HermitianForm, b: HermitianForm) -> HermitianForm:
@@ -152,41 +168,8 @@ def add_forms(a: HermitianForm, b: HermitianForm) -> HermitianForm:
         raise FormError("cannot add forms of different shape")
     out = dict(a.coeffs)
     for k, v in b.coeffs.items():
-        s = out.get(k, QC_ZERO) + v
-        if s.is_zero:
-            out.pop(k, None)
-        else:
-            out[k] = s
+        out[k] = out.get(k, QC_ZERO) + v
     return HermitianForm(a.n, a.m, out)
-
-
-def validate(form: HermitianForm) -> list[FormError]:
-    """Check bidegree homogeneity and hermitian symmetry; return violations."""
-    problems: list[FormError] = []
-    for (alpha, beta), c in form.coeffs.items():
-        if len(alpha) != form.n or len(beta) != form.n:
-            problems.append(DegreeMismatch(alpha if len(alpha) != form.n else beta, form.m))
-            continue
-        if sum(alpha) != form.m:
-            problems.append(DegreeMismatch(alpha, form.m))
-        if sum(beta) != form.m:
-            problems.append(DegreeMismatch(beta, form.m))
-    seen = set()
-    for (alpha, beta), c in form.coeffs.items():
-        if (beta, alpha) in seen or (alpha, beta) in seen:
-            continue
-        seen.add((alpha, beta))
-        mirror = form.coeff(beta, alpha)
-        if mirror != c.conj():
-            problems.append(SymmetryViolation(alpha, beta, c, mirror))
-    return problems
-
-
-def require_valid(form: HermitianForm) -> HermitianForm:
-    problems = validate(form)
-    if problems:
-        raise problems[0]
-    return form
 
 
 def is_diagonal(form: HermitianForm) -> bool:
@@ -267,7 +250,7 @@ def quarter_laplacian(form: HermitianForm) -> HermitianForm:
                 rho = beta[:i] + (beta[i] - 1,) + beta[i + 1 :]
                 key = (gamma, rho)
                 acc[key] = acc.get(key, QC_ZERO) + c * (alpha[i] * beta[i])
-    return HermitianForm(form.n, form.m - 1, {k: v for k, v in acc.items() if not v.is_zero})
+    return HermitianForm(form.n, form.m - 1, acc)
 
 
 def laplacian_iterates(form: HermitianForm) -> list[HermitianForm]:

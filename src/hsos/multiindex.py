@@ -8,13 +8,17 @@ first, so for n=2, M=3 the basis reads (3,0), (2,1), (1,2), (0,3).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Sequence
 
 MultiIndex = tuple[int, ...]
 
 
 def validate_index(alpha: Sequence[int]) -> MultiIndex:
-    a = tuple(int(x) for x in alpha)
+    try:
+        a = tuple(map(operator.index, alpha))  # an exponent that is not an integer is refused, not truncated
+    except TypeError:
+        raise ValueError(f"non-integer exponent in multi-index {tuple(alpha)}") from None
     if not a:
         raise ValueError("multi-index must have at least one entry")
     if any(x < 0 for x in a):

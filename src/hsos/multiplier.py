@@ -46,7 +46,7 @@ import numpy as np
 
 from . import multiindex as mi, verified
 from .exact import QC, QC_ONE, QC_ZERO
-from .forms import HermitianForm, is_diagonal, require_valid
+from .forms import HermitianForm, is_diagonal
 
 
 class SizeCapExceeded(RuntimeError):
@@ -471,12 +471,12 @@ def minimal_sos_N(
     by monotonicity of the PSD property in N the first success is the minimum.
     A diagonal form (c_ab = 0 for a != b) has diagonal matrices, PSD exactly
     when that diagonal is nonnegative, so its bound is the minimum and nothing
-    is assembled.  A form that is not hermitian of bidegree (m, m) raises a
-    FormError first.
+    is assembled.  A form that is not hermitian of bidegree (m, m) cannot
+    be passed: HermitianForm raises its FormError when it is built.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    start = _polya_start(require_valid(form), n_max, size_cap)
+    start = _polya_start(form, n_max, size_cap)
     if start is None or is_diagonal(form):
         return start
     for N in range(start, n_max + 1):
@@ -491,10 +491,10 @@ def sos_decompose(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_CAP)
     Square j is w_j |e_k + sum_i l_i e_i|^2 for the pivot k, its positive
     pivot w_j and its column l of `_ldlt`; the weights stay rational, since
     absorbing sqrt(w_j) into the polynomials would leave the rationals.  A
-    matrix that is not PSD raises NotPsdError with its exactly checked witness,
-    and a form that is not hermitian of bidegree (m, m) a FormError.
+    matrix that is not PSD raises NotPsdError with its exactly checked witness;
+    the form is valid, since HermitianForm raises any FormError when it is built.
     """
-    return _decompose(multiplier_matrix(require_valid(form), N, size_cap=size_cap))
+    return _decompose(multiplier_matrix(form, N, size_cap=size_cap))
 
 
 def _decompose(matrix: MultiplierMatrix) -> SosCertificate:
@@ -566,12 +566,12 @@ def verify_certificate(
 ) -> tuple[str, Optional[float]]:
     """Independent exact re-expansion check of a certificate against the multiplier matrix.
 
-    The form must be valid (a FormError otherwise), the certificate's (n, m) must be the form's, every
+    The form is valid (HermitianForm raises any FormError when it is built), the certificate's (n, m) must be the form's, every
     weight must be positive and the squares must reproduce every entry exactly, each compared over its
     own denominator in the expansion without building a Fraction.  Returns ("exact-pass", 0.0) or
     ("fail", None).
     """
-    return _verify_against(multiplier_matrix(require_valid(form), cert.N, size_cap=size_cap), cert)
+    return _verify_against(multiplier_matrix(form, cert.N, size_cap=size_cap), cert)
 
 
 def _verify_against(matrix: MultiplierMatrix, cert: SosCertificate) -> tuple[str, Optional[float]]:

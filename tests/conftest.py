@@ -107,7 +107,7 @@ def random_sos_form(rng: random.Random, n: int, m: int, squares: int = 2) -> Her
             for b, cb in vec.items():
                 key = (a, b)
                 acc[key] = acc.get(key, QC_ZERO) + ca * cb.conj()
-    return HermitianForm(n, m, {k: v for k, v in acc.items() if not v.is_zero})
+    return HermitianForm(n, m, acc)
 
 
 C_GRID = [Fraction(k, 4) for k in range(1, 8)]  # 1/4 .. 7/4

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hsos import audit, cli, formats, forms, spheremin
+from hsos import audit, cli, formats, forms, multiplier as mult, spheremin
 
 from conftest import FLOAT_CERTIFICATE, save_form
 
@@ -466,8 +466,35 @@ def test_audit_basic_single_h(capsys, fc1_path):
 
 def test_shipped_samples_parse_and_validate():
     for path in SAMPLES.glob("*.json"):
-        form = formats.load_form(path)
-        assert forms.validate(form) == []
+        form = formats.load_form(path)  # built, so checked: real of bidegree (m, m)
+        assert formats.form_from_dict(formats.form_to_dict(form)) == form
+
+
+_INVALID_FORMS = {
+    "non-hermitian": [{"alpha": [2, 0], "beta": [2, 0], "re": "1"}, {"alpha": [2, 0], "beta": [0, 2], "re": "1"}],
+    "wrong-degree": [{"alpha": [2, 0], "beta": [2, 0], "re": "1"}, {"alpha": [0, 5], "beta": [0, 5], "re": "1"}],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_INVALID_FORMS))
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{form}"],
+    ["search", "{form}"],
+    ["certify", "{form}", "1"],
+    ["bounds", "{form}"],
+    ["audit", "--suite", "basic", "--form", "{form}"],
+    ["audit", "--suite", "laplacian", "--form", "{form}"],
+    ["audit", "--suite", "radial", "--form", "{form}"],
+    ["verify", "{cert}", "--form", "{form}"],
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith("{")))
+def test_every_form_reading_command_refuses_an_invalid_form(capsys, tmp_path, kind, argv):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": 2, "m": 2, "terms": _INVALID_FORMS[kind]}))
+    cert = tmp_path / "cert.json"  # a valid certificate with no embedded form
+    formats.save_certificate(mult.sos_decompose(forms.fc_form(1), 1), cert)
+    code, out, err = run(capsys, [a.format(form=form, cert=cert) for a in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("invalid form: ")
 
 
 def test_shipped_fc1_sample(capsys):

@@ -127,7 +127,7 @@ def test_form_rejects_bad_indices():
 
 
 def _form_by_from_terms(doc: dict) -> forms.HermitianForm:
-    """The form HermitianForm.from_terms builds from a valid form document's terms."""
+    """The form HermitianForm.from_terms builds from a form document's terms."""
     value = formats.parse_rational
     return forms.HermitianForm.from_terms(doc["n"], doc["m"], [
         (term["alpha"], term["beta"], qc(value(term["re"]), value(term.get("im", "0")))) for term in doc["terms"]])
@@ -138,22 +138,40 @@ _term_values = st.one_of(st.integers(-3, 3), st.sampled_from(["0", "-0", "0/5", 
 
 @st.composite
 def _form_documents(draw):
-    """Form documents with distinct keys in any order, zero coefficients, and "im" given or left out."""
+    """Form documents with distinct keys in any order, zero coefficients, and "im" given or left out.
+
+    Half of them give each term's conjugate as well, so the form is hermitian; the rest mostly are not.
+    """
     n, m = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     basis = list(mi.iter_degree(n, m))
-    terms = []
+    hermitian, terms = draw(st.booleans()), {}
     for a, b in draw(st.lists(st.tuples(st.sampled_from(basis), st.sampled_from(basis)), unique=True, max_size=8)):
+        if hermitian and (b, a) in terms:
+            continue
         term = {"alpha": list(a), "beta": list(b), "re": draw(_term_values)}
-        if draw(st.booleans()):
+        if draw(st.booleans()) and not (hermitian and a == b):
             term["im"] = draw(_term_values)
-        terms.append(term)
-    return {"n": n, "m": m, "terms": terms}
+        terms[(a, b)] = term
+        if hermitian and a != b:
+            terms[(b, a)] = {**term, "alpha": list(b), "beta": list(a)}
+            if "im" in term:
+                terms[(b, a)]["im"] = str(-formats.parse_rational(term["im"]))
+    return {"n": n, "m": m, "terms": list(terms.values())}
+
+
+def _built(build, doc: dict):
+    """The form build makes of doc, or the type and message of the FormError it raises."""
+    try:
+        return build(doc)
+    except forms.FormError as exc:
+        return type(exc), str(exc)
 
 
 def _assert_read_as_by_from_terms(doc: dict) -> None:
-    form, reference = formats.form_from_dict(doc), _form_by_from_terms(doc)
+    form, reference = _built(formats.form_from_dict, doc), _built(_form_by_from_terms, doc)
     assert form == reference
-    assert list(form.coeffs.items()) == list(reference.coeffs.items())  # term order, zeros left out
+    if isinstance(form, forms.HermitianForm):
+        assert list(form.coeffs.items()) == list(reference.coeffs.items())  # term order, zeros left out
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -168,15 +186,16 @@ def test_form_reader_builds_the_from_terms_form_on_sample_forms(path):
 
 
 def test_non_hermitian_parses_but_fails_validation():
+    # every term is well formed, so the reader gets as far as building the form, which refuses it
     doc = {
         "n": 2,
         "m": 2,
         "terms": [{"alpha": [2, 0], "beta": [0, 2], "re": "0", "im": "1"},
                   {"alpha": [0, 2], "beta": [2, 0], "re": "0", "im": "1"}],
     }
-    f = formats.form_from_dict(doc)
-    problems = forms.validate(f)
-    assert any(isinstance(p, forms.SymmetryViolation) for p in problems)
+    with pytest.raises(forms.SymmetryViolation) as info:
+        formats.form_from_dict(doc)
+    assert str(info.value) == "c[(0, 2),(2, 0)] = 0+1i is not the conjugate of c[(2, 0),(0, 2)] = 0+1i"
 
 
 _weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 7))

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -7,43 +8,68 @@ import numpy as np
 import pytest
 
 from hsos import forms
-from hsos.exact import qc
+from hsos.exact import QC_ZERO, qc
 from hsos.forms import HermitianForm
 
 from conftest import coordinate_power, quarter_laplacian_oracle, random_hermitian_form, C_GRID, ridge_form
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: a form is checked when it is built
 # ---------------------------------------------------------------------------
 
 def test_validate_fc_ok():
-    assert forms.validate(forms.fc_form(1)) == []
+    f = forms.fc_form(1)
+    assert HermitianForm(f.n, f.m, f.coeffs) == f
 
 
 def test_validate_symmetry_violation():
-    bad = HermitianForm.from_terms(
-        2, 2, [((2, 0), (0, 2), qc(0, 1)), ((0, 2), (2, 0), qc(0, 1))]
-    )
-    problems = forms.validate(bad)
-    assert problems and isinstance(problems[0], forms.SymmetryViolation)
-    with pytest.raises(forms.SymmetryViolation):
-        forms.require_valid(bad)
+    with pytest.raises(forms.SymmetryViolation) as info:
+        HermitianForm.from_terms(2, 2, [((2, 0), (0, 2), qc(0, 1)), ((0, 2), (2, 0), qc(0, 1))])
+    assert str(info.value) == "c[(0, 2),(2, 0)] = 0+1i is not the conjugate of c[(2, 0),(0, 2)] = 0+1i"
 
 
 def test_validate_zero_form_ok():
-    assert forms.validate(HermitianForm.zero(2, 2)) == []
+    assert HermitianForm.zero(2, 2).is_zero
 
 
 def test_validate_degree_mismatch():
-    bad = HermitianForm(2, 2, {((1, 0), (1, 0)): qc(1)})
-    problems = forms.validate(bad)
-    assert any(isinstance(p, forms.DegreeMismatch) for p in problems)
+    with pytest.raises(forms.DegreeMismatch) as info:
+        HermitianForm(2, 2, {((1, 0), (1, 0)): qc(1)})
+    assert str(info.value) == "index (1, 0) has degree 1, expected 2"
 
 
 def test_missing_conjugate_is_violation():
-    bad = HermitianForm.from_terms(2, 1, [((1, 0), (0, 1), qc(1, 2))])
-    assert any(isinstance(p, forms.SymmetryViolation) for p in forms.validate(bad))
+    with pytest.raises(forms.SymmetryViolation) as info:
+        HermitianForm.from_terms(2, 1, [((1, 0), (0, 1), qc(1, 2))])
+    assert str(info.value) == "c[(0, 1),(1, 0)] = 0 is not the conjugate of c[(1, 0),(0, 1)] = 1+2i"
+
+
+def test_a_form_that_is_not_real_cannot_be_built():
+    # c_12 = 1 without its conjugate c_21: unchecked, psd_decided(multiplier_matrix(f, 0)) would call it PSD
+    with pytest.raises(forms.SymmetryViolation) as info:
+        HermitianForm(2, 1, {((1, 0), (1, 0)): 1, ((0, 1), (0, 1)): 1, ((1, 0), (0, 1)): 1})
+    assert str(info.value) == "c[(0, 1),(1, 0)] = 0 is not the conjugate of c[(1, 0),(0, 1)] = 1"
+
+
+def test_zero_coefficients_are_dropped_when_a_form_is_built():
+    f = HermitianForm(2, 2, {((2, 0), (2, 0)): QC_ZERO})
+    assert f == HermitianForm.zero(2, 2) and f.is_zero
+    assert HermitianForm.from_terms(2, 2, [((2, 0), (2, 0), 1), ((2, 0), (2, 0), -1)]).is_zero
+
+
+def test_a_negative_exponent_of_the_right_degree_is_refused():
+    # degree 2, so only the exponent check refuses it; unchecked, its Polya codes alias
+    with pytest.raises(forms.FormError) as info:
+        HermitianForm(2, 2, {((3, -1), (3, -1)): qc(-1), ((2, 0), (2, 0)): qc(1), ((0, 2), (0, 2)): qc(1)})
+    assert str(info.value) == "index (3, -1) has an exponent that is not a non-negative integer"
+
+
+def test_a_non_integer_exponent_is_refused_not_truncated():
+    with pytest.raises(ValueError, match=re.escape("non-integer exponent in multi-index (2.7, 0.0)")):
+        HermitianForm.from_terms(2, 2, [((2.7, 0.0), (2.2, 0.0), 1), ((0, 2), (0, 2), 1)])
+    with pytest.raises(forms.FormError, match=re.escape("index (2.0, 0.0) has an exponent")):
+        HermitianForm(2, 2, {((2.0, 0.0), (2.0, 0.0)): qc(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +123,10 @@ def test_evaluate_batch_matches_pointwise():
 
 
 def test_evaluate_rejects_non_hermitian_form():
-    f = HermitianForm(2, 1, {((1, 0), (0, 1)): qc(1)})  # z1 conj(z2) alone: f(1, i) = -i
-    with pytest.raises(forms.FormError, match="non-real residue"):
-        forms.evaluate(f, [1, 1j])
+    # z1 conj(z2) alone, f(1, i) = -i: refused when it is built, so evaluate never sees it
+    with pytest.raises(forms.SymmetryViolation) as info:
+        HermitianForm(2, 1, {((1, 0), (0, 1)): qc(1)})
+    assert str(info.value) == "c[(0, 1),(1, 0)] = 0 is not the conjugate of c[(1, 0),(0, 1)] = 1"
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +171,8 @@ def test_quarter_laplacian_preserves_hermitian_symmetry():
     rng = random.Random(55)
     for _ in range(20):
         f = random_hermitian_form(rng, rng.choice([2, 3]), rng.choice([2, 3]))
-        assert forms.validate(forms.quarter_laplacian(f)) == []
+        lap = forms.quarter_laplacian(f)  # built, so checked hermitian
+        assert all(lap.coeff(b, a) == c.conj() for (a, b), c in lap.coeffs.items())
 
 
 def test_laplacian_iterates_annihilate():

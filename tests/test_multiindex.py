@@ -1,6 +1,8 @@
 import math
+import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 from hsos import multiindex as mi
@@ -60,3 +62,9 @@ def test_validation():
         mi.factorial(-1)
     with pytest.raises(ValueError):
         mi.dim_homogeneous(0, 3)
+
+
+def test_a_non_integer_exponent_is_refused_not_truncated():
+    with pytest.raises(ValueError, match=re.escape("non-integer exponent in multi-index (1.9, 1.2)")):
+        mi.multinomial((1.9, 1.2))
+    assert mi.validate_index(np.array([2, 0])) == (2, 0)  # integer types that operator.index accepts are kept

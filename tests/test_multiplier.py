@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -627,20 +628,23 @@ def test_scan_raises_the_size_cap_of_a_skipped_shift():
 
 
 def test_scan_raises_on_a_non_real_diagonal_coefficient_at_zero():
-    # the real parts (1, -1, 1) are negative until N = 1; the scan rejects the form before any shift,
-    # and the unvalidated reference scan raises at N = 0, whose entry 1 is z1 z2
+    # the real parts (1, -1, 1) are negative until N = 1; such a form is refused when it is built
     f = forms.fc_form(1)
-    g = forms.HermitianForm(2, 2, {**f.coeffs, ((1, 1), (1, 1)): qc(-1, Fraction(1, 3))})
-    assert _outcome(mult.minimal_sos_N, g, 5) == (
-        forms.SymmetryViolation, "c[(1, 1),(1, 1)] = -1+1/3i is not the conjugate of c[(1, 1),(1, 1)] = -1+1/3i")
-    assert _outcome(_linear_scan, g, 5) == (ValueError, "diagonal entry 1 not real; matrix not hermitian")
+    with pytest.raises(forms.SymmetryViolation) as info:
+        forms.HermitianForm(2, 2, {**f.coeffs, ((1, 1), (1, 1)): qc(-1, Fraction(1, 3))})
+    assert str(info.value) == "c[(1, 1),(1, 1)] = -1+1/3i is not the conjugate of c[(1, 1),(1, 1)] = -1+1/3i"
+    # its matrix at N = 0, built by hand: the decision refuses a non-real diagonal entry 1 (z1 z2)
+    matrix = mult.MultiplierMatrix(2, 2, 0, ((2, 0), (1, 1), (0, 2)), 3, {(0, 0): (3, 0), (2, 2): (3, 0), (1, 1): (-3, 1)})
+    with pytest.raises(ValueError, match=re.escape("diagonal entry 1 not real; matrix not hermitian")):
+        mult.psd_decided(matrix)
 
 
 def test_scan_rejects_a_term_of_the_wrong_degree():
-    # (0, 5) has degree 5, not m = 2: unvalidated, its code at N = 1 aliases onto a basis entry
+    # (0, 5) has degree 5, not m = 2: unchecked, its code at N = 1 would alias onto a basis entry
     f = forms.fc_form(1)
-    g = forms.HermitianForm(2, 2, {**f.coeffs, ((0, 5), (0, 5)): qc(1)})
-    assert _outcome(mult.minimal_sos_N, g, 5) == (forms.DegreeMismatch, "index (0, 5) has degree 5, expected 2")
+    with pytest.raises(forms.DegreeMismatch) as info:
+        forms.HermitianForm(2, 2, {**f.coeffs, ((0, 5), (0, 5)): qc(1)})
+    assert str(info.value) == "index (0, 5) has degree 5, expected 2"
 
 
 @st.composite
