@@ -161,6 +161,8 @@ def _read_json(path):
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: line {exc.lineno} col {exc.colno}") from None
+    except RecursionError:  # arrays or objects nested deeper than the interpreter's recursion limit
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from None
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or text that is not UTF-8
         raise ParseError(f"cannot read {path}: {exc}") from None
 

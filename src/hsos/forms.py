@@ -3,8 +3,8 @@
 A form f(z, z̄) = sum_{|a|=|b|=m} c_ab z^a z̄^b is stored as a sparse map from
 exponent pairs to exact complex-rational coefficients.  Reality of f on C^n is
 equivalent to hermitian symmetry c_ba = conj(c_ab), which HermitianForm checks
-when a form is built, so every form in hand is real of bidegree (m, m).  The
-four scalar invariants live here:
+once, when a form is built; its coefficients are read-only, so every form in
+hand stays real of bidegree (m, m).  The four scalar invariants live here:
 
   lambda_min    min of f on the unit sphere            (numerical, certified radius)
   big_lambda    weighted Frobenius norm  (sum (a!b!/m!^2)|c_ab|^2)^(1/2); big_lambda_sq is exact
@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +59,6 @@ class DegreeZeroError(FormError):
 
 
 CoeffKey = tuple[mi.MultiIndex, mi.MultiIndex]
-REALITY_TOL = 1e-12  # evaluate's bound on |Im f(z)| relative to sum |c_ab| ||z||^(2m)
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,16 @@ class HermitianForm:
     the zero ones and raises the first FormError of, in order, an index that is
     not n entries of degree m (DegreeMismatch), a c_ba that is not conj(c_ab)
     (SymmetryViolation) and an exponent that is not a non-negative integer.
-    Treated as immutable after construction; safe to share.
+    Read-only after construction (build a new form to change one); safe to share.
     """
 
     n: int
     m: int
-    coeffs: dict[CoeffKey, QC]
+    coeffs: Mapping[CoeffKey, QC]
 
     def __post_init__(self):
         coeffs = {key: qc(c) for key, c in self.coeffs.items() if c}
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
         for alpha, beta in coeffs:
             if len(alpha) != self.n or len(beta) != self.n or sum(alpha) != self.m or sum(beta) != self.m:
                 wrong = [a for a in (alpha, beta) if len(a) != self.n] or [a for a in (alpha, beta) if sum(a) != self.m]
@@ -90,6 +90,9 @@ class HermitianForm:
         for index in itertools.chain.from_iterable(coeffs):
             if not all(type(x) is int and x >= 0 for x in index):
                 raise FormError(f"index {index} has an exponent that is not a non-negative integer")
+
+    def __reduce__(self):  # a mapping proxy does not pickle; pickle and copy rebuild through the constructor
+        return HermitianForm, (self.n, self.m, dict(self.coeffs))
 
     @staticmethod
     def from_terms(n: int, m: int, terms: Iterable[tuple[Sequence[int], Sequence[int], QC]]) -> "HermitianForm":
@@ -123,7 +126,8 @@ class HermitianForm:
         """The spheremin.SpherePass of this form object, built on first use and freed with the form.
 
         It lives in the instance's __dict__, outside the dataclass fields, so ==, repr and the
-        constructor ignore it, and an equal form built elsewhere runs its own pass.
+        constructor ignore it, and an equal form built elsewhere runs its own pass.  Caching
+        per object is sound because a form's coefficients cannot change after it is built.
         """
         from .spheremin import SpherePass
 
@@ -182,20 +186,12 @@ def _check_point(form: HermitianForm, z: Sequence) -> None:
 
 
 def evaluate(form: HermitianForm, z: Sequence[complex]) -> float:
-    """f(z, z̄) in double precision: evaluate_batch on one row; the imaginary residue must vanish."""
-    _check_point(form, z)
-    Z = np.asarray([z], dtype=complex)
-    total = complex(_evaluate_rows(form, Z)[0])
-    scale_bound = float(form.coefficient_l1()) * float(np.sum(np.abs(Z) ** 2)) ** form.m
-    if abs(total.imag) > REALITY_TOL * scale_bound + 1e-300:
-        raise FormError(
-            f"evaluation has non-real residue {total.imag:.3e}; form is not hermitian-symmetric"
-        )
-    return total.real
+    """f(z, z̄) in double precision: the one row of evaluate_batch on [z]."""
+    return float(evaluate_batch(form, [z])[0])
 
 
 def evaluate_exact(form: HermitianForm, z: Sequence[QC]) -> Fraction:
-    """f at a Gaussian-rational point, exactly; raises if the sum is not real."""
+    """f at a Gaussian-rational point, exactly; the sum is real because a built form is hermitian."""
     _check_point(form, z)
     zv = [qc(w) for w in z]
     total = QC_ZERO
@@ -207,13 +203,11 @@ def evaluate_exact(form: HermitianForm, z: Sequence[QC]) -> Fraction:
             for _ in range(beta[j]):
                 term = term * zv[j].conj()
         total = total + term
-    if total.im != 0:
-        raise FormError("exact evaluation is not real; form violates hermitian symmetry")
     return total.re
 
 
-def _evaluate_rows(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
-    """Complex sum of the terms of f over rows of Z, imaginary residue included."""
+def evaluate_batch(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
+    """Vectorized f over rows of Z (complex array of shape (batch, n)): the real part of the term sum."""
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 2 or Z.shape[1] != form.n:
         raise DimensionMismatch(f"batch shape {Z.shape} incompatible with n = {form.n}")
@@ -227,12 +221,7 @@ def _evaluate_rows(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
             if beta[j]:
                 term = term * Zc[:, j] ** beta[j]
         out += term
-    return out
-
-
-def evaluate_batch(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
-    """Vectorized f over rows of Z (complex array of shape (batch, n))."""
-    return _evaluate_rows(form, Z).real
+    return out.real
 
 
 def quarter_laplacian(form: HermitianForm) -> HermitianForm:
@@ -276,14 +265,12 @@ def big_lambda(form: HermitianForm) -> float:
 
 
 def lambda_tilde(form: HermitianForm) -> Fraction:
-    """max over diagonal entries of (a!/m!) |c_aa|, exact; off-diagonal coefficients are ignored."""
+    """max over diagonal entries of (a!/m!) |c_aa|, exact; off-diagonal terms are ignored, each c_aa is real."""
     mfact = mi.factorial(form.m)
     best = Fraction(0)
     for (alpha, beta), c in form.coeffs.items():
         if alpha != beta:
             continue
-        if c.im != 0:
-            raise SymmetryViolation(alpha, beta, c, c.conj())
         val = Fraction(mi.index_factorial(alpha), mfact) * abs(c.re)
         best = max(best, val)
     return best

@@ -426,7 +426,7 @@ def _polya_diagonals(form: HermitianForm, n_max: int):
     Q_{N+1}[rho + e_k] += Q_N[rho].  Monomials are keyed by the additive
     integer codes of `multiplier_matrix`, in the base m + n_max + 1 that holds
     every shift up to n_max; a missing or zero entry is a zero diagonal.
-    The c_aa of a valid form are real.
+    The c_aa of a built form are real: it is hermitian and read-only.
     """
     digit = [(form.m + n_max + 1) ** k for k in range(form.n - 1, -1, -1)]
     D = _common_denominator(form.coeffs.values())

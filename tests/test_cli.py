@@ -62,6 +62,15 @@ def test_analyze_huge_decimal_exponent_is_input_error(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_deeply_nested_json_is_input_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["--json", command, str(deep)])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
+
+
 def test_certify_unprintable_rational_is_input_error_before_assembly(capsys, monkeypatch, tmp_path):
     # 10^4300 has 4301 digits, more than Python's int-string limit lets a writer print
     def assemble(*args, **kwargs):

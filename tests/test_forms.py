@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import re
 import warnings
@@ -72,6 +74,51 @@ def test_a_non_integer_exponent_is_refused_not_truncated():
         HermitianForm(2, 2, {((2.0, 0.0), (2.0, 0.0)): qc(1)})
 
 
+def _built_forms():
+    f = forms.fc_form(1)
+    return {
+        "constructor": HermitianForm(f.n, f.m, dict(f.coeffs)),
+        "from_terms": f,
+        "scale": forms.scale(f, Fraction(1, 2)),
+        "add_forms": forms.add_forms(f, ridge_form()),
+        "quarter_laplacian": forms.quarter_laplacian(f),
+    }
+
+
+@pytest.mark.parametrize("origin", sorted(_built_forms()))
+def test_coefficients_of_a_built_form_are_read_only(origin):
+    f = _built_forms()[origin]
+    before = dict(f.coeffs)
+    key = next(iter(f.coeffs))
+    with pytest.raises(TypeError):
+        f.coeffs[key] = qc(100)
+    with pytest.raises(TypeError):
+        del f.coeffs[key]
+    assert f.coeffs == before
+
+
+def test_a_computed_minimum_stays_the_minimum_of_its_form():
+    # a mutable map let g.coeffs[((2, 0), (2, 0))] = 100 leave lambda_min at the cached 0.25
+    g = forms.fc_form(1)
+    before = forms.lambda_min(g)
+    with pytest.raises(TypeError):
+        g.coeffs[((2, 0), (2, 0))] = qc(100)
+    assert forms.lambda_min(g) == before and before.value == pytest.approx(0.25, abs=1e-9)
+    assert forms.evaluate(g, [1, 0]) == 1.0
+
+
+@pytest.mark.parametrize("duplicate", [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_give_an_equal_read_only_form(duplicate):
+    f = forms.add_forms(forms.fc_form(1), ridge_form())
+    forms.lambda_min(f, certify=False)
+    g = duplicate(f)
+    assert g == f and list(g.coeffs.items()) == list(f.coeffs.items())
+    assert "sphere_pass" in vars(f) and "sphere_pass" not in vars(g)  # rebuilt through the constructor
+    with pytest.raises(TypeError):
+        g.coeffs[((2, 0), (2, 0))] = qc(1)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -108,6 +155,7 @@ def test_evaluate_batch_matches_pointwise():
     Z = (np.arange(12).reshape(4, 3) - 5) / 3.0 + 1j * np.linspace(-1, 1, 12).reshape(4, 3)
     batch = forms.evaluate_batch(f, Z)
     for i in range(4):
+        assert forms.evaluate(f, Z[i]) == forms.evaluate_batch(f, [Z[i]])[0]  # evaluate is that one row, bit for bit
         assert batch[i] == pytest.approx(forms.evaluate(f, Z[i]), rel=1e-12, abs=1e-12)
     # Gaussian-rational points: the float evaluators against the exact one
     points = [
@@ -120,6 +168,7 @@ def test_evaluate_batch_matches_pointwise():
         exact = float(forms.evaluate_exact(f, z))
         assert batch[i] == pytest.approx(exact, rel=1e-12, abs=1e-12)
         assert forms.evaluate(f, z) == pytest.approx(exact, rel=1e-12, abs=1e-12)
+        assert forms.evaluate(f, z) == forms.evaluate_batch(f, [z])[0]
 
 
 def test_evaluate_rejects_non_hermitian_form():
