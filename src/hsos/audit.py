@@ -13,7 +13,9 @@ Checks implemented here:
     evaluated by log-space incomplete-gamma functions and cross-checked by
     Monte-Carlo Rayleigh quotients;
   * the sigma-window admissibility conditions and interval containment;
-  * the basic positivity inequality and the induced empirical threshold h0.
+  * the basic positivity inequality, whose report also samples q over the 2ε
+    annulus, and the empirical threshold h0, whose scan evaluates only the
+    inequality's right-hand side.
 
 Hidden "up to a constant" factors are never asserted; they are reported as
 measured calibration ratios.
@@ -314,7 +316,7 @@ def localization_report(params: RegimeParams, k: int) -> AuditReport:
     h, M, n, eps = params.h, params.M, params.n, params.epsilon
     if not check_window_instance(h, M, k, eps, n):
         raise WindowViolated(
-            f"sigma window fails at (h={h}, M={M}, k={k}): sigma_k={h * (M + k + n - 1):.4f}, eps={eps}"
+            f"sigma window fails at (h={h}, M={M}, k={k}): sigma_k={params.sigma_at(k):.4f}, eps={eps}"
         )
     log_e = log_localization_E(h, M, k, eps, n)
     log_bound = localization_bound_log(h, M, k, eps, n)
@@ -329,7 +331,7 @@ def localization_report(params: RegimeParams, k: int) -> AuditReport:
         bound,
         ratio,
         passed,
-        notes=f"sigma_k={h * (M + k + n - 1):.6f}",
+        notes=f"sigma_k={params.sigma_at(k):.6f}",
     )
 
 
@@ -348,8 +350,8 @@ def mc_localization_check(
     E[ 1_outside ||z||^(2k) |z^α|² ] / (h^M α!), which by the radial
     diagonalization equals E²(h, M, k) for every |α| = M; α splits M evenly.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    if samples < 2:  # the standard error (ddof=1) needs two samples
+        raise ValueError(f"samples must be at least 2, got {samples}")
     if n < 1 or M < 0:
         raise ValueError(f"invalid (n, M) = ({n}, {M})")
     base, rem = divmod(M, n)
@@ -414,24 +416,20 @@ def check_sigma_window(params: RegimeParams) -> AuditReport:
 # Basic inequality and the empirical threshold
 # ---------------------------------------------------------------------------
 
-def basic_rhs(
-    form: HermitianForm,
-    params: RegimeParams,
-    lambda_value: float,
-    big_lambda_value: float,
-) -> tuple[float, AuditReport]:
-    """Evaluate the right-hand side of the basic positivity inequality.
+def _basic_value(
+    params: RegimeParams, lambda_value: float, big_lambda_value: float
+) -> tuple[float, float, dict[int, float]]:
+    """The right-hand side of the basic positivity inequality, with its interior term and E values.
 
     RHS = (1 - E(h, M, 0)) (λ (1-2ε)^m - Λ Σ_{j>=1} (n m² h)^j/j! (1+2ε)^(m-j))
           - Λ Σ_{j>=0} (n m² h)^j/j! E(h, M, m-j)
-    using exact exterior-localization values, not the lemma bound.  Also
-    samples q over the 2ε annulus and asserts the sampled minimum dominates the
-    explicit lower bound for min q there.
+    using exact exterior-localization values, not the lemma bound.  Raises
+    WindowViolated when the sigma window fails at some k = 0..m.  Returns
+    (RHS, interior, {k: E(h, M, k)}); the interior term is the explicit lower
+    bound for min q over the 2ε annulus.
     """
-    n, m = form.n, form.m
+    n, m = params.n, params.m
     h, eps, M = params.h, params.epsilon, params.M
-    if params.m != m or params.n != n:
-        raise ValueError("params (m, n) do not match the form")
     for j in range(m + 1):
         if not check_window_instance(h, M, m - j, eps, n):
             raise WindowViolated(
@@ -446,7 +444,25 @@ def basic_rhs(
             big_lambda_value * base**j / mi.factorial(j) * (1.0 + 2.0 * eps) ** (m - j)
         )
     leak = sum(base**j / mi.factorial(j) * e_by_k[m - j] for j in range(m + 1))
-    value = (1.0 - e_by_k[0]) * interior - big_lambda_value * leak
+    return (1.0 - e_by_k[0]) * interior - big_lambda_value * leak, interior, e_by_k
+
+
+def basic_rhs(
+    form: HermitianForm,
+    params: RegimeParams,
+    lambda_value: float,
+    big_lambda_value: float,
+) -> tuple[float, AuditReport]:
+    """The right-hand side of the basic positivity inequality (see _basic_value) and an annulus report.
+
+    The report samples q over the 2ε annulus and asserts the sampled minimum
+    dominates the explicit lower bound for min q there.
+    """
+    n, m = form.n, form.m
+    h, eps = params.h, params.epsilon
+    if params.m != m or params.n != n:
+        raise ValueError("params (m, n) do not match the form")
+    value, interior, e_by_k = _basic_value(params, lambda_value, big_lambda_value)
 
     # annulus floor: sampled min of q over 1-2ε <= ||z||² <= 1+2ε
     q = forms_mod.q_symbol(form, Fraction(h))
@@ -480,21 +496,13 @@ def basic_rhs(
 
 
 @dataclass(frozen=True)
-class H0Entry:
-    h: float
-    N: int
-    epsilon: float
-    window_ok: bool
-    value: Optional[float]
-
-
-@dataclass(frozen=True)
 class H0ScanResult:
+    """empirical_h0's answer; grid_points counts the grid values of h examined, window failures included."""
+
     found: bool
     h0: Optional[float]
     implied_N: Optional[int]
-    lambda_value: float
-    entries: tuple[H0Entry, ...]
+    grid_points: int
     note: str = ""
 
 
@@ -506,32 +514,22 @@ def empirical_h0(
 ) -> H0ScanResult:
     """Scan H_GRID downward for the largest h with positive basic RHS.
 
-    N = ceil(1/h) by the semiclassical correspondence, ε = default_epsilon(h).  Grid
-    points whose sigma window fails are recorded and skipped.  A nonpositive
-    sphere minimum short-circuits to the NoPositiveFound flag.
+    N = ceil(1/h) by the semiclassical correspondence, ε = default_epsilon(h).  Only
+    the inequality's right-hand side is evaluated (_basic_value); the annulus
+    sample belongs to basic_rhs's report.  Grid points whose sigma window fails
+    are counted and skipped.  A nonpositive sphere minimum short-circuits to
+    found = False with no grid point examined.
     """
     if lambda_value <= 0:
-        return H0ScanResult(False, None, None, lambda_value, (), note="lambda <= 0: leading term cannot be positive")
+        return H0ScanResult(False, None, None, 0, note="lambda <= 0: leading term cannot be positive")
 
-    entries: list[H0Entry] = []
-    best_h: Optional[float] = None
-    for h in H_GRID:
+    for grid_points, h in enumerate(H_GRID, 1):
         N = max(1, math.ceil(1.0 / h))
-        eps = default_epsilon(h)
-        params = RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=eps)
+        params = RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=default_epsilon(h))
         try:
-            value, _ = basic_rhs(
-                form, params, lambda_value=lambda_value, big_lambda_value=big_lambda_value
-            )
+            value = _basic_value(params, lambda_value, big_lambda_value)[0]
         except WindowViolated:
-            entries.append(H0Entry(h, N, eps, False, None))
             continue
-        entries.append(H0Entry(h, N, eps, True, value))
-        if value > 0 and best_h is None:
-            best_h = h
-            break  # scanning downward: the first positive is the largest grid h
-    if best_h is None:
-        return H0ScanResult(
-            False, None, None, lambda_value, tuple(entries), note="no positive RHS on the grid"
-        )
-    return H0ScanResult(True, best_h, max(1, math.ceil(1.0 / best_h)), lambda_value, tuple(entries))
+        if value > 0:  # scanning downward: the first positive is the largest grid h
+            return H0ScanResult(True, h, N, grid_points)
+    return H0ScanResult(False, None, None, len(H_GRID), note="no positive RHS on the grid")

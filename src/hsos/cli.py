@@ -211,14 +211,12 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
     reports: list[audit_mod.AuditReport] = []
     suite = args.suite
     form = formats.load_form(args.form) if args.form else None
+    if form is None and suite in ("laplacian", "basic"):
+        raise formats.ParseError(f"--suite {suite} requires --form")
 
-    if suite in ("laplacian", "all"):
-        if form is None:
-            if suite == "laplacian":
-                raise formats.ParseError("--suite laplacian requires --form")
-        else:
-            samples = min(10_000 if args.samples is None else args.samples, SAMPLES_CAP)
-            reports.extend(audit_mod.check_laplacian_powers(form, samples=samples))
+    if suite in ("laplacian", "all") and form is not None:
+        samples = min(10_000 if args.samples is None else args.samples, SAMPLES_CAP)
+        reports.extend(audit_mod.check_laplacian_powers(form, samples=samples))
 
     if suite in ("radial", "all"):
         h = 0.01 if args.h is None else args.h
@@ -265,40 +263,35 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             )
         )
 
-    if suite in ("basic", "all"):
-        if form is None:
-            if suite == "basic":
-                raise formats.ParseError("--suite basic requires --form")
+    if suite in ("basic", "all") and form is not None:
+        params = None
+        if args.h is not None:  # checked before λ, whose sphere pass is the slow part
+            h = audit_mod.require_positive_h(args.h)
+            N = max(1, math.ceil(1.0 / h)) if args.N is None else args.N
+            eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
+            params = audit_mod.RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=eps)
+        lam = forms_mod.lambda_min(form).value
+        big = forms_mod.big_lambda(form)
+        if params is not None:
+            reports.append(audit_mod.basic_rhs(form, params, lam, big)[1])
         else:
-            params = None
-            if args.h is not None:  # checked before λ, whose sphere pass is the slow part
-                h = audit_mod.require_positive_h(args.h)
-                N = max(1, math.ceil(1.0 / h)) if args.N is None else args.N
-                eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
-                params = audit_mod.RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=eps)
-            lam = forms_mod.lambda_min(form).value
-            big = forms_mod.big_lambda(form)
-            if params is not None:
-                value, rep = audit_mod.basic_rhs(form, params, lam, big)
-                reports.append(rep)
-            else:
-                scan = audit_mod.empirical_h0(form, lambda_value=lam, big_lambda_value=big)
-                notes = (
-                    f"h0 = {scan.h0}, implied N = {scan.implied_N}"
-                    if scan.found
-                    else f"no positive RHS ({scan.note})"
+            scan = audit_mod.empirical_h0(form, lambda_value=lam, big_lambda_value=big)
+            notes = (
+                f"h0 = {scan.h0}, implied N = {scan.implied_N}"
+                if scan.found
+                else f"no positive RHS ({scan.note})"
+            )
+            reports.append(
+                audit_mod.AuditReport(
+                    "empirical-h0",
+                    {"grid_points": scan.grid_points},
+                    scan.h0 if scan.h0 is not None else math.nan,
+                    0.0,
+                    math.nan,
+                    scan.found,
+                    notes=notes,
                 )
-                reports.append(
-                    audit_mod.AuditReport(
-                        "empirical-h0",
-                        {"grid_points": len(scan.entries)},
-                        scan.h0 if scan.h0 is not None else math.nan,
-                        0.0,
-                        math.nan,
-                        scan.found,
-                        notes=notes,
-                    )
-                )
+            )
     return reports
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def unit_sphere_chunks(n: int, count: int):
 
 def _starting_points(n: int) -> np.ndarray:
     """Unit start points in C^n: the axes, balanced points with a few phase patterns, Halton samples."""
-    balanced = np.array(list(product((1.0, 1j), repeat=n))[:8]) / math.sqrt(n)
+    balanced = np.array(list(islice(product((1.0, 1j), repeat=n), 8))) / math.sqrt(n)
     return np.concatenate([np.eye(n, dtype=complex), balanced, unit_sphere_samples(n, QUASI_STARTS)])
 
 

@@ -1,14 +1,18 @@
 import math
 import random
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from hsos import audit, forms, spheremin
+from hsos import audit, formats, forms, spheremin
 
 from conftest import random_hermitian_form
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +252,13 @@ def test_mc_localization_n1():
     assert rep.passed
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_mc_localization_needs_two_samples(samples):
+    # the standard error (ddof=1) of one sample is nan
+    with pytest.raises(ValueError, match="at least 2"):
+        audit.mc_localization_check(2, 6, 2, h=1 / 6, epsilon=0.3, samples=samples)
+
+
 # ---------------------------------------------------------------------------
 # sigma window
 # ---------------------------------------------------------------------------
@@ -342,7 +353,58 @@ def test_empirical_h0_nonpositive_lambda():
     scan = audit.empirical_h0(forms.fc_form(2), lambda_value=0.0, big_lambda_value=1.5)
     assert not scan.found
     assert scan.h0 is None and scan.implied_N is None
+    assert scan.grid_points == 0
     assert "lambda" in scan.note
+
+
+_H0_FORMS = {
+    **{path.stem: formats.load_form(path) for path in sorted(SAMPLES.glob("*.json"))},
+    **{f"fc-{c}": forms.fc_form(c) for c in (Fraction(1, 2), 1, Fraction(3, 2), Fraction(7, 4))},
+}
+
+
+def _h0_by_basic_rhs(form, lam, big):
+    """(found, h0, implied_N, grid_points) of the scan, from basic_rhs at every grid h.
+
+    Also checks that _basic_value's value is basic_rhs's, bit for bit, wherever the window holds.
+    """
+    first = None
+    for count, h in enumerate(audit.H_GRID, 1):
+        N = max(1, math.ceil(1.0 / h))
+        params = audit.RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=audit.default_epsilon(h))
+        try:
+            value, _ = audit.basic_rhs(form, params, lam, big)
+        except audit.WindowViolated:
+            continue
+        assert audit._basic_value(params, lam, big)[0] == value
+        if value > 0 and first is None:
+            first = (True, h, N, count)
+    if lam <= 0:
+        return False, None, None, 0
+    return first or (False, None, None, len(audit.H_GRID))
+
+
+@pytest.mark.parametrize("name", sorted(_H0_FORMS))
+def test_empirical_h0_matches_a_scan_over_basic_rhs(monkeypatch, name):
+    form = _H0_FORMS[name]
+    lam, big = forms.lambda_min(form).value, forms.big_lambda(form)
+    expected = _h0_by_basic_rhs(form, lam, big)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the h0 scan draws no annulus sample")
+
+    # the scan evaluates the inequality only: no q symbol, no sphere directions, no q evaluation
+    for module, attr in ((audit, "unit_sphere_samples"), (forms, "q_symbol"), (forms, "q_evaluate_batch")):
+        monkeypatch.setattr(module, attr, refuse)
+    scan = audit.empirical_h0(form, lambda_value=lam, big_lambda_value=big)
+    assert (scan.found, scan.h0, scan.implied_N, scan.grid_points) == expected
+
+
+def test_empirical_h0_without_a_positive_rhs_counts_the_whole_grid():
+    form, lam, big = forms.fc_form(1), 1e-12, 1.5  # λ too small for any grid h
+    scan = audit.empirical_h0(form, lambda_value=lam, big_lambda_value=big)
+    assert (scan.found, scan.h0, scan.implied_N, scan.grid_points) == _h0_by_basic_rhs(form, lam, big)
+    assert scan.grid_points == len(audit.H_GRID) and scan.note == "no positive RHS on the grid"
 
 
 def test_unit_sphere_samples_deterministic():

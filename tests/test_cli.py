@@ -315,6 +315,8 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "radial", "--h", "nan"], 2),
         (["audit", "--suite", "localization", "--epsilon", "nan"], 2),
         (["audit", "--suite", "tails", "--delta", "inf"], 2),
+        (["audit", "--suite", "localization", "--samples", "1"], 2),  # a standard error needs two samples
+        (["audit", "--suite", "laplacian", "--form", FC1, "--samples", "1"], 0),  # a maximum does not
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
@@ -322,6 +324,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
         "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
         "localization-h-1-eps", "radial-h-nan", "localization-eps-nan", "tails-delta-inf",
+        "localization-samples1", "laplacian-samples1",
     ],
 )
 def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):

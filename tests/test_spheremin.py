@@ -1,6 +1,7 @@
 """The two-sided sphere pass and the in-house Halton sampler."""
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -37,6 +38,16 @@ def test_unit_sphere_samples_on_sphere():
     Z = spheremin.unit_sphere_samples(3, 500)
     assert Z.shape == (500, 3)
     assert np.allclose(np.linalg.norm(Z, axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_starting_points_take_the_first_eight_phase_patterns():
+    for n in range(1, 11):
+        balanced = np.array(list(itertools.product((1.0, 1j), repeat=n))[:8]) / math.sqrt(n)
+        halton = spheremin.unit_sphere_samples(n, spheremin.QUASI_STARTS)
+        old = np.concatenate([np.eye(n, dtype=complex), balanced, halton])
+        assert np.array_equal(spheremin._starting_points(n), old)
+    # 2^40 phase patterns are never built: 40 axes, 8 balanced points, 64 Halton starts
+    assert spheremin._starting_points(40).shape == (112, 40)
 
 
 def _old_sup_abs(form, **options):
