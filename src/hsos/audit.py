@@ -12,7 +12,8 @@ Checks implemented here:
         E^2 = h^k * [Γ-tail integral outside ((1-ε)/h, (1+ε)/h)] / Γ(M+n)
     evaluated by log-space incomplete-gamma functions and cross-checked by
     Monte-Carlo Rayleigh quotients;
-  * the sigma-window admissibility conditions and interval containment;
+  * the sigma window, decided only by RegimeParams.window_holds(k) (a RegimeParams is checked when it
+    is built), and interval containment; localization_report reports a window failure as a failed report;
   * the basic positivity inequality, whose report also samples q over the 2ε
     annulus, and the empirical threshold h0, whose scan evaluates only the
     inequality's right-hand side.
@@ -66,7 +67,7 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Semiclassical parameter block; sigma = h (M + m + n - 1) with M = m + N."""
+    """Semiclassical parameter block, M = m + N; h > 0, N, m >= 0 and n >= 1 are checked when it is built."""
 
     h: float
     N: int
@@ -74,16 +75,23 @@ class RegimeParams:
     n: int
     epsilon: float
 
+    def __post_init__(self):
+        require_positive_h(self.h)
+        if self.N < 0 or self.m < 0 or self.n < 1:
+            raise ValueError(f"invalid regime (N={self.N}, m={self.m}, n={self.n}): need N, m >= 0, n >= 1")
+
     @property
     def M(self) -> int:
         return self.m + self.N
 
-    @property
-    def sigma(self) -> float:
-        return self.h * (self.M + self.m + self.n - 1)
-
     def sigma_at(self, k: int) -> float:
+        """σ_k = h (M + k + n - 1)."""
         return self.h * (self.M + k + self.n - 1)
+
+    def window_holds(self, k: int) -> bool:
+        """The sigma window at k: 1 < σ_k < 3/2 and 4(σ_k - 1) <= ε <= 1."""
+        s = self.sigma_at(k)
+        return 1.0 < s < 1.5 and 4.0 * (s - 1.0) <= self.epsilon <= 1.0
 
 
 def require_positive_h(h: float) -> float:
@@ -305,19 +313,13 @@ def localization_bound_log(h: float, M: int, k: int, epsilon: float, n: int) -> 
     )
 
 
-def check_window_instance(h: float, M: int, k: int, epsilon: float, n: int) -> bool:
-    """Admissibility at one (h, M, k) instance: 1 < σ_k < 3/2, 1 >= ε >= 4(σ_k - 1)."""
-    sigma = h * (M + k + n - 1)
-    return 1.0 < sigma < 1.5 and 4.0 * (sigma - 1.0) <= epsilon <= 1.0
-
-
 def localization_report(params: RegimeParams, k: int) -> AuditReport:
-    """Exact E against the packaged bound times the calibration constant LOCALIZATION_CALIBRATION."""
+    """Exact E against the packaged bound times LOCALIZATION_CALIBRATION; a failed nan report off the window."""
     h, M, n, eps = params.h, params.M, params.n, params.epsilon
-    if not check_window_instance(h, M, k, eps, n):
-        raise WindowViolated(
-            f"sigma window fails at (h={h}, M={M}, k={k}): sigma_k={params.sigma_at(k):.4f}, eps={eps}"
-        )
+    if not params.window_holds(k):
+        notes = f"window violated: sigma window fails at (h={h}, M={M}, k={k}): sigma_k={params.sigma_at(k):.4f}, eps={eps}"
+        return AuditReport("localization-E", {"h": h, "M": M, "k": k, "epsilon": eps, "n": n},
+                           math.nan, math.nan, math.nan, False, notes=notes)
     log_e = log_localization_E(h, M, k, eps, n)
     log_bound = localization_bound_log(h, M, k, eps, n)
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
@@ -389,12 +391,12 @@ def mc_localization_check(
 def check_sigma_window(params: RegimeParams) -> AuditReport:
     """Admissibility window plus the two explicit inequalities and containment.
 
-    Checks 3/2 > σ > 1, 1 >= ε >= 4(σ-1), then directly
+    Checks the window at k = m (params.window_holds(m), with σ = σ_m), then directly
       1 - ε/2 >= (1-ε)/σ   and   1 + ε/2 <= (1+ε)/σ,
     which together give [1 ± ε/2] ⊂ (1/σ)[1 ± ε].
     """
-    s, eps = params.sigma, params.epsilon
-    admissible = check_window_instance(params.h, params.M, params.m, eps, params.n)
+    s, eps = params.sigma_at(params.m), params.epsilon
+    admissible = params.window_holds(params.m)
     p12a = 1.0 - eps / 2.0 >= (1.0 - eps) / s
     p12b = 1.0 + eps / 2.0 <= (1.0 + eps) / s
     passed = admissible and p12a and p12b
@@ -424,14 +426,14 @@ def _basic_value(
     RHS = (1 - E(h, M, 0)) (λ (1-2ε)^m - Λ Σ_{j>=1} (n m² h)^j/j! (1+2ε)^(m-j))
           - Λ Σ_{j>=0} (n m² h)^j/j! E(h, M, m-j)
     using exact exterior-localization values, not the lemma bound.  Raises
-    WindowViolated when the sigma window fails at some k = 0..m.  Returns
+    WindowViolated when params.window_holds(k) fails at some k = 0..m.  Returns
     (RHS, interior, {k: E(h, M, k)}); the interior term is the explicit lower
     bound for min q over the 2ε annulus.
     """
     n, m = params.n, params.m
     h, eps, M = params.h, params.epsilon, params.M
     for j in range(m + 1):
-        if not check_window_instance(h, M, m - j, eps, n):
+        if not params.window_holds(m - j):
             raise WindowViolated(
                 f"window fails at k = {m - j}: sigma_k = {params.sigma_at(m - j):.4f}, eps = {eps}"
             )

@@ -151,9 +151,12 @@ def cmd_search(args) -> int:
 
 def cmd_bounds(args) -> int:
     form = formats.load_form(args.form)
+    C = Fraction(args.C).limit_denominator(10**9)
+    if C == 0 and args.C != 0:
+        raise ValueError(f"--C {args.C} rounds to 0 at the 1e-9 resolution of the universal constant")
     report = bounds_mod.bound_report(
         form,
-        C=Fraction(args.C).limit_denominator(10**9),
+        C=C,
         n_max=args.n_max,
         size_cap=args.size_cap,
     )
@@ -236,26 +239,12 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
         n = 2 if args.n is None else args.n
         m = 2 if args.m is None else args.m
         N = 320 if args.N is None else args.N
-        h = 1.0 / N if args.h is None else audit_mod.require_positive_h(args.h)
+        h = 1.0 / N if args.h is None else args.h
         eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
         params = audit_mod.RegimeParams(h=h, N=N, m=m, n=n, epsilon=eps)
         reports.append(audit_mod.check_sigma_window(params))
         ks = [args.k] if args.k is not None else list(range(m + 1))
-        for k in ks:
-            try:
-                reports.append(audit_mod.localization_report(params, k))
-            except audit_mod.WindowViolated as exc:
-                reports.append(
-                    audit_mod.AuditReport(
-                        "localization-E",
-                        {"h": h, "M": params.M, "k": k, "epsilon": eps, "n": n},
-                        math.nan,
-                        math.nan,
-                        math.nan,
-                        False,
-                        notes=f"window violated: {exc}",
-                    )
-                )
+        reports.extend(audit_mod.localization_report(params, k) for k in ks)
         mc_samples = min(200_000 if args.samples is None else args.samples, SAMPLES_CAP)
         reports.append(
             audit_mod.mc_localization_check(
@@ -407,6 +396,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, ZeroDivisionError) as exc:  # an out-of-range argument, such as N < 0
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("resource cap: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except ArithmeticError as exc:  # an incomplete gamma expansion that did not converge
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -12,7 +12,8 @@ int-string digits, so every value read can be written again.  So "+3", "-0",
 "1/-2", "1e4300" and non-ASCII digits are errors.  Unknown fields and
 duplicate coefficient keys are rejected, and so is a certificate whose mode is
 not "exact", whose verification block holds an unknown status or a residual
-not null or finite, or that gives both an embedded "form" and a "form_path".
+not null or finite, that gives both an embedded "form" and a "form_path", or
+whose "form_path" names no regular file (such as the device /dev/zero).
 A square's coefficients are written in lowest terms, as `SosSquare` holds
 them, each in one text fragment.  The squares array is written in one pass and
 json.dumps(..., sort_keys=True, indent=2, allow_nan=False) writes every other
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +235,8 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     elif "form_path" in data:
         if not isinstance(data["form_path"], str):
             raise ParseError("form_path must be a string", "certificate")
+        if not os.path.isfile(data["form_path"]):  # a device such as /dev/zero would be read without end
+            raise ParseError(f"form_path {data['form_path']!r} is not a regular file", "certificate")
         form = load_form(data["form_path"])
     return cert, form
 

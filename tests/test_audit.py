@@ -237,9 +237,14 @@ def test_localization_report_decides_below_the_double_range(monkeypatch):
 
 
 def test_localization_report_window_violation():
+    # sigma_2 = 0.2 (7 + 2 + 2 - 1) = 2 is outside the window: a failed report, not an exception
     params = audit.RegimeParams(h=0.2, N=5, m=2, n=2, epsilon=0.5)
-    with pytest.raises(audit.WindowViolated):
-        audit.localization_report(params, 2)
+    rep = audit.localization_report(params, 2)
+    assert rep.check_name == "localization-E"
+    assert rep.parameters == {"h": 0.2, "M": 7, "k": 2, "epsilon": 0.5, "n": 2}
+    assert math.isnan(rep.lhs) and math.isnan(rep.rhs) and math.isnan(rep.ratio)
+    assert rep.passed is False
+    assert rep.notes == "window violated: sigma window fails at (h=0.2, M=7, k=2): sigma_k=2.0000, eps=0.5"
 
 
 def test_mc_localization_small():
@@ -278,6 +283,47 @@ def test_sigma_window_verdicts():
 def test_sigma_window_epsilon_floor():
     # epsilon below 4(sigma - 1) is inadmissible
     assert not audit.check_sigma_window(_params_for_sigma(1.2, 0.5)).passed
+
+
+def _window_formula(h, M, k, epsilon, n):
+    """The window test as written before it moved onto RegimeParams."""
+    sigma = h * (M + k + n - 1)
+    return 1.0 < sigma < 1.5 and 4.0 * (sigma - 1.0) <= epsilon <= 1.0
+
+
+def test_window_holds_is_the_window_formula():
+    params = [
+        _params_for_sigma(sigma, eps, m=m, n=n, N=N)
+        for sigma in (1.0, 1.0 + 1e-9, 1.2, 1.5 - 1e-9, 1.5, 1.6)
+        for eps in (0.0, 0.5, 0.8, 0.9, 1.0, 1.5)
+        for m, n, N in ((2, 2, 1000), (1, 3, 7), (4, 1, 0))
+    ]
+    params += [
+        audit.RegimeParams(h=h, N=N, m=m, n=n, epsilon=eps)
+        for h in (1 / 320, 0.01, 0.2, 1.0)
+        for N in (0, 1, 5, 320)
+        for m in (0, 2, 3)
+        for n in (1, 2, 4)
+        for eps in (0.0, 0.3, audit.default_epsilon(h), 1.0, 2.0)
+    ]
+    verdicts = set()
+    for p in params:
+        for k in range(p.m + 2):
+            holds = p.window_holds(k)
+            assert holds == _window_formula(p.h, p.M, k, p.epsilon, p.n), (p, k)
+            assert p.sigma_at(k) == p.h * (p.M + k + p.n - 1)
+            verdicts.add(holds)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"N": -1}, {"m": -1}, {"n": 0}, {"h": 0.0}, {"h": -0.1}, {"h": math.nan}],
+    ids=["N-1", "m-1", "n0", "h0", "h-0.1", "h-nan"],
+)
+def test_regime_params_are_checked_when_built(fields):
+    with pytest.raises(ValueError, match="h must be positive" if "h" in fields else "invalid regime"):
+        audit.RegimeParams(**{"h": 0.1, "N": 2, "m": 2, "n": 2, "epsilon": 0.5, **fields})
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,11 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "tails", "--delta", "inf"], 2),
         (["audit", "--suite", "localization", "--samples", "1"], 2),  # a standard error needs two samples
         (["audit", "--suite", "laplacian", "--form", FC1, "--samples", "1"], 0),  # a maximum does not
+        (["audit", "--suite", "localization", "--m", "-1"], 2),
+        (["audit", "--suite", "localization", "--h", "0.01", "--N", "-4"], 2),
+        (["audit", "--suite", "localization", "--n", "0"], 2),
+        (["audit", "--suite", "basic", "--form", FC1, "--h", "0.001", "--N", "-3"], 2),
+        (["bounds", FC1, "--C", "1e-10"], 2),  # below the 1e-9 resolution, not C = 0
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
@@ -324,7 +329,8 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
         "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
         "localization-h-1-eps", "radial-h-nan", "localization-eps-nan", "tails-delta-inf",
-        "localization-samples1", "laplacian-samples1",
+        "localization-samples1", "laplacian-samples1", "localization-m-1", "localization-N-4",
+        "localization-n0", "basic-N-3", "C-1e-10",
     ],
 )
 def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):
@@ -421,6 +427,27 @@ def test_audit_localization(capsys):
     )
     assert code == 0
     assert "sigma-window" in out and "localization-E" in out and "localization-mc" in out
+
+
+def test_audit_localization_outside_the_window(capsys):
+    # sigma_k = 0.2 (7 + k + 1) >= 1.6: each localization-E report fails with the window's notes
+    code, out, _ = run(capsys, ["audit", "--suite", "localization", "--N", "5", "--samples", "1000"])
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL] localization-E:")]
+    assert failed == [
+        "[FAIL] localization-E: lhs=nan rhs=nan ratio=nan window violated: sigma window fails at "
+        f"(h=0.2, M=7, k={k}): sigma_k={sigma}, eps=0.5848035476425733"
+        for k, sigma in enumerate(["1.6000", "1.8000", "2.0000"])
+    ]
+
+
+def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
+    def exhaust(path):
+        raise MemoryError
+
+    monkeypatch.setattr(formats, "load_form", exhaust)
+    code, out, err = run(capsys, ["--json", "analyze", FC1])
+    assert (code, out, err) == (3, "", "resource cap: out of memory\n")
 
 
 def test_audit_samples_option_is_honoured(capsys, monkeypatch, fc1_path):

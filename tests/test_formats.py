@@ -519,6 +519,19 @@ def test_malformed_documents_raise_only_input_errors(case):
         pass
 
 
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero on this platform")
+def test_form_path_to_a_device_is_refused_unread(monkeypatch):
+    # /dev/zero never ends: reading it would exhaust memory
+    monkeypatch.setattr(formats, "load_form", lambda path: pytest.fail(f"{path} was read"))
+    with pytest.raises(formats.ParseError, match="not a regular file"):
+        formats.certificate_from_dict({**_DOCUMENTS[3][1], "form_path": "/dev/zero"})
+
+
+def test_form_path_to_a_directory_is_a_parse_error(tmp_path):
+    with pytest.raises(formats.ParseError, match="not a regular file"):
+        formats.certificate_from_dict({**_DOCUMENTS[3][1], "form_path": str(tmp_path)})
+
+
 def test_bad_form_path_and_non_finite_weight_are_parse_errors():
     exact_doc = _DOCUMENTS[2][1]
     bad = [{**_DOCUMENTS[3][1], "form_path": value} for value in (5, None, ["a"], "\x00")]
