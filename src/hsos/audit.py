@@ -13,10 +13,11 @@ Checks implemented here:
     evaluated by log-space incomplete-gamma functions and cross-checked by
     Monte-Carlo Rayleigh quotients;
   * the sigma window, decided only by RegimeParams.window_holds(k) (a RegimeParams is checked when it
-    is built), and interval containment; localization_report reports a window failure as a failed report;
+    is built), and interval containment; localization_report and basic_rhs report a window failure
+    as a failed report with nan values;
   * the basic positivity inequality, whose report also samples q over the 2ε
-    annulus, and the empirical threshold h0, whose scan evaluates only the
-    inequality's right-hand side.
+    annulus, and the empirical threshold h0, whose scan skips a grid h off the
+    window and evaluates only the inequality's right-hand side.
 
 Hidden "up to a constant" factors are never asserted; they are reported as
 measured calibration ratios.
@@ -42,11 +43,7 @@ ANNULUS_DIRECTIONS = 125  # unit directions per radius of basic_rhs's annulus sa
 H_GRID = tuple(0.2 * 2.0**-k for k in range(18))  # empirical_h0's h values, descending
 
 
-class WindowViolated(ValueError):
-    pass
-
-
-class QuadratureNonConvergence(RuntimeError):
+class QuadratureNonConvergence(ArithmeticError):
     pass
 
 
@@ -313,13 +310,20 @@ def localization_bound_log(h: float, M: int, k: int, epsilon: float, n: int) -> 
     )
 
 
+def _window_failure(check_name: str, parameters: dict, params: RegimeParams, k: int) -> AuditReport:
+    """The failed report, nan values, of a check whose sigma window fails at k."""
+    notes = (
+        f"window violated: sigma window fails at (h={params.h}, M={params.M}, k={k}): "
+        f"sigma_k={params.sigma_at(k):.4f}, eps={params.epsilon}"
+    )
+    return AuditReport(check_name, parameters, math.nan, math.nan, math.nan, False, notes=notes)
+
+
 def localization_report(params: RegimeParams, k: int) -> AuditReport:
     """Exact E against the packaged bound times LOCALIZATION_CALIBRATION; a failed nan report off the window."""
     h, M, n, eps = params.h, params.M, params.n, params.epsilon
     if not params.window_holds(k):
-        notes = f"window violated: sigma window fails at (h={h}, M={M}, k={k}): sigma_k={params.sigma_at(k):.4f}, eps={eps}"
-        return AuditReport("localization-E", {"h": h, "M": M, "k": k, "epsilon": eps, "n": n},
-                           math.nan, math.nan, math.nan, False, notes=notes)
+        return _window_failure("localization-E", {"h": h, "M": M, "k": k, "epsilon": eps, "n": n}, params, k)
     log_e = log_localization_E(h, M, k, eps, n)
     log_bound = localization_bound_log(h, M, k, eps, n)
     bound = math.exp(log_bound) if log_bound < 700 else math.inf
@@ -425,19 +429,13 @@ def _basic_value(
 
     RHS = (1 - E(h, M, 0)) (λ (1-2ε)^m - Λ Σ_{j>=1} (n m² h)^j/j! (1+2ε)^(m-j))
           - Λ Σ_{j>=0} (n m² h)^j/j! E(h, M, m-j)
-    using exact exterior-localization values, not the lemma bound.  Raises
-    WindowViolated when params.window_holds(k) fails at some k = 0..m.  Returns
+    using exact exterior-localization values, not the lemma bound.  The caller
+    has checked params.window_holds(k) at every k = 0..m.  Returns
     (RHS, interior, {k: E(h, M, k)}); the interior term is the explicit lower
     bound for min q over the 2ε annulus.
     """
     n, m = params.n, params.m
     h, eps, M = params.h, params.epsilon, params.M
-    for j in range(m + 1):
-        if not params.window_holds(m - j):
-            raise WindowViolated(
-                f"window fails at k = {m - j}: sigma_k = {params.sigma_at(m - j):.4f}, eps = {eps}"
-            )
-
     e_by_k = {k: exact_localization_E(h, M, k, eps, n) for k in range(m + 1)}
     base = n * m * m * h
     interior = lambda_value * (1.0 - 2.0 * eps) ** m
@@ -458,12 +456,26 @@ def basic_rhs(
     """The right-hand side of the basic positivity inequality (see _basic_value) and an annulus report.
 
     The report samples q over the 2ε annulus and asserts the sampled minimum
-    dominates the explicit lower bound for min q there.
+    dominates the explicit lower bound for min q there.  Where the sigma window
+    fails at some k = 0..m, the value is nan and the report a failed one naming
+    the first such k.
     """
     n, m = form.n, form.m
     h, eps = params.h, params.epsilon
     if params.m != m or params.n != n:
         raise ValueError("params (m, n) do not match the form")
+    parameters = {
+        "h": h,
+        "N": params.N,
+        "m": m,
+        "n": n,
+        "epsilon": eps,
+        "lambda": lambda_value,
+        "big_lambda": big_lambda_value,
+    }
+    off_window = [k for k in range(m + 1) if not params.window_holds(k)]
+    if off_window:
+        return math.nan, _window_failure("basic-rhs", parameters, params, off_window[0])
     value, interior, e_by_k = _basic_value(params, lambda_value, big_lambda_value)
 
     # annulus floor: sampled min of q over 1-2ε <= ||z||² <= 1+2ε
@@ -478,15 +490,7 @@ def basic_rhs(
 
     report = AuditReport(
         "basic-rhs",
-        {
-            "h": h,
-            "N": params.N,
-            "m": m,
-            "n": n,
-            "epsilon": eps,
-            "lambda": lambda_value,
-            "big_lambda": big_lambda_value,
-        },
+        parameters,
         sampled,
         eq6,
         sampled / eq6 if eq6 != 0 else math.inf,
@@ -518,9 +522,9 @@ def empirical_h0(
 
     N = ceil(1/h) by the semiclassical correspondence, ε = default_epsilon(h).  Only
     the inequality's right-hand side is evaluated (_basic_value); the annulus
-    sample belongs to basic_rhs's report.  Grid points whose sigma window fails
-    are counted and skipped.  A nonpositive sphere minimum short-circuits to
-    found = False with no grid point examined.
+    sample belongs to basic_rhs's report.  A grid point whose sigma window fails
+    at some k = 0..m (params.window_holds) is counted and skipped.  A nonpositive
+    sphere minimum short-circuits to found = False with no grid point examined.
     """
     if lambda_value <= 0:
         return H0ScanResult(False, None, None, 0, note="lambda <= 0: leading term cannot be positive")
@@ -528,10 +532,8 @@ def empirical_h0(
     for grid_points, h in enumerate(H_GRID, 1):
         N = max(1, math.ceil(1.0 / h))
         params = RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=default_epsilon(h))
-        try:
-            value = _basic_value(params, lambda_value, big_lambda_value)[0]
-        except WindowViolated:
+        if not all(params.window_holds(k) for k in range(form.m + 1)):
             continue
-        if value > 0:  # scanning downward: the first positive is the largest grid h
+        if _basic_value(params, lambda_value, big_lambda_value)[0] > 0:  # scanning downward: the largest grid h
             return H0ScanResult(True, h, N, grid_points)
     return H0ScanResult(False, None, None, len(H_GRID), note="no positive RHS on the grid")

@@ -5,16 +5,17 @@ C (Λ/λ)(m+n)^3 log^3 n with its unspecified universal constant exposed as a
 parameter, the Powers-Resnick diagonal bound, the To-Yeung bound, and the
 Nie-Schweighofer bound (comparative only, at c = NS_C).  All logs are natural,
 rounding is ceil (or "smallest integer strictly greater" where the source
-inequality is strict), and results are floored at 0.
+inequality is strict), and results are floored at 0.  A constant C or c <= 0
+is refused with a ValueError.  The smallest sufficient C is read off the
+empirical minimal shift alone; it is unknown where the scan found none.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import forms as forms_mod
 from . import multiplier as mult
@@ -40,15 +41,14 @@ def _smallest_int_greater(x: float) -> int:
 
 
 def certified_N(form: HermitianForm, C, lambda_value: float, big_lambda_value: float) -> int:
-    """ceil( C * (Λ/λ) * (m+n)^3 * ln(n)^3 ), the semiclassical sufficient bound."""
+    """ceil( C * (Λ/λ) * (m+n)^3 * ln(n)^3 ), the semiclassical sufficient bound; C > 0."""
     if form.n < 2:
         raise ValueError("bound requires n >= 2 (log n > 0)")
     if lambda_value <= 0:
         raise NonPositiveLambda(f"lambda = {lambda_value} must be positive")
+    if not C > 0:
+        raise ValueError(f"universal constant C must be positive, got {C}")
     C = float(C)
-    if C == 0:
-        warnings.warn("C = 0 gives the degenerate bound 0", UserWarning, stacklevel=2)
-        return 0
     value = C * (big_lambda_value / lambda_value) * (form.m + form.n) ** 3 * math.log(form.n) ** 3
     return max(0, math.ceil(value))
 
@@ -74,9 +74,9 @@ def to_yeung_N(form: HermitianForm, lambda_value: float, sharp_value: float) -> 
 
 
 def nie_schweighofer_N(form: HermitianForm, c: float, lambda_value: float) -> Optional[int]:
-    """Smallest N > c * exp(m^2 n^m (diag_max/λ))^c, None on double overflow."""
-    if c <= 0:
-        warnings.warn("c <= 0 gives a degenerate bound", UserWarning, stacklevel=2)
+    """Smallest N > c * exp(m^2 n^m (diag_max/λ))^c, None on double overflow; c > 0."""
+    if not c > 0:
+        raise ValueError(f"constant c must be positive, got {c}")
     if lambda_value <= 0:
         raise NonPositiveLambda(f"lambda = {lambda_value} must be positive")
     lt = float(forms_mod.lambda_tilde(form))
@@ -108,30 +108,15 @@ class BoundReport:
     checks: dict[str, bool] = field(default_factory=dict)
 
 
-def _smallest_sufficient_C(
-    form: HermitianForm,
-    lambda_value: float,
-    big_lambda_value: float,
-    empirical_N: Optional[int],
-    n_max: int,
-    size_cap: int,
-) -> Optional[Fraction]:
-    """Binary search for the smallest C on the 1/C_RESOLUTION grid whose bound is PSD-sufficient.
+def _smallest_sufficient_C(bound: Callable[[Fraction], int], empirical_N: int) -> Optional[Fraction]:
+    """Binary search for the smallest C on the 1/C_RESOLUTION grid, up to C_MAX, with bound(C) >= empirical_N.
 
-    PSD at a shift is monotone in the shift, so the predicate is monotone in C.
-    When the empirical minimum is known the predicate reduces to N(C) >= minimum.
+    PSD at a shift is monotone in the shift, so a bound at or above the minimal
+    PSD shift is sufficient, and bound(C) is monotone in C.
     """
 
     def sufficient(k: int) -> bool:
-        N = certified_N(form, Fraction(k, C_RESOLUTION), lambda_value, big_lambda_value)
-        if empirical_N is not None:
-            return N >= empirical_N
-        if N > 4 * n_max:
-            return False
-        try:
-            return mult.psd_decided(mult.multiplier_matrix(form, N, size_cap=size_cap))
-        except mult.SizeCapExceeded:
-            return False
+        return bound(Fraction(k, C_RESOLUTION)) >= empirical_N
 
     lo, hi = 1, C_RESOLUTION * C_MAX
     if not sufficient(hi):
@@ -153,8 +138,8 @@ def bound_report(
 ) -> BoundReport:
     """Compute all invariants and bounds, run the empirical scan, and record checks (the form was checked when built)."""
     C = as_fraction(C)
-    if C < 0:
-        raise ValueError(f"universal constant C must be non-negative, got {C}")
+    if C <= 0:
+        raise ValueError(f"universal constant C must be positive, got {C}")
     if n_max < 0:  # minimal_sos_N checks it too, but only after the sphere pass
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     lam, sharp = spheremin.sphere_range(form)
@@ -213,12 +198,12 @@ def bound_report(
         if report.certified_N is not None:
             report.checks["empirical_le_certified"] = emp <= report.certified_N
 
-    if lam.value > 0:
+    if lam.value > 0 and emp is None:
+        report.notes["smallest_sufficient_C"] = f"no empirical minimal N up to N = {n_max}"
+    elif lam.value > 0:
         try:
-            report.smallest_sufficient_C = _smallest_sufficient_C(
-                form, lam.value, big, emp, n_max, size_cap
-            )
-        except (mult.SizeCapExceeded, ValueError) as exc:
+            report.smallest_sufficient_C = _smallest_sufficient_C(lambda c: certified_N(form, c, lam.value, big), emp)
+        except ValueError as exc:  # n < 2
             report.notes["smallest_sufficient_C"] = str(exc)
 
     return report

@@ -387,19 +387,13 @@ def main(argv=None) -> int:
     except mult.SizeCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except audit_mod.QuadratureNonConvergence as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except audit_mod.WindowViolated as exc:
-        print(f"sigma window violated: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, OverflowError, ZeroDivisionError) as exc:  # an out-of-range argument, such as N < 0
         print(f"invalid argument: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:
         print("resource cap: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except ArithmeticError as exc:  # an incomplete gamma expansion that did not converge
+    except ArithmeticError as exc:  # a radial quadrature or an incomplete gamma expansion that did not converge
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:  # a file that cannot be written, such as --out in a directory that vanished

@@ -371,10 +371,14 @@ def test_basic_rhs_two_eps_factor():
 
 
 def test_basic_rhs_window_enforced():
+    # sigma_0 = 0.2 (7 + 0 + 1) = 1.6: the window fails at k = 0 first, and the report says so
     f = forms.fc_form(1)
     params = audit.RegimeParams(h=0.2, N=5, m=2, n=2, epsilon=0.58)
-    with pytest.raises(audit.WindowViolated):
-        audit.basic_rhs(f, params, lambda_value=0.25, big_lambda_value=1.5)
+    value, rep = audit.basic_rhs(f, params, lambda_value=0.25, big_lambda_value=1.5)
+    assert math.isnan(value) and not rep.passed
+    assert rep.check_name == "basic-rhs" and rep.parameters["N"] == 5
+    assert all(math.isnan(x) for x in (rep.lhs, rep.rhs, rep.ratio))
+    assert rep.notes == "window violated: sigma window fails at (h=0.2, M=7, k=0): sigma_k=1.6000, eps=0.58"
 
 
 def test_empirical_h0_fc1():
@@ -412,15 +416,16 @@ _H0_FORMS = {
 def _h0_by_basic_rhs(form, lam, big):
     """(found, h0, implied_N, grid_points) of the scan, from basic_rhs at every grid h.
 
-    Also checks that _basic_value's value is basic_rhs's, bit for bit, wherever the window holds.
+    Also checks that _basic_value's value is basic_rhs's, bit for bit, wherever the window holds,
+    and that basic_rhs reports a failed window wherever it does not.
     """
     first = None
     for count, h in enumerate(audit.H_GRID, 1):
         N = max(1, math.ceil(1.0 / h))
         params = audit.RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=audit.default_epsilon(h))
-        try:
-            value, _ = audit.basic_rhs(form, params, lam, big)
-        except audit.WindowViolated:
+        value, report = audit.basic_rhs(form, params, lam, big)
+        if not all(params.window_holds(k) for k in range(form.m + 1)):
+            assert math.isnan(value) and report.notes.startswith("window violated: ")
             continue
         assert audit._basic_value(params, lam, big)[0] == value
         if value > 0 and first is None:

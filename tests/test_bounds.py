@@ -15,8 +15,13 @@ def test_certified_N_example():
 
 def test_certified_N_degenerate_C():
     f = forms.fc_form(1)
-    with pytest.warns(UserWarning):
-        assert bounds.certified_N(f, 0, 0.25, 1.5) == 0
+    for C in (0, -1, Fraction(0), math.nan):
+        with pytest.raises(ValueError, match="universal constant C must be positive"):
+            bounds.certified_N(f, C, 0.25, 1.5)
+    with pytest.raises(ValueError, match="universal constant C must be positive, got 0"):
+        bounds.bound_report(f, C=0)
+    with pytest.raises(ValueError, match="constant c must be positive"):
+        bounds.nie_schweighofer_N(f, 0.0, 0.25)
 
 
 def test_certified_N_linear_in_ratio():
@@ -137,3 +142,46 @@ def test_sufficient_bounds_are_psd_small_cases():
     for f, lam in cases:
         pr = bounds.powers_resnick_N(f, lam)
         assert mult.is_psd(mult.multiplier_matrix(f, pr)).is_psd
+
+
+def _refuse_shifts_above(monkeypatch, n_max):
+    """Make multiplier_matrix and psd_decided fail a test at any shift above n_max."""
+    assemble, decide = mult.multiplier_matrix, mult.psd_decided
+
+    def capped_matrix(form, N, *args, **kwargs):
+        assert N <= n_max, f"multiplier matrix assembled at N = {N} > n_max"
+        return assemble(form, N, *args, **kwargs)
+
+    def capped_decision(matrix):
+        assert matrix.N <= n_max, f"PSD decided at N = {matrix.N} > n_max"
+        return decide(matrix)
+
+    monkeypatch.setattr(mult, "multiplier_matrix", capped_matrix)
+    monkeypatch.setattr(mult, "psd_decided", capped_decision)
+
+
+def test_bound_report_without_a_psd_shift_up_to_n_max(monkeypatch):
+    # fc(31/16): no PSD shift up to 4, and its Nie-Schweighofer exponent overflows a double
+    _refuse_shifts_above(monkeypatch, 4)
+    report = bounds.bound_report(forms.fc_form(Fraction(31, 16)), n_max=4)
+    assert report.nie_schweighofer_overflow and report.nie_schweighofer_N is None
+    assert report.notes["nie_schweighofer_N"] == "double-precision overflow"
+    assert report.empirical_minimal_N is None
+    assert report.notes["empirical_minimal_N"] == "no PSD shift found up to N = 4"
+    assert report.smallest_sufficient_C is None
+    assert report.notes["smallest_sufficient_C"] == "no empirical minimal N up to N = 4"
+
+
+def test_smallest_sufficient_C_probes_no_shift_beyond_the_scan(monkeypatch):
+    # the scan stops at the size cap; the bound at C = 8 is 1024 <= 4 n_max, a shift the C search must not probe
+    _refuse_shifts_above(monkeypatch, 256)
+    report = bounds.bound_report(forms.fc_form(1), n_max=256, size_cap=2)
+    assert report.empirical_minimal_N is None and report.smallest_sufficient_C is None
+    assert report.notes["smallest_sufficient_C"] == "no empirical minimal N up to N = 256"
+
+
+def test_bound_report_notes_the_size_cap():
+    report = bounds.bound_report(forms.fc_form(1), n_max=4, size_cap=2)
+    assert report.empirical_minimal_N is None and report.smallest_sufficient_C is None
+    assert report.notes["empirical_minimal_N"] == "matrix dimension 3 exceeds size cap 2"
+    assert report.notes["smallest_sufficient_C"] == "no empirical minimal N up to N = 4"

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -322,6 +323,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "localization", "--n", "0"], 2),
         (["audit", "--suite", "basic", "--form", FC1, "--h", "0.001", "--N", "-3"], 2),
         (["bounds", FC1, "--C", "1e-10"], 2),  # below the 1e-9 resolution, not C = 0
+        (["bounds", FC1, "--C", "0"], 2),  # a degenerate constant, refused by bound_report
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
@@ -330,7 +332,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
         "localization-h-1-eps", "radial-h-nan", "localization-eps-nan", "tails-delta-inf",
         "localization-samples1", "laplacian-samples1", "localization-m-1", "localization-N-4",
-        "localization-n0", "basic-N-3", "C-1e-10",
+        "localization-n0", "basic-N-3", "C-1e-10", "C-0",
     ],
 )
 def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):
@@ -401,6 +403,22 @@ def test_bounds_table(capsys, fc1_path):
     assert doc["powers_resnick_N"] == 3
     assert doc["to_yeung_N"] == 66
     assert doc["certified_N"] == 128
+
+
+def test_bounds_cross_check_that_fails_exits_negative(capsys):
+    # C = 1/1000 puts the semiclassical bound at 1, below fc(7/4)'s empirical minimal shift 13
+    code, out, _ = run(capsys, ["bounds", str(SAMPLES / "fc_7_4.json"), "--n-max", "20", "--C", "0.001"])
+    assert code == 1
+    assert out.splitlines()[-1] == "cross-checks: FAILED: ['empirical_le_certified']"
+
+
+def test_bounds_table_shows_an_overflowing_bound(capsys, tmp_path):
+    path = tmp_path / "fc31_16.json"
+    save_form(forms.fc_form(Fraction(31, 16)), path)
+    code, out, _ = run(capsys, ["bounds", str(path), "--n-max", "0"])
+    assert code == 0
+    (row,) = [line for line in out.splitlines() if line.startswith("Nie-Schweighofer")]
+    assert row.split() == ["Nie-Schweighofer", "overflow"]
 
 
 def test_bounds_json_deterministic(capsys, fc1_path):
@@ -485,6 +503,15 @@ def test_audit_tails_that_do_not_converge_exit_numerical(capsys):
     assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
 
 
+def test_radial_quadrature_that_does_not_converge_exits_numerical(capsys, monkeypatch):
+    from scipy import integrate
+
+    monkeypatch.setattr(integrate, "quad", lambda f, a, b, **kwargs: (1.0, 1e-3))  # error estimate above 1e-8
+    code, out, err = run(capsys, ["audit", "--suite", "radial", "--M", "0", "--n", "1"])
+    assert code == cli.EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
+
+
 def test_audit_laplacian_requires_form(capsys):
     code, _, err = run(capsys, ["audit", "--suite", "laplacian"])
     assert code == 2 and "--form" in err
@@ -501,6 +528,51 @@ def test_audit_basic_single_h(capsys, fc1_path):
         capsys, ["audit", "--suite", "basic", "--form", fc1_path, "--h", "0.0009765625"]
     )
     assert code == 0 and "basic-rhs" in out
+
+
+_OFF_WINDOW = ["--h", "0.003125", "--epsilon", "0.01", "--samples", "1000"]  # 4(sigma_k - 1) > eps at every k
+
+
+def test_audit_basic_outside_the_window_is_a_failed_check(capsys):
+    code, out, err = run(capsys, ["audit", "--suite", "basic", "--form", FC1, *_OFF_WINDOW])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[FAIL] basic-rhs: lhs=nan rhs=nan ratio=nan window violated: sigma window fails at "
+        "(h=0.003125, M=322, k=0): sigma_k=1.0094, eps=0.01",
+        "0/1 checks passed",
+    ]
+
+
+def test_audit_all_outside_the_window_prints_every_suite(capsys):
+    code, out, err = run(capsys, ["--json", "audit", "--suite", "all", "--form", FC1, *_OFF_WINDOW])
+    assert (code, err) == (1, "")
+    reports = json.loads(out)["reports"]
+    checks = {r["check"] for r in reports}
+    for check in ("laplacian-power-j0", "radial-I1", "tail-J", "sigma-window", "localization-E", "localization-mc"):
+        assert check in checks
+    (basic,) = [r for r in reports if r["check"] == "basic-rhs"]
+    assert not basic["pass"] and basic["lhs"] is None and basic["notes"].startswith("window violated: ")
+
+
+@pytest.mark.parametrize("fault", ["truncated", "missing", "duplicate-index"])
+def test_unreadable_inputs_are_input_errors(capsys, tmp_path, fault):
+    path = tmp_path / "input.json"
+    if fault == "truncated":
+        path.write_text('{"n": 2, "m": 2, "terms": [')
+        argv, message = ["analyze", str(path)], f"invalid JSON in {path}: line 1 col 28"
+    elif fault == "missing":
+        argv, message = ["analyze", str(path)], f"cannot read {path}: "
+    else:  # a square that lists the index (3, 0) twice
+        formats.save_certificate(mult.sos_decompose(forms.fc_form(1), 1), path, form=forms.fc_form(1))
+        doc = json.loads(path.read_text())
+        coefficients = doc["squares"][0]["coefficients"]
+        assert coefficients[0]["index"] == [3, 0]
+        coefficients.append(dict(coefficients[0]))
+        path.write_text(json.dumps(doc))
+        argv, message = ["verify", str(path)], "duplicate index (3, 0) (at squares[0].coefficients[1])"
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(f"input error: {message}")
 
 
 def test_shipped_samples_parse_and_validate():
