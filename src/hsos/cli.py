@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -307,6 +308,11 @@ def cmd_audit(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_NEGATIVE
 
 
+# every negative float is a value, -1e-3 and -inf too: argparse's own pattern takes only -1 and -0.5
+# for numbers, so `--h -1e-3` stopped at "expected one argument" before reaching the validator
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsos",
@@ -364,6 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_audit)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -208,14 +208,16 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
             raise ParseError("coefficients must be a list", ctx)
         parts: dict[mi.MultiIndex, tuple[tuple[int, int], tuple[int, int]]] = {}
         for ci, entry in enumerate(sq["coefficients"]):
-            ectx = f"{ctx}.coefficients[{ci}]"
-            _expect_keys(entry, {"index", "re", "im"}, {"index", "re"}, ectx)
-            alpha = _parse_index(entry["index"], n, ectx)
-            if sum(alpha) != m + N:
-                raise ParseError(f"index {alpha} has degree {sum(alpha)}, expected {m + N}", ectx)
-            if alpha in parts:
-                raise ParseError(f"duplicate index {alpha}", ectx)
-            parts[alpha] = _ratio(entry["re"], ectx), _ratio(entry.get("im", 0), ectx)
+            try:  # the context is built only for an error: a certificate may hold many coefficients
+                _expect_keys(entry, {"index", "re", "im"}, {"index", "re"}, "")
+                alpha = _parse_index(entry["index"], n, "")
+                if sum(alpha) != m + N:
+                    raise ParseError(f"index {alpha} has degree {sum(alpha)}, expected {m + N}")
+                if alpha in parts:
+                    raise ParseError(f"duplicate index {alpha}")
+                parts[alpha] = _ratio(entry["re"], ""), _ratio(entry.get("im", 0), "")
+            except ParseError as exc:
+                raise ParseError(str(exc), f"{ctx}.coefficients[{ci}]") from None
         # over the lcm of the parts' reduced denominators, which leaves the square in lowest terms
         den = math.lcm(*(q for re_im in parts.values() for _, q in re_im))
         squares.append(SosSquare(weight, den, {alpha: (p * (den // q), r * (den // s))

@@ -11,6 +11,12 @@ Each form object keeps one SpherePass (HermitianForm.sphere_pass), filled on
 demand: the grid and the descents on f and on -f each run at most once per
 form, and minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp
 all read it.  An equal form that is a different object runs its own pass.
+
+The descent is pinned bit for bit (tests/golden/sphere_descent.json), and two
+rules of _Objective keep it so: an array that np.multiply.reduce multiplies
+along its last axis is C-contiguous, since a complex product rounds by memory
+layout, and every complex @ sees the rows it always saw, in the same order,
+since it rounds a row by its batch size and position.
 """
 
 from __future__ import annotations
@@ -53,53 +59,62 @@ def lipschitz_bound(form: HermitianForm) -> float:
 
 
 class _Objective:
-    """Batched f and Euclidean gradient on R^{2n} via Wirtinger derivatives."""
+    """Batched f and Euclidean gradient on R^{2n} via Wirtinger derivatives.
+
+    Each point's powers z_j^e and z̄_j^e, e <= m, are computed once into a table row, and every
+    monomial factor is gathered from it.  Two rules keep each float what per-term powers and
+    np.prod gave: a gathered array is C-contiguous when np.multiply.reduce multiplies along its
+    last axis (the product rounds by memory layout, and a left fold of * rounds differently),
+    and every @ sees the rows it always saw, in the same order (complex @ rounds a row by its
+    batch size and position).
+    """
 
     def __init__(self, form: HermitianForm):
-        self.n = form.n
+        n, K, width = form.n, len(form.coeffs), form.m + 1
         keys = list(form.coeffs.keys())
-        self.A = np.array([k[0] for k in keys], dtype=np.int64).reshape(len(keys), form.n)
-        self.B = np.array([k[1] for k in keys], dtype=np.int64).reshape(len(keys), form.n)
-        self.C = np.array([complex(form.coeffs[k]) for k in keys])
+        A = np.array([k[0] for k in keys], dtype=np.int64).reshape(K, n)
+        B = np.array([k[1] for k in keys], dtype=np.int64).reshape(K, n)
+        self.n, self.C, self.powers = n, np.array([complex(form.coeffs[k]) for k in keys]), np.arange(width)
+        # flat positions in a table row [z_j^e ..., z̄_j^e ..., e z̄_j^(e-1) ...], j < n, e <= m:
+        # index gathers z^a and z̄^b, and slice k of dindex gathers z̄^b with its factor k
+        # replaced by b_k z̄_k^(b_k - 1), the terms of dbar_k f = sum c z^a b_k z̄^(b - e_k)
+        at = np.arange(n) * width
+        self.index = np.concatenate([A + at, B + at + n * width])
+        self.dindex = np.broadcast_to(B + at + n * width, (n, K, n)).copy()
+        self.dindex[np.arange(n), :, np.arange(n)] = (B + at + 2 * n * width).T
 
-    def _z(self, X: np.ndarray) -> np.ndarray:
-        return X[:, : self.n] + 1j * X[:, self.n :]
+    def _table(self, X: np.ndarray) -> np.ndarray:
+        z = X[:, : self.n] + 1j * X[:, self.n :]
+        return np.concatenate([z, np.conj(z)], axis=1)[:, :, None] ** self.powers  # (B, 2n, m + 1)
+
+    def _terms(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """z^a and z̄^b of every term at every point, (B, K) each."""
+        za_zb = np.multiply.reduce(table.take(self.index, axis=1), axis=2)
+        return za_zb[:, : len(self.C)], za_zb[:, len(self.C) :]
 
     def value(self, X: np.ndarray) -> np.ndarray:
-        z = self._z(X)
-        za = np.prod(z[:, None, :] ** self.A[None, :, :], axis=2)
-        zb = np.prod(np.conj(z)[:, None, :] ** self.B[None, :, :], axis=2)
-        return np.real(za * zb @ self.C)
+        za, zb = self._terms(self._table(X).reshape(len(X), -1))
+        return (za * zb @ self.C).real
 
     def value_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        B_pts = X.shape[0]
-        n = self.n
-        z = self._z(X)
-        zc = np.conj(z)
-        Zp = z[:, None, :] ** self.A[None, :, :]      # (B, K, n)
-        Zq = zc[:, None, :] ** self.B[None, :, :]
-        za = np.prod(Zp, axis=2)
-        zb = np.prod(Zq, axis=2)
-        val = np.real(za * zb @ self.C)
-        # dbar_k f = sum_terms c * z^a * b_k * z̄^(b - e_k)
-        g = np.empty((B_pts, n), dtype=complex)
-        for k in range(n):
-            bk = self.B[:, k]
-            col = np.where(
-                bk[None, :] > 0,
-                bk[None, :] * zc[:, k][:, None] ** np.maximum(bk - 1, 0)[None, :],
-                0.0,
-            )
-            rest = Zq.copy()
-            rest[:, :, k] = col
-            g[:, k] = (za * np.prod(rest, axis=2)) @ self.C
-        grad = np.concatenate([2.0 * g.real, 2.0 * g.imag], axis=1)
-        return val, grad
+        table = self._table(X)
+        deriv = np.zeros_like(table[:, self.n :])
+        deriv[:, :, 1:] = self.powers[1:] * table[:, self.n :, :-1]
+        table = np.concatenate([table, deriv], axis=1).reshape(len(X), -1)
+        za, zb = self._terms(table)
+        # dbar_k f for the slices k of dindex, at most 2^20 gathered factors at a time; each @
+        # sees the B rows, as the per-k products did
+        g = np.empty((self.n, len(X)), dtype=complex)
+        block = max(1, (1 << 20) // max(1, self.dindex[0].size * len(X)))
+        for k in range(0, self.n, block):
+            dbar = za[:, None, :] * np.multiply.reduce(table.take(self.dindex[k : k + block], axis=1), axis=3)
+            g[k : k + block] = dbar.transpose(1, 0, 2) @ self.C
+        return (za * zb @ self.C).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(X, axis=1, keepdims=True)
-    if np.any(nrm == 0):
+    nrm = np.sqrt(np.add.reduce(X * X, axis=1, keepdims=True))  # np.linalg.norm's own sum, without its checks
+    if (nrm == 0).any():
         raise ValueError("cannot project the origin to the sphere")
     return X / nrm
 
@@ -114,35 +129,28 @@ def _pgd_batch(obj: _Objective, X0: np.ndarray):
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gn = np.linalg.norm(Gt, axis=1)
         converged |= gn <= TOL * (1.0 + np.abs(fx))
-        active = ~converged
-        if not active.any():
+        active = np.flatnonzero(~converged)
+        if not active.size:
             break
         step[active] = np.minimum(step[active] * 2.0, 1e3)
-        pending = active.copy()
-        for _bt in range(70):
-            Xc = _normalize_rows(X[pending] - step[pending, None] * Gt[pending])
+        # the rows still backtracking and their step, point, direction, value and |g|^2; a step
+        # of at most 1e3 falls below 1e-18 within 70 halvings, so every row leaves the loop
+        rows, s, Xr, Gr, fr, g2 = active, step[active], X[active], Gt[active], fx[active], gn[active] ** 2
+        while rows.size:
+            Xc = _normalize_rows(Xr - s[:, None] * Gr)
             fc = obj.value(Xc)
-            ok = fc <= fx[pending] - 1e-4 * step[pending] * gn[pending] ** 2
-            idx = np.flatnonzero(pending)
-            good = idx[ok]
-            X[good] = Xc[ok]
-            fx[good] = fc[ok]
-            pending[good] = False
-            step[idx[~ok]] *= 0.5
-            if not pending.any():
-                break
-            dead = pending & (step < 1e-18)
-            if dead.any():
-                converged |= dead  # no float-resolution descent left
-                pending &= ~dead
-                if not pending.any():
-                    break
-        moved = active & ~pending
-        if not moved.any():
-            break
-        fx_new, G_new = obj.value_grad(X[moved])
-        fx[moved] = fx_new
-        G[moved] = G_new
+            ok = fc <= fr - 1e-4 * s * g2
+            half = s * 0.5
+            dead = ~ok & (half < 1e-18)  # no float-resolution descent left
+            leave = ok | dead
+            if leave.any():
+                good = rows[ok]
+                X[good], fx[good], step[good] = Xc[ok], fc[ok], s[ok]
+                converged[rows[dead]] = True
+                keep = ~leave
+                rows, half, Xr, Gr, fr, g2 = rows[keep], half[keep], Xr[keep], Gr[keep], fr[keep], g2[keep]
+            s = half
+        fx[active], G[active] = obj.value_grad(X[active])
     return fx, X, converged
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -324,6 +325,12 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "basic", "--form", FC1, "--h", "0.001", "--N", "-3"], 2),
         (["bounds", FC1, "--C", "1e-10"], 2),  # below the 1e-9 resolution, not C = 0
         (["bounds", FC1, "--C", "0"], 2),  # a degenerate constant, refused by bound_report
+        # a negative float in exponent form, or -inf, is a value, not an unknown option
+        (["audit", "--suite", "localization", "--h", "-1e-3"], 2),
+        (["bounds", FC1, "--C", "-1e-3"], 2),
+        (["audit", "--suite", "tails", "--rho", "-1e-3"], 2),
+        (["audit", "--suite", "tails", "--delta", "-1E-3"], 2),
+        (["audit", "--suite", "localization", "--epsilon", "-inf"], 2),
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
@@ -333,6 +340,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         "localization-h-1-eps", "radial-h-nan", "localization-eps-nan", "tails-delta-inf",
         "localization-samples1", "laplacian-samples1", "localization-m-1", "localization-N-4",
         "localization-n0", "basic-N-3", "C-1e-10", "C-0",
+        "localization-h-1e-3", "C-negative-1e-3", "tails-rho-1e-3", "tails-delta-1E-3", "localization-eps-inf",
     ],
 )
 def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):
@@ -344,6 +352,27 @@ def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expec
     if expected == 2:  # one line, no traceback, and no sphere pass before the argument is rejected
         assert err.startswith("invalid argument: ") and err.count("\n") == 1
         assert descents == []
+
+
+def test_argparse_reads_the_negative_number_matcher_the_parsers_set():
+    # build_parser sets argparse's private `_negative_number_matcher`; fail here if argparse renames it or
+    # stops reading it, rather than `--h -1e-3` quietly falling back to "expected one argument"
+    parser = argparse.ArgumentParser()
+    assert hasattr(parser, "_negative_number_matcher")
+    parser._negative_number_matcher = cli._NEGATIVE_NUMBER
+    parser.add_argument("--x", type=float)
+    assert parser.parse_args(["--x", "-1e-3"]).x == -1e-3
+    top = cli.build_parser()
+    assert top._negative_number_matcher is cli._NEGATIVE_NUMBER
+    (subcommands,) = top._subparsers._group_actions
+    assert all(p._negative_number_matcher is cli._NEGATIVE_NUMBER for p in subcommands.choices.values())
+
+
+def test_negative_epsilon_in_exponent_form_is_read_as_its_decimal_form(capsys):
+    # ε <= 0 fails the σ-window (exit 1) rather than being an invalid argument, as ε = 0 does
+    argv = ["audit", "--suite", "localization", "--samples", "1000", "--epsilon"]
+    assert run(capsys, argv + ["-1e-3"]) == run(capsys, argv + ["-0.001"])
+    assert run(capsys, argv + ["-1e-3"])[0] == 1
 
 
 def _scipy_modules_after(argvs):

@@ -540,3 +540,38 @@ def test_bad_form_path_and_non_finite_weight_are_parse_errors():
     for doc in bad:
         with pytest.raises(formats.ParseError):
             formats.certificate_from_dict(doc)
+
+
+# A coefficient's faults name it by its position; the messages are pinned byte for byte.
+COEFFICIENT_FAULTS = {
+    "not-an-object": (["index", 3, 0], "expected a JSON object, got list"),
+    "unknown-field": ({"index": [3, 0], "re": "1", "weight": "1"}, "unknown field(s) ['weight']"),
+    "missing-re": ({"index": [3, 0], "im": "0"}, "missing field(s) ['re']"),
+    "index-not-integers": ({"index": [3, 0.0], "re": "1"}, "index must be a list of integers, got [3, 0.0]"),
+    "index-length": ({"index": [3], "re": "1"}, "index [3] has length 1, expected 2"),
+    "negative-exponent": ({"index": [4, -1], "re": "1"}, "negative exponent in [4, -1]"),
+    "degree": ({"index": [2, 0], "re": "1"}, "index (2, 0) has degree 2, expected 3"),
+    "duplicate": ({"index": [2, 1], "re": "3"}, "duplicate index (2, 1)"),
+    "malformed-re": ({"index": [3, 0], "re": "1_0"}, "malformed rational '1_0'"),
+    "float-im": ({"index": [3, 0], "re": "1", "im": 0.5}, "floating value 0.5 not allowed; use a string"),
+}
+
+
+@pytest.mark.parametrize("fault", COEFFICIENT_FAULTS)
+def test_certificate_coefficient_fault_messages(fault):
+    entry, message = COEFFICIENT_FAULTS[fault]
+    coefficients = [{"index": [2, 1], "re": "1", "im": "0"}, {"index": [1, 2], "re": "-1/2"}, entry]
+    doc = {
+        "n": 2,
+        "m": 2,
+        "N": 1,
+        "mode": "exact",
+        "squares": [
+            {"weight": "1", "coefficients": [{"index": [0, 3], "re": "1"}]},
+            {"weight": "1/2", "coefficients": coefficients},
+        ],
+    }
+    with pytest.raises(formats.ParseError) as info:
+        formats.certificate_from_dict(doc)
+    assert str(info.value) == f"{message} (at squares[1].coefficients[2])"
+    assert info.value.context == "squares[1].coefficients[2]"

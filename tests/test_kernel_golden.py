@@ -1,4 +1,4 @@
-"""Exact PSD kernel output pinned against recorded files.
+"""Exact PSD kernel and sphere descent output pinned against recorded files.
 
 tests/golden/kernel_sample_forms.json holds, for every form in sample_forms/
 at N = 0..3 and at its minimal shift, what the exact kernel
@@ -14,8 +14,15 @@ the block with the largest diagonal first (ties by index).  Within a block it
 pivots in minimum-degree order: a negative diagonal first, then the positive
 diagonal whose row has the fewest off-diagonal entries left (ties by the
 largest diagonal, then the index), zero diagonals last; it was chosen for its
-fill-in, which the largest-diagonal rule made almost dense.  A change that
-alters these files must say why and re-record them with
+fill-in, which the largest-diagonal rule made almost dense.
+
+tests/golden/sphere_descent.json pins the sphere descent bit for bit: for the
+sample forms and the distinct forms of the invariants benchmark at seeds 1-3
+(n 2-4, diagonal and not), the float.hex of the minimum and minimizer of the
+uncertified descents on f and on -f, their converged flags and start counts,
+and of Λ♯.  The form documents are stored in the file; test_spheremin
+compares against it.  A change that alters these files must say why and
+re-record them with
 
     PYTHONPATH=src:tests python tests/test_kernel_golden.py
 """
@@ -28,13 +35,15 @@ from pathlib import Path
 
 import pytest
 
-from hsos import formats, forms, multiindex as mi, multiplier as mult
+from hsos import formats, forms, multiindex as mi, multiplier as mult, spheremin
 from hsos.exact import qc
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DENOMINATORS = (1, 2, 3, 4, 5, 7, 12)
 SEEDS = range(45)
+DESCENT_GOLDEN = GOLDEN / "sphere_descent.json"
+DESCENT_SEEDS = (1, 2, 3)
 
 
 def kernel_record(matrix: mult.MultiplierMatrix) -> dict:
@@ -102,6 +111,38 @@ def record() -> None:
         shifts = [kernel_record(mult.multiplier_matrix(form, N)) for N in range(3)]
         rand.append({"seed": seed, "form": formats.form_to_dict(form), "shifts": shifts})
     (GOLDEN / "kernel_random.json").write_text(formats.dumps_stable({"cases": rand}) + "\n")
+    descents = [{"id": name, "form": doc, **descent_record(formats.form_from_dict(doc))} for name, doc in descent_corpus()]
+    DESCENT_GOLDEN.write_text(formats.dumps_stable({"cases": descents}) + "\n")
+
+
+def descent_corpus() -> list[tuple[str, dict]]:
+    """(id, form document): the sample forms, then each invariants form of DESCENT_SEEDS once."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from inputs import invariants_jobs
+
+    corpus = [(p.stem, formats.form_to_dict(formats.load_form(p))) for p in sorted((ROOT / "sample_forms").glob("*.json"))]
+    for seed in DESCENT_SEEDS:
+        for job in invariants_jobs(seed):
+            doc = formats.form_to_dict(formats.form_from_dict(job["form"]))
+            if all(doc != seen for _, seen in corpus):
+                corpus.append((f"invariants-{seed}/{job['id']}", doc))
+    return corpus
+
+
+def descent_record(form: forms.HermitianForm) -> dict:
+    """The uncertified descents on f and on -f, and Λ♯, as exact float.hex strings."""
+
+    def exact(result):
+        return {
+            "value": result.value.hex(),
+            "minimizer": [[z.real.hex(), z.imag.hex()] for z in result.minimizer],
+            "converged": result.converged,
+            "starts": result.starts,
+        }
+
+    low, high = (spheremin._minimum(form, side, certify=False) for side in (0, 1))
+    sharp = spheremin.sphere_range(form, certify=False)[1]
+    return {"min_f": exact(low), "min_minus_f": exact(high), "lambda_sharp": sharp.value.hex()}
 
 
 def _golden(name):

@@ -8,14 +8,18 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hsos import cli, formats, forms, spheremin
+from hsos import cli, formats, forms, multiindex as mi, spheremin
+from hsos.exact import qc
 
 from conftest import random_hermitian_form
+from test_kernel_golden import DESCENT_GOLDEN, descent_record
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
 
@@ -215,3 +219,76 @@ def test_import_loads_no_unneeded_scipy(module, unwanted):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# The descent pinned bit for bit against tests/golden/sphere_descent.json; test_kernel_golden
+# describes the file and records it.
+def _descent_cases():
+    return json.loads(DESCENT_GOLDEN.read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", _descent_cases(), ids=lambda case: case["id"])
+def test_descent_matches_golden_bit_for_bit(case):
+    form = formats.form_from_dict(case["form"])
+    assert descent_record(form) == {k: v for k, v in case.items() if k not in ("id", "form")}
+
+
+def test_descent_golden_covers_samples_n4_and_non_diagonal_forms():
+    cases = _descent_cases()
+    assert {c["id"] for c in cases} >= {path.stem for path in SAMPLES.glob("*.json")}
+    assert {c["form"]["n"] for c in cases} == {2, 3, 4}
+    assert any(t["alpha"] != t["beta"] for c in cases if c["form"]["n"] == 4 for t in c["form"]["terms"])
+
+
+@st.composite
+def _objective_cases(draw):
+    """A hermitian form with n <= 4, m <= 3 and complex coefficients, and 1-6 points of R^{2n} near the sphere."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    basis = list(mi.iter_degree(n, m))
+    parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    triples = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+        c = qc(draw(parts)) if a == b else qc(draw(parts), draw(parts))
+        triples += [(a, b, c)] if a == b else [(a, b, c), (b, a, c.conj())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = spheremin._normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), 2 * n)))
+    X[:, draw(st.integers(0, 2 * n - 1))] = 0.0  # an exact zero coordinate, as at the axis starts
+    return forms.HermitianForm.from_terms(n, m, triples), X * rng.uniform(0.5, 1.5, (len(X), 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_objective_cases())
+def test_objective_value_matches_evaluate_batch(case):
+    form, X = case
+    obj, n = spheremin._Objective(form), form.n
+    want = forms.evaluate_batch(form, X[:, :n] + 1j * X[:, n:])
+    tol = 1e-12 * float(form.coefficient_l1()) * np.linalg.norm(X, axis=1) ** (2 * form.m)
+    assert np.all(np.abs(obj.value(X) - want) <= tol)
+    assert np.array_equal(obj.value_grad(X)[0], obj.value(X))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_objective_cases())
+def test_objective_gradient_matches_central_differences(case):
+    form, X = case
+    obj, h = spheremin._Objective(form), 1e-5
+    grad = obj.value_grad(X)[1]
+    assert grad.shape == X.shape
+    # truncation h^2/6 |f'''| <= 4e-9 sum |c| |x|^(2m) for m <= 3; rounding 1e-16 sum |c| |x|^(2m) / h
+    tol = 1e-7 * (1.0 + float(form.coefficient_l1()) * 1.5 ** (2 * form.m))
+    for i in range(X.shape[1]):
+        e = np.zeros(X.shape[1])
+        e[i] = h
+        central = (obj.value(X + e) - obj.value(X - e)) / (2 * h)
+        assert np.all(np.abs(grad[:, i] - central) <= tol), i
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 8), st.data())
+def test_normalize_rows_refuses_a_zero_row(rows, d, data):
+    X = np.random.default_rng(rows * d).standard_normal((rows, d))
+    assert np.allclose(np.linalg.norm(spheremin._normalize_rows(X), axis=1), 1.0)
+    X[data.draw(st.integers(0, rows - 1))] = data.draw(st.sampled_from([0.0, -0.0]))
+    with pytest.raises(ValueError, match="cannot project the origin"):
+        spheremin._normalize_rows(X)
