@@ -170,21 +170,15 @@ def bound_report(
         ("certified_N", lambda: certified_N(form, C, lam.value, big)),
         ("powers_resnick_N", lambda: powers_resnick_N(form, lam.value)),
         ("to_yeung_N", lambda: to_yeung_N(form, lam.value, sharp.value)),
+        ("nie_schweighofer_N", lambda: nie_schweighofer_N(form, NS_C, lam.value)),
     ]:
         try:
             setattr(report, name, fn())
-        except (NonPositiveLambda, NotDiagonal, ValueError) as exc:
+        except ValueError as exc:  # NonPositiveLambda and NotDiagonal among them
             report.notes[name] = str(exc)
-
-    try:
-        ns = nie_schweighofer_N(form, NS_C, lam.value)
-        if ns is None:
-            report.nie_schweighofer_overflow = True
-            report.notes["nie_schweighofer_N"] = "double-precision overflow"
-        else:
-            report.nie_schweighofer_N = ns
-    except NonPositiveLambda as exc:
-        report.notes["nie_schweighofer_N"] = str(exc)
+    if report.nie_schweighofer_N is None and "nie_schweighofer_N" not in report.notes:
+        report.nie_schweighofer_overflow = True
+        report.notes["nie_schweighofer_N"] = "double-precision overflow"
 
     if lam.value > 0:
         report.checks["lambda_le_sharp"] = lam.value <= sharp.value * (1 + 1e-9) + 1e-12

@@ -260,6 +260,10 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
             N = max(1, math.ceil(1.0 / h)) if args.N is None else args.N
             eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
             params = audit_mod.RegimeParams(h=h, N=N, m=form.m, n=form.n, epsilon=eps)
+        elif suite == "basic":  # the h0 scan reads neither; --suite all passes both to localization
+            for name in ("N", "epsilon"):
+                if getattr(args, name) is not None:
+                    raise ValueError(f"--{name} needs --h in the basic suite")
         lam = forms_mod.lambda_min(form).value
         big = forms_mod.big_lambda(form)
         if params is not None:

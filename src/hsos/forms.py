@@ -276,20 +276,19 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
     return best
 
 
-def lambda_min(form: HermitianForm, certify: bool = True):
+def lambda_min(form: HermitianForm):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
     Read from the form's one sphere pass (spheremin.SpherePass): the descent on f
-    runs once per form object, and the certified grid once, on the first
-    certify=True call.  certify=False skips the grid; the descent stops at the
-    fixed relative gradient bound spheremin.TOL.
+    runs once per form object, and for n <= 3 the certified grid once before it;
+    the descent stops at the fixed relative gradient bound spheremin.TOL.
     """
     from . import spheremin
 
-    return spheremin.minimize_on_sphere(form, certify=certify)
+    return spheremin.minimize_on_sphere(form)
 
 
-def lambda_sharp(form: HermitianForm, certify: bool = True):
+def lambda_sharp(form: HermitianForm):
     """sup of |f| on the unit sphere; spheremin.sphere_range returns it with lambda_min.
 
     It shares the form's sphere pass with lambda_min and adds only the descent
@@ -297,7 +296,7 @@ def lambda_sharp(form: HermitianForm, certify: bool = True):
     """
     from . import spheremin
 
-    return spheremin.sphere_range(form, certify=certify)[1]
+    return spheremin.sphere_range(form)[1]
 
 
 @dataclass(frozen=True)

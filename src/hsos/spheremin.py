@@ -1,7 +1,7 @@
 """Deterministic minimization of a hermitian form over the unit sphere.
 
 Multi-start projected gradient descent with Armijo backtracking (all starts
-advanced as one vectorized batch), followed for n <= 3 by a coarse certified
+advanced as one vectorized batch), combined for n <= 3 with a coarse certified
 grid pass.  The certificate uses the crude sphere Lipschitz bound
 L = 2m * sum |c_ab| together with an explicit covering radius of the
 (moduli, phases) parameter grid, so the reported uncertainty radius is safe
@@ -9,8 +9,9 @@ but far from tight.
 
 Each form object keeps one SpherePass (HermitianForm.sphere_pass), filled on
 demand: the grid and the descents on f and on -f each run at most once per
-form, and minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp
-all read it.  An equal form that is a different object runs its own pass.
+form, every λ and Λ♯ of a form with n <= 3 includes the grid, and
+minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp all read
+it.  An equal form that is a different object runs its own pass.
 
 The descent is pinned bit for bit (tests/golden/sphere_descent.json), and two
 rules of _Objective keep it so: an array that np.multiply.reduce multiplies
@@ -21,7 +22,6 @@ since it rounds a row by its batch size and position.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from itertools import islice, product
@@ -244,65 +244,54 @@ def _certified_grid(form: HermitianForm):
 
 
 class SpherePass:
-    """What one nonzero form's sphere pass has computed so far.
-
-    Beside the objective and the starts, only results are kept: the grid's
-    (min, max, cover, count), not its points, and the uncertified SphereMinResult
-    of each side; certify=True adds the grid to them.
-    """
+    """What one nonzero form's sphere pass has computed so far: the grid's (min, max, cover,
+    count) for n <= 3, not its points, and the final SphereMinResult of each side."""
 
     def __init__(self):
         self.grid = None
-        self.descents: list[SphereMinResult | None] = [None, None]
-        self.objective = self.starts = None  # built by the first descent
+        self.results: list[SphereMinResult | None] = [None, None]
 
 
-def _minimum(form: HermitianForm, side: int, certify: bool) -> SphereMinResult:
+def _descent(form: HermitianForm, side: int) -> SphereMinResult:
+    """The multi-start descent alone on f (side 0) or on -f (side 1): no grid, uncertified."""
+    z0 = _starting_points(form.n)
+    starts, obj = np.concatenate([z0.real, z0.imag], axis=1), _Objective(form)
+    if side:  # -f: exactly negated coefficients
+        obj.C = -obj.C
+    vals, X, conv = _pgd_batch(obj, starts)
+    best = int(np.argmin(vals))
+    z = tuple(complex(X[best, k], X[best, form.n + k]) for k in range(form.n))
+    return SphereMinResult(float(vals[best]), z, math.inf, False, bool(conv.any()), len(starts), 0)
+
+
+def _minimum(form: HermitianForm, side: int) -> SphereMinResult:
     """The minimum of f (side 0) or of -f (side 1) on the sphere, read from the form's sphere pass."""
     if form.is_zero:
         e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
         return SphereMinResult(0.0, e, 0.0, True, True, 0, 0)
     sp = form.sphere_pass
-    if certify and form.n <= 3 and sp.grid is None:
-        # before the starts: the grid's points are freed before the descent allocates its arrays
-        sp.grid = _certified_grid(form)
-    found = sp.descents[side]
-    if found is None:
-        if sp.objective is None:
-            z0 = _starting_points(form.n)
-            sp.objective, sp.starts = _Objective(form), np.concatenate([z0.real, z0.imag], axis=1)
-        obj = sp.objective
-        if side:  # -f: exactly negated coefficients
-            obj = copy.copy(obj)
-            obj.C = -obj.C
-        vals, X, conv = _pgd_batch(obj, sp.starts)
-        best = int(np.argmin(vals))
-        z = tuple(complex(X[best, k], X[best, form.n + k]) for k in range(form.n))
-        found = SphereMinResult(float(vals[best]), z, math.inf, False, bool(conv.any()), len(sp.starts), 0)
-        sp.descents[side] = found
-    if not certify or form.n > 3:
-        return found
-
-    grid_min, grid_max, cover, grid_points = sp.grid
-    if side:  # min(-f) = -max f on the same grid values
-        grid_min = -grid_max
-    lower = grid_min - lipschitz_bound(form) * cover
-    value = min(found.value, grid_min)
-    return replace(
-        found, value=value, uncertainty=max(0.0, value - lower), certified=True, grid_points=grid_points
-    )
+    if sp.results[side] is None:
+        if form.n <= 3 and sp.grid is None:
+            # before the starts: the grid's points are freed before the descent allocates its arrays
+            sp.grid = _certified_grid(form)
+        found = _descent(form, side)
+        if sp.grid is not None:
+            grid_min, grid_max, cover, grid_points = sp.grid
+            if side:  # min(-f) = -max f on the same grid values
+                grid_min = -grid_max
+            lower = grid_min - lipschitz_bound(form) * cover
+            value = min(found.value, grid_min)
+            found = replace(
+                found, value=value, uncertainty=max(0.0, value - lower), certified=True, grid_points=grid_points
+            )
+        sp.results[side] = found
+    return sp.results[side]
 
 
-def minimize_on_sphere(form: HermitianForm, certify: bool = True) -> SphereMinResult:
-    """Multi-start projected gradient minimum of f on the unit sphere."""
-    return _minimum(form, 0, certify)
-
-
-def sphere_range(form: HermitianForm, certify: bool = True) -> tuple[SphereMinResult, SphereMinResult]:
-    """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same sphere pass and a descent on -f."""
-    low, high = _minimum(form, 0, certify), _minimum(form, 1, certify)
+def _sharp(low: SphereMinResult, high: SphereMinResult) -> SphereMinResult:
+    """Λ♯ = sup |f| from the minima of f (low) and of -f (high)."""
     side = high if high.value <= low.value else low  # sup |f| = -min(min f, min -f)
-    sharp = SphereMinResult(
+    return SphereMinResult(
         max(0.0, -side.value),  # 0.0, not -0.0, on a tie: max keeps its first argument
         side.minimizer,
         max(low.uncertainty, high.uncertainty),
@@ -311,4 +300,14 @@ def sphere_range(form: HermitianForm, certify: bool = True) -> tuple[SphereMinRe
         low.starts + high.starts,
         low.grid_points,  # one grid pass serves both sides
     )
-    return low, sharp
+
+
+def minimize_on_sphere(form: HermitianForm) -> SphereMinResult:
+    """Multi-start projected gradient minimum of f on the unit sphere, with the certified grid for n <= 3."""
+    return _minimum(form, 0)
+
+
+def sphere_range(form: HermitianForm) -> tuple[SphereMinResult, SphereMinResult]:
+    """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same sphere pass and a descent on -f."""
+    low = _minimum(form, 0)
+    return low, _sharp(low, _minimum(form, 1))

@@ -79,15 +79,15 @@ def test_criterion_2_minimal_shift_family():
 def test_criterion_3_invariants(positive_corpus):
     lam_ok = True
     for c in C_GRID:
-        r = forms.lambda_min(forms.fc_form(c), certify=False)
+        r = forms.lambda_min(forms.fc_form(c))
         lam_ok &= abs(r.value - float((2 - Fraction(c)) / 4)) <= 1e-9
     frob_ok = all(
         forms.big_lambda_sq(forms.fc_form(c)) == 2 + Fraction(c) ** 2 / 4 for c in C_GRID
     )
     chain_ok = True
     for name, form, _ in positive_corpus:
-        lam = forms.lambda_min(form, certify=False).value
-        sharp = forms.lambda_sharp(form, certify=False).value
+        lam = forms.lambda_min(form).value
+        sharp = forms.lambda_sharp(form).value
         big = forms.big_lambda(form)
         chain_ok &= lam <= sharp * (1 + 1e-9) + 1e-12 and sharp <= big * (1 + 1e-9) + 1e-12
     _report(
@@ -152,7 +152,7 @@ def test_criterion_6_sufficient_bound_soundness(positive_corpus):
                 checked_pr += 1
                 if not mult.is_psd(mult.multiplier_matrix(form, pr)).is_psd:
                     exceptions.append((name, "PR", pr))
-        sharp = forms.lambda_sharp(form, certify=False).value
+        sharp = forms.lambda_sharp(form).value
         ty = bounds.to_yeung_N(form, lam, sharp)
         if mi.dim_homogeneous(form.n, form.m + ty) <= mult.DEFAULT_SIZE_CAP:
             checked_ty += 1

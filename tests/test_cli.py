@@ -331,6 +331,9 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "tails", "--rho", "-1e-3"], 2),
         (["audit", "--suite", "tails", "--delta", "-1E-3"], 2),
         (["audit", "--suite", "localization", "--epsilon", "-inf"], 2),
+        # without --h the basic suite scans for h0, which reads neither --N nor --epsilon
+        (["audit", "--suite", "basic", "--form", FC1, "--N", "5"], 2),
+        (["audit", "--suite", "basic", "--form", FC1, "--epsilon", "0.5"], 2),
     ],
     ids=[
         "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
@@ -341,6 +344,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         "localization-samples1", "laplacian-samples1", "localization-m-1", "localization-N-4",
         "localization-n0", "basic-N-3", "C-1e-10", "C-0",
         "localization-h-1e-3", "C-negative-1e-3", "tails-rho-1e-3", "tails-delta-1E-3", "localization-eps-inf",
+        "basic-N-without-h", "basic-eps-without-h",
     ],
 )
 def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expected):

@@ -111,7 +111,7 @@ def test_a_computed_minimum_stays_the_minimum_of_its_form():
                          ids=["pickle", "copy", "deepcopy"])
 def test_pickle_and_copy_give_an_equal_read_only_form(duplicate):
     f = forms.add_forms(forms.fc_form(1), ridge_form())
-    forms.lambda_min(f, certify=False)
+    forms.lambda_min(f)
     g = duplicate(f)
     assert g == f and list(g.coeffs.items()) == list(f.coeffs.items())
     assert "sphere_pass" in vars(f) and "sphere_pass" not in vars(g)  # rebuilt through the constructor
@@ -267,13 +267,13 @@ def test_lambda_tilde_ignores_off_diagonal():
 
 def test_lambda_min_fc_family():
     for c in C_GRID:
-        r = forms.lambda_min(forms.fc_form(c), certify=False)
+        r = forms.lambda_min(forms.fc_form(c))
         assert abs(r.value - float((2 - Fraction(c)) / 4)) < 1e-9
         assert r.converged
 
 
 def test_lambda_min_boundary_c2():
-    r = forms.lambda_min(forms.fc_form(2), certify=False)
+    r = forms.lambda_min(forms.fc_form(2))
     assert abs(r.value) < 1e-9
 
 
@@ -281,7 +281,7 @@ def test_lambda_min_constant_form():
     for n, m in [(2, 1), (2, 2), (3, 2)]:
         f = forms.inner_power(n, m)
         r = forms.lambda_min(f)
-        s = forms.lambda_sharp(f, certify=False)
+        s = forms.lambda_sharp(f)
         assert abs(r.value - 1.0) < 1e-12
         assert abs(s.value - 1.0) < 1e-12
         # the form is exactly 1 at rational sphere points
@@ -299,7 +299,7 @@ def test_lambda_min_is_lower_bound_on_samples():
     rng = random.Random(31)
     for _ in range(5):
         f = random_hermitian_form(rng, 2, 2)
-        r = forms.lambda_min(f, certify=False)
+        r = forms.lambda_min(f)
         from hsos.audit import unit_sphere_samples
 
         Z = unit_sphere_samples(2, 2000)
@@ -307,9 +307,9 @@ def test_lambda_min_is_lower_bound_on_samples():
 
 
 def test_lambda_sharp_examples():
-    assert abs(forms.lambda_sharp(forms.fc_form(1), certify=False).value - 1.0) < 1e-9
+    assert abs(forms.lambda_sharp(forms.fc_form(1)).value - 1.0) < 1e-9
     neg = forms.scale(coordinate_power(2, 2, 0), -1)
-    assert abs(forms.lambda_sharp(neg, certify=False).value - 1.0) < 1e-9
+    assert abs(forms.lambda_sharp(neg).value - 1.0) < 1e-9
 
 
 def test_sampled_sup_below_big_lambda():

@@ -140,9 +140,8 @@ def descent_record(form: forms.HermitianForm) -> dict:
             "starts": result.starts,
         }
 
-    low, high = (spheremin._minimum(form, side, certify=False) for side in (0, 1))
-    sharp = spheremin.sphere_range(form, certify=False)[1]
-    return {"min_f": exact(low), "min_minus_f": exact(high), "lambda_sharp": sharp.value.hex()}
+    low, high = (spheremin._descent(form, side) for side in (0, 1))
+    return {"min_f": exact(low), "min_minus_f": exact(high), "lambda_sharp": spheremin._sharp(low, high).value.hex()}
 
 
 def _golden(name):

@@ -1,6 +1,5 @@
 """The two-sided sphere pass and the in-house Halton sampler."""
 
-import functools
 import itertools
 import json
 import math
@@ -54,10 +53,10 @@ def test_starting_points_take_the_first_eight_phase_patterns():
     assert spheremin._starting_points(40).shape == (112, 40)
 
 
-def _old_sup_abs(form, **options):
+def _old_sup_abs(form):
     """The former composition: two full minimizations, of f and of an exactly scaled -f."""
-    r_min = spheremin.minimize_on_sphere(form, **options)
-    r_max = spheremin.minimize_on_sphere(forms.scale(form, -1), **options)
+    r_min = spheremin.minimize_on_sphere(form)
+    r_max = spheremin.minimize_on_sphere(forms.scale(form, -1))
     if -r_max.value >= -r_min.value:
         value, point = -r_max.value, r_max.minimizer
     else:
@@ -149,11 +148,6 @@ def test_sphere_range_after_minimize_on_sphere_adds_one_descent(monkeypatch):
     assert _pass_counts(monkeypatch, form, spheremin.sphere_range) == (0, 1)
 
 
-def test_uncertified_then_certified_runs_one_descent_and_one_grid(monkeypatch):
-    uncertified = functools.partial(forms.lambda_min, certify=False)
-    assert _pass_counts(monkeypatch, forms.fc_form(1), uncertified, forms.lambda_min) == (1, 1)
-
-
 def test_certified_grid_runs_before_the_starts(monkeypatch):
     """The grid's points are freed before the starts and the descent allocate theirs, so the two never add up.
 
@@ -166,25 +160,12 @@ def test_certified_grid_runs_before_the_starts(monkeypatch):
     assert calls == ["_certified_grid", "_starting_points"]
 
 
-SPHERE_CALLS = {
-    "minimize": spheremin.minimize_on_sphere,
-    "minimize uncertified": functools.partial(spheremin.minimize_on_sphere, certify=False),
-    "range": spheremin.sphere_range,
-    "range uncertified": functools.partial(spheremin.sphere_range, certify=False),
-}
+SPHERE_CALLS = {"minimize": spheremin.minimize_on_sphere, "range": spheremin.sphere_range}
 
 
-# A call's answer could only depend on which parts of the pass (descent on f, descent on -f, grid)
-# exist before it.  These six orders reach each such state before each call, and each call comes
-# first, on a fresh form, in at least one of them; all 24 orders would cost four times as much.
-CALL_ORDERS = [
-    ("minimize uncertified", "minimize", "range uncertified", "range"),
-    ("minimize uncertified", "range uncertified", "minimize", "range"),
-    ("minimize uncertified", "range", "minimize", "range uncertified"),
-    ("minimize", "minimize uncertified", "range", "range uncertified"),
-    ("range uncertified", "minimize uncertified", "range", "minimize"),
-    ("range", "minimize uncertified", "minimize", "range uncertified"),
-]
+# A call's answer could only depend on which sides of the pass exist before it; both orders of the
+# two calls are every order, and each call comes first, on a fresh form, in one of them.
+CALL_ORDERS = list(itertools.permutations(SPHERE_CALLS))
 
 
 @pytest.mark.parametrize("name", SPHERE_FORMS)
