@@ -211,10 +211,26 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# the audit options each suite reads; --suite all reads every one, and --seed and --size-cap are global
+_SUITE_OPTIONS = {
+    "laplacian": ("form", "samples"),
+    "radial": ("h", "M", "n"),
+    "tails": ("rho", "delta"),
+    "localization": ("h", "epsilon", "N", "k", "m", "n", "samples"),
+    "basic": ("form", "h", "epsilon", "N"),
+}
+
+
 def _audit_reports(args) -> list[audit_mod.AuditReport]:
     reports: list[audit_mod.AuditReport] = []
     suite = args.suite
-    form = formats.load_form(args.form) if args.form else None
+    form = formats.load_form(args.form) if args.form else None  # an unreadable --form is an input error in any suite
+    if suite != "all":  # an option the suite does not read is refused before any work, not silently ignored
+        options = dict.fromkeys(name for names in _SUITE_OPTIONS.values() for name in names)
+        reads = _SUITE_OPTIONS[suite]
+        unread = [f"--{name}" for name in options if name not in reads and getattr(args, name) is not None]
+        if unread:
+            raise ValueError(f"--suite {suite} does not read {', '.join(unread)}")
     if form is None and suite in ("laplacian", "basic"):
         raise formats.ParseError(f"--suite {suite} requires --form")
 

@@ -5,7 +5,9 @@ advanced as one vectorized batch), combined for n <= 3 with a coarse certified
 grid pass.  The certificate uses the crude sphere Lipschitz bound
 L = 2m * sum |c_ab| together with an explicit covering radius of the
 (moduli, phases) parameter grid, so the reported uncertainty radius is safe
-but far from tight.
+but far from tight.  The grid is a product of moduli cells and phase cells, and
+f on it is a sum of moduli-factor x phase-factor outer products, so its points
+are never formed and it makes no forms.evaluate_batch call.
 
 Each form object keeps one SpherePass (HermitianForm.sphere_pass), filled on
 demand: the grid and the descents on f and on -f each run at most once per
@@ -28,14 +30,13 @@ from itertools import islice, product
 
 import numpy as np
 
-from . import forms
 from .forms import HermitianForm
 
 MAX_ITER = 500  # descent iterations per start
 TOL = 1e-9  # a start has converged once |projected gradient| <= TOL * (1 + |f|)
 QUASI_STARTS = 64  # Halton starts on top of the axes and the balanced points
 GRID_BUDGET = 160_000  # evaluations of the certified grid pass (n <= 3)
-EVAL_CHUNK = 65536  # points per evaluation batch of the certified grid and of sampled audits
+EVAL_CHUNK = 65536  # points per evaluation batch of the sampled audits (unit_sphere_chunks)
 
 
 @dataclass(frozen=True)
@@ -203,44 +204,57 @@ def _certified_grid(form: HermitianForm):
     point is within covering_radius of an evaluated point (after removing the
     global phase, which leaves f invariant), so grid_min - L * covering_radius
     certifies a lower bound on f and -grid_max - L * covering_radius one on -f.
+
+    A grid point is z_j = r_j(psi) e^{i theta_j} with theta_n = 0, one of K^(n-1)
+    moduli cells psi times one of K^(n-1) phase cells theta, so a term c z^a z̄^b is
+    c r^(a+b) e^{i (a-b).theta}: a moduli factor times a phase factor.  The terms are
+    summed into P_d(psi) = sum_{a-b=d} c r^(a+b), one per difference d, and hermitian
+    symmetry gives P_{-d} = conj(P_d), so every value is
+    f = P_0 + sum_{d>0} 2 (Re P_d cos(d.theta) - Im P_d sin(d.theta)), built on the
+    (moduli cells, phase cells) table one elementwise outer product at a time; the
+    points themselves are never formed.  Each value is a sum of products of a few
+    correctly rounded factors, each at most |c_ab| in size, so its float rounding error
+    is a few tens of units of 1e-16 * sum |c_ab| (it agrees with forms.evaluate_batch
+    on the points to 7.8e-16 on the shipped forms).  That is far inside the Lipschitz
+    margin L * covering_radius, which is 2m * sum |c_ab| times at least 0.0098.
     """
     n = form.n
-    if n == 1:
-        z = np.array([[1.0 + 0j]])
-        val = float(forms.evaluate_batch(form, z)[0])
-        return val, val, 0.0, 1
-    axes = 2 * (n - 1)
-    K = max(4, int(GRID_BUDGET ** (1.0 / axes)))
-    dpsi = (math.pi / 2) / K
-    dtheta = (2 * math.pi) / K
-    psi_vals = (np.arange(K) + 0.5) * dpsi
-    theta_vals = (np.arange(K) + 0.5) * dtheta
-    cover = (n - 1) * dpsi / 2 + dtheta / 2
-
-    grids = np.meshgrid(*([psi_vals] * (n - 1) + [theta_vals] * (n - 1)), indexing="ij")
-    flat = [g.reshape(-1) for g in grids]
-    total = flat[0].size
-    psis = np.stack(flat[: n - 1], axis=1)
-    thetas = np.stack(flat[n - 1 :], axis=1)
+    if n == 1:  # the sphere of C^1 is one point once the global phase is removed
+        K, dpsi, dtheta, cover = 1, 0.0, 0.0, 0.0
+    else:
+        K = max(4, int(GRID_BUDGET ** (1.0 / (2 * (n - 1)))))
+        dpsi = (math.pi / 2) / K
+        dtheta = (2 * math.pi) / K
+        cover = (n - 1) * dpsi / 2 + dtheta / 2
+    cells = np.indices((K,) * (n - 1)).reshape(n - 1, K ** (n - 1)).T + 0.5  # cell centres, in steps
+    psis, thetas = cells * dpsi, cells * dtheta
 
     # spherical moduli: r_1 = cos psi_1, r_2 = sin psi_1 cos psi_2, ..., r_n = prod sin
-    r = np.empty((total, n))
-    sin_acc = np.ones(total)
+    r = np.empty((len(psis), n))
+    sin_acc = np.ones(len(psis))
     for j in range(n - 1):
         r[:, j] = sin_acc * np.cos(psis[:, j])
         sin_acc = sin_acc * np.sin(psis[:, j])
     r[:, n - 1] = sin_acc
+    r_pow = r[:, :, None] ** np.arange(2 * form.m + 1)  # (moduli cells, n, 2m + 1)
 
-    Z = r.astype(complex)
-    for j in range(n - 1):
-        Z[:, j] = Z[:, j] * np.exp(1j * thetas[:, j])
+    zero = (0,) * (n - 1)
+    moduli: dict[tuple[int, ...], np.ndarray] = {}
+    for (a, b), c in form.coeffs.items():
+        d = tuple(x - y for x, y in zip(a[:-1], b[:-1]))  # d_n = -sum d_j, as |a| = |b|
+        if d >= zero:  # P_{-d} = conj(P_d) is not needed
+            rab = np.multiply.reduce(r_pow[:, np.arange(n), np.add(a, b)], axis=1)
+            moduli[d] = moduli.get(d, 0) + complex(c) * rab
 
-    grid_min, grid_max = math.inf, -math.inf
-    for lo in range(0, total, EVAL_CHUNK):
-        vals = forms.evaluate_batch(form, Z[lo : lo + EVAL_CHUNK])
-        grid_min = min(grid_min, float(vals.min()))
-        grid_max = max(grid_max, float(vals.max()))
-    return grid_min, grid_max, cover, total
+    vals = np.zeros((len(psis), len(thetas)))
+    if zero in moduli:
+        vals += moduli.pop(zero).real[:, None]
+    term = np.empty_like(vals)  # one outer product at a time, in place
+    for d, p in moduli.items():
+        phase = np.add.reduce(thetas * d, axis=1)
+        vals += np.multiply.outer(2.0 * p.real, np.cos(phase), out=term)
+        vals -= np.multiply.outer(2.0 * p.imag, np.sin(phase), out=term)
+    return float(vals.min()), float(vals.max()), cover, vals.size
 
 
 class SpherePass:
@@ -272,7 +286,7 @@ def _minimum(form: HermitianForm, side: int) -> SphereMinResult:
     sp = form.sphere_pass
     if sp.results[side] is None:
         if form.n <= 3 and sp.grid is None:
-            # before the starts: the grid's points are freed before the descent allocates its arrays
+            # before the starts: the grid's value table is freed before the descent allocates its arrays
             sp.grid = _certified_grid(form)
         found = _descent(form, side)
         if sp.grid is not None:

@@ -492,6 +492,31 @@ def test_audit_localization_outside_the_window(capsys):
     ]
 
 
+# the audit options each suite reads; --suite all reads every one
+SUITE_READS = {
+    "laplacian": {"form", "samples"},
+    "radial": {"h", "M", "n"},
+    "tails": {"rho", "delta"},
+    "localization": {"h", "epsilon", "N", "k", "m", "n", "samples"},
+    "basic": {"form", "h", "epsilon", "N"},
+}
+
+
+def test_audit_suites_refuse_every_option_they_do_not_read(monkeypatch, capsys):
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {a.dest for a in sub.choices["audit"]._actions if a.option_strings} - {"help", "suite"}
+    assert set().union(*SUITE_READS.values()) == options  # a new audit option must be given its suites
+    descents = []
+    descend = spheremin._pgd_batch
+    monkeypatch.setattr(spheremin, "_pgd_batch", lambda *a: descents.append(a) or descend(*a))
+    for suite, reads in SUITE_READS.items():
+        for name in sorted(options - reads):
+            argv = ["audit", "--suite", suite, f"--{name}", FC1 if name == "form" else "5"]
+            code, out, err = run(capsys, argv + (["--form", FC1] if "form" in reads else []))
+            assert (code, out, err) == (2, "", f"invalid argument: --suite {suite} does not read --{name}\n"), argv
+    assert descents == []
+
+
 def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
     def exhaust(path):
         raise MemoryError
@@ -567,7 +592,8 @@ _OFF_WINDOW = ["--h", "0.003125", "--epsilon", "0.01", "--samples", "1000"]  # 4
 
 
 def test_audit_basic_outside_the_window_is_a_failed_check(capsys):
-    code, out, err = run(capsys, ["audit", "--suite", "basic", "--form", FC1, *_OFF_WINDOW])
+    # the basic suite reads no --samples
+    code, out, err = run(capsys, ["audit", "--suite", "basic", "--form", FC1, *_OFF_WINDOW[:4]])
     assert (code, err) == (1, "")
     assert out.splitlines() == [
         "[FAIL] basic-rhs: lhs=nan rhs=nan ratio=nan window violated: sigma window fails at "

@@ -149,15 +149,69 @@ def test_sphere_range_after_minimize_on_sphere_adds_one_descent(monkeypatch):
 
 
 def test_certified_grid_runs_before_the_starts(monkeypatch):
-    """The grid's points are freed before the starts and the descent allocate theirs, so the two never add up.
+    """The grid's value table is freed before the starts and the descent allocate theirs, so the two never add up.
 
-    When the starts loaded scipy.special, the other order raised the peak resident memory of
-    `hsos analyze fc_1` from 55 to 75 MB; with the numpy ndtri it costs about 0.4 MB.
+    When the starts loaded scipy.special and the grid formed its 160 000 points, the other order
+    raised the peak resident memory of `hsos analyze fc_1` from 55 to 75 MB; the grid's table now
+    takes about 2.6 MB and the numpy ndtri about 0.4 MB.
     """
     calls = _count_calls(monkeypatch, "_certified_grid")
     _count_calls(monkeypatch, "_starting_points", calls)
     forms.lambda_min(forms.fc_form(1))
     assert calls == ["_certified_grid", "_starting_points"]
+
+
+def _grid_reference(n: int) -> tuple[np.ndarray, int, float]:
+    """The certified grid's points, one row each, with K and the covering radius, built point by point.
+
+    The meshgrid runs over the n - 1 moduli angles psi, then the n - 1 phase angles theta; z_j is
+    r_j e^{i theta_j} with spherical moduli r and theta_n = 0.
+    """
+    if n == 1:
+        return np.array([[1.0 + 0j]]), 1, 0.0
+    K = max(4, int(spheremin.GRID_BUDGET ** (1.0 / (2 * (n - 1)))))
+    dpsi, dtheta = (math.pi / 2) / K, (2 * math.pi) / K
+    axes = np.meshgrid(*([(np.arange(K) + 0.5) * dpsi] * (n - 1) + [(np.arange(K) + 0.5) * dtheta] * (n - 1)),
+                       indexing="ij")
+    psis, thetas = [g.reshape(-1) for g in axes[: n - 1]], [g.reshape(-1) for g in axes[n - 1 :]]
+    Z = np.empty((K ** (2 * n - 2), n), dtype=complex)
+    sin_acc = np.ones(len(Z))
+    for j in range(n - 1):
+        Z[:, j] = (sin_acc * np.cos(psis[j])) * np.exp(1j * thetas[j])
+        sin_acc = sin_acc * np.sin(psis[j])
+    Z[:, n - 1] = sin_acc
+    return Z, K, (n - 1) * dpsi / 2 + dtheta / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certified_grid_matches_evaluate_batch_on_its_points(n):
+    Z, K, cover = _grid_reference(n)
+    rng, off_diagonal = random.Random(310 + n), 0
+    for m in (1, 2, 3):
+        for _ in range(2):
+            form = random_hermitian_form(rng, n, m, max_terms=8)
+            off_diagonal += not forms.is_diagonal(form)
+            vals = forms.evaluate_batch(form, Z)
+            grid_min, grid_max, grid_cover, count = spheremin._certified_grid(form)
+            tol = 1e-12 * (1 + float(form.coefficient_l1()))
+            assert abs(grid_min - vals.min()) <= tol and abs(grid_max - vals.max()) <= tol
+            assert (grid_cover, count) == (cover, len(Z)) == (cover, K ** (2 * n - 2))
+    assert off_diagonal >= (3 if n > 1 else 0)  # complex terms off the diagonal, where the phases matter
+
+
+def test_certified_grid_memory_stays_far_below_its_points():
+    """The grid's 160 000 points as complex (160 000, 3) rows would take 7.7 MB, their terms many times that."""
+    import tracemalloc
+
+    form = random_hermitian_form(random.Random(33), 3, 3, max_terms=20)
+    assert not forms.is_diagonal(form)
+    tracemalloc.start()
+    try:
+        spheremin._certified_grid(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 SPHERE_CALLS = {"minimize": spheremin.minimize_on_sphere, "range": spheremin.sphere_range}
