@@ -88,11 +88,8 @@ def nie_schweighofer_N(form: HermitianForm, c: float, lambda_value: float) -> Op
 
 @dataclass
 class BoundReport:
-    n: int
-    m: int
     diagonal: bool
     lambda_value: float
-    lambda_uncertainty: float
     big_lambda: float
     lambda_tilde: float
     lambda_sharp: float
@@ -148,11 +145,8 @@ def bound_report(
     diagonal = forms_mod.is_diagonal(form)
 
     report = BoundReport(
-        n=form.n,
-        m=form.m,
         diagonal=diagonal,
         lambda_value=lam.value,
-        lambda_uncertainty=lam.uncertainty,
         big_lambda=big,
         lambda_tilde=lt,
         lambda_sharp=sharp.value,

@@ -211,10 +211,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-# the audit options each suite reads; --suite all reads every one, and --seed and --size-cap are global
+# the audit options each suite reads; --suite all reads every one
 _SUITE_OPTIONS = {
     "laplacian": ("form", "samples"),
-    "radial": ("h", "M", "n"),
+    "radial": ("M", "n"),
     "tails": ("rho", "delta"),
     "localization": ("h", "epsilon", "N", "k", "m", "n", "samples"),
     "basic": ("form", "h", "epsilon", "N"),
@@ -239,10 +239,9 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
         reports.extend(audit_mod.check_laplacian_powers(form, samples=samples))
 
     if suite in ("radial", "all"):
-        h = 0.01 if args.h is None else args.h
         for M in [0, 1, 5, 10, 25, 50] if args.M is None else [args.M]:
             for n in [1, 2, 3, 6] if args.n is None else [args.n]:
-                reports.append(audit_mod.radial_I1(h, M, n))
+                reports.append(audit_mod.radial_I1(0.01, M, n))  # h cancels in the radial moment
 
     if suite in ("tails", "all"):
         rhos = [args.rho] if args.rho is not None else [5, 10, 20, 50, 100]
@@ -263,11 +262,7 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
         ks = [args.k] if args.k is not None else list(range(m + 1))
         reports.extend(audit_mod.localization_report(params, k) for k in ks)
         mc_samples = min(200_000 if args.samples is None else args.samples, SAMPLES_CAP)
-        reports.append(
-            audit_mod.mc_localization_check(
-                2, 6, 2, h=1.0 / 6.0, epsilon=0.3, samples=mc_samples, seed=args.seed
-            )
-        )
+        reports.append(audit_mod.mc_localization_check(2, 6, 2, h=1.0 / 6.0, epsilon=0.3, samples=mc_samples))
 
     if suite in ("basic", "all") and form is not None:
         params = None
@@ -339,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hermitian sum-of-squares certificates, shift bounds, and numerical audits",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=20240, help="seed for stochastic audit components")
-    parser.add_argument("--size-cap", type=int, default=mult.DEFAULT_SIZE_CAP, help="matrix dimension cap")
+    parser.add_argument(
+        "--size-cap", type=int, help=f"matrix dimension cap for search, certify, verify, bounds (default {mult.DEFAULT_SIZE_CAP})"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="scalar invariants of a form")
@@ -399,7 +395,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.size_cap < 1:
+        if args.size_cap is None:
+            args.size_cap = mult.DEFAULT_SIZE_CAP
+        elif args.command in ("analyze", "audit"):  # neither assembles a matrix
+            raise ValueError(f"{args.command} does not read --size-cap")
+        elif args.size_cap < 1:
             raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
         for name in ("h", "epsilon", "rho", "delta"):  # nan fails no range test such as h <= 0
             value = getattr(args, name, None)  # only audit has these options

@@ -11,9 +11,9 @@ int-string digits, so every value read can be written again.  So "+3", "-0",
 "3/06", "0.5", "1.25e2" and "1e4299" are read exactly, and "1_000", ".5",
 "1/-2", "1e4300" and non-ASCII digits are errors.  Unknown fields and
 duplicate coefficient keys are rejected, and so is a certificate whose mode is
-not "exact", whose verification block holds an unknown status or a residual
-not null or finite, that gives both an embedded "form" and a "form_path", or
-whose "form_path" names no regular file (such as the device /dev/zero).
+not "exact" or whose verification block holds an unknown status or a residual
+not null or finite.  A certificate names its form only by embedding it; loading
+one reads no other file.
 A square's coefficients are written in lowest terms, as `SosSquare` holds
 them, each in one text fragment.  The squares array is written in one pass and
 json.dumps(..., sort_keys=True, indent=2, allow_nan=False) writes every other
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -180,7 +179,7 @@ def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = No
 def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[HermitianForm]]:
     _expect_keys(
         data,
-        {"format_version", "n", "m", "N", "mode", "squares", "verification", "form", "form_path"},
+        {"format_version", "n", "m", "N", "mode", "squares", "verification", "form"},
         {"n", "m", "N", "mode", "squares"},
         "certificate",
     )
@@ -193,8 +192,6 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
     for name, v in (("n", n), ("m", m), ("N", N)):
         if type(v) is not int or v < 0:
             raise ParseError(f"{name} must be a non-negative integer", "certificate")
-    if "form" in data and "form_path" in data:
-        raise ParseError("form and form_path are exclusive; give one", "certificate")
     if not isinstance(data["squares"], list):
         raise ParseError("squares must be a list", "certificate")
     squares = []
@@ -231,16 +228,7 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         raise ParseError(f"residual must be null or a finite number, got {residual!r}", "verification")
     cert = SosCertificate(n, m, N, tuple(squares), status, residual)
 
-    form: Optional[HermitianForm] = None
-    if "form" in data:
-        form = form_from_dict(data["form"])
-    elif "form_path" in data:
-        if not isinstance(data["form_path"], str):
-            raise ParseError("form_path must be a string", "certificate")
-        if not os.path.isfile(data["form_path"]):  # a device such as /dev/zero would be read without end
-            raise ParseError(f"form_path {data['form_path']!r} is not a regular file", "certificate")
-        form = load_form(data["form_path"])
-    return cert, form
+    return cert, form_from_dict(data["form"]) if "form" in data else None
 
 
 def load_certificate(path) -> tuple[SosCertificate, Optional[HermitianForm]]:

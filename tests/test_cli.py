@@ -259,8 +259,9 @@ def _unit_squares_and_term(alpha):
 @pytest.mark.parametrize(
     "mutate, error",
     [
+        # form_path, which named the form file in earlier versions, is an unknown field with or without a form
         (_form_path(5), "input error"),
-        (_set(("form_path",), str(SAMPLES / "fc_1.json")), "input error"),  # beside the embedded form, which was read alone
+        (_set(("form_path",), str(SAMPLES / "fc_1.json")), "input error"),
         (_set(("form_path",), 5), "input error"),
         (_number(("squares", 0, "weight"), "NaN"), "input error"),
         (_number(("squares", 0, "weight"), "1e400"), "input error"),
@@ -269,7 +270,7 @@ def _unit_squares_and_term(alpha):
         (_unit_squares_and_term([0, 5]), "invalid form"),
         (_unit_squares_and_term([3, 0]), "invalid form"),
     ],
-    ids=["form_path-5", "form-and-form_path", "form-and-form_path-5", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity",
+    ids=["unknown-form_path-5", "unknown-form_path-beside-form", "unknown-form_path-5-beside-form", "weight-NaN", "weight-1e400", "re-Infinity", "im--Infinity",
          "form-term-of-degree-5", "form-term-of-degree-3"],
 )
 def test_verify_certificate_with_bad_scalar_is_input_error(capsys, fc1_path, tmp_path, mutate, error):
@@ -315,6 +316,9 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "basic", "--form", FC1, "--h", "0"], 2),
         (["audit", "--suite", "localization", "--h", "-1", "--epsilon", "0.3"], 2),
         (["audit", "--suite", "radial", "--h", "nan"], 2),
+        # radial reads no --h; localization does, so these reach h's range and finiteness checks
+        (["audit", "--suite", "localization", "--h", "0"], 2),
+        (["audit", "--suite", "localization", "--h", "nan"], 2),
         (["audit", "--suite", "localization", "--epsilon", "nan"], 2),
         (["audit", "--suite", "tails", "--delta", "inf"], 2),
         (["audit", "--suite", "localization", "--samples", "1"], 2),  # a standard error needs two samples
@@ -340,7 +344,7 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
         "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
-        "localization-h-1-eps", "radial-h-nan", "localization-eps-nan", "tails-delta-inf",
+        "localization-h-1-eps", "radial-h-nan", "localization-h0", "localization-h-nan", "localization-eps-nan", "tails-delta-inf",
         "localization-samples1", "laplacian-samples1", "localization-m-1", "localization-N-4",
         "localization-n0", "basic-N-3", "C-1e-10", "C-0",
         "localization-h-1e-3", "C-negative-1e-3", "tails-rho-1e-3", "tails-delta-1E-3", "localization-eps-inf",
@@ -495,7 +499,7 @@ def test_audit_localization_outside_the_window(capsys):
 # the audit options each suite reads; --suite all reads every one
 SUITE_READS = {
     "laplacian": {"form", "samples"},
-    "radial": {"h", "M", "n"},
+    "radial": {"M", "n"},
     "tails": {"rho", "delta"},
     "localization": {"h", "epsilon", "N", "k", "m", "n", "samples"},
     "basic": {"form", "h", "epsilon", "N"},
@@ -515,6 +519,50 @@ def test_audit_suites_refuse_every_option_they_do_not_read(monkeypatch, capsys):
             code, out, err = run(capsys, argv + (["--form", FC1] if "form" in reads else []))
             assert (code, out, err) == (2, "", f"invalid argument: --suite {suite} does not read --{name}\n"), argv
     assert descents == []
+
+
+# for each audit option, the value a suite is run with and another; the suites run small
+FC3_2 = str(SAMPLES / "fc_3_2.json")
+SUITE_BASE = {
+    "laplacian": {"form": FC1, "samples": "200"},
+    "radial": {"M": "1", "n": "1"},
+    "tails": {"rho": "5", "delta": "0.1"},
+    "localization": {"samples": "1000"},
+    "basic": {"form": FC1, "h": "0.01"},  # with --h, basic also reads --N and --epsilon
+}
+OTHER_VALUE = {
+    "form": FC3_2, "samples": "300", "M": "2", "n": "3", "rho": "10", "delta": "0.3",
+    "h": "0.005", "epsilon": "0.4", "N": "50", "k": "1", "m": "3",
+}
+
+
+def test_every_option_an_audit_suite_reads_changes_its_output(capsys):
+    def audit_run(suite, options):
+        argv = ["--json", "audit", "--suite", suite, *(a for name, v in options.items() for a in (f"--{name}", v))]
+        code, out, err = run(capsys, argv)
+        assert err == "", argv
+        return code, json.loads(out) if out else None
+
+    assert cli._SUITE_OPTIONS.keys() == SUITE_BASE.keys()
+    for suite, reads in cli._SUITE_OPTIONS.items():
+        base = SUITE_BASE[suite]
+        assert base.keys() <= set(reads)
+        first = audit_run(suite, base)
+        for name in reads:
+            assert audit_run(suite, {**base, name: OTHER_VALUE[name]}) != first, (suite, name)
+
+
+def test_seed_is_a_usage_error(capsys):
+    for argv in (["--seed", "3", "search", FC1], ["search", FC1, "--seed", "3"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2 and "hsos: error:" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("argv", [["analyze", FC1], ["audit", "--suite", "tails"]], ids=["analyze", "audit"])
+def test_size_cap_is_refused_where_no_matrix_is_assembled(capsys, argv):
+    code, out, err = run(capsys, ["--size-cap", "1", *argv])
+    assert (code, out, err) == (2, "", f"invalid argument: {argv[0]} does not read --size-cap\n")
 
 
 def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):

@@ -18,8 +18,13 @@ alters one of them must say why and re-record it, from tests/golden/, e.g.
     PYTHONPATH=../../src python -m hsos.cli --json analyze ../../sample_forms/fc_1.json > analyze_fc_1.json
     PYTHONPATH=../../src python -m hsos.cli --json certify ../../sample_forms/fc_1.json 1 \
         --out certificate_fc_1.json > certify_fc_1.json
+
+The audit documents and exit codes of perfbench/golden_cli.json, which the
+benchmark's cli_cold workload checks, are replayed here too; that file is
+re-recorded only by perfbench/record_golden.py.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -83,3 +88,27 @@ def test_certificate_squares_match_golden(form):
         return sorted(json.dumps(sq, sort_keys=True) for sq in squares)
 
     assert canonical(formats.certificate_to_dict(cert)["squares"]) == canonical(golden["squares"])
+
+
+def _benchmark_reference():
+    """perfbench/reference.py, which imports no hsos: its strict JSON parser and document comparison."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", ROOT / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the audit documents of perfbench/golden_cli.json, replayed in process on the shipped forms and checked as
+# the benchmark checks them: strict JSON, floats within 1e-9 relative, every other value and the exit code exact
+CLI_GOLDEN = json.loads((ROOT / "perfbench" / "golden_cli.json").read_text())
+REFERENCE = _benchmark_reference()
+
+
+@pytest.mark.parametrize("command", [key for key in CLI_GOLDEN if key.startswith("audit ")])
+def test_audit_documents_match_the_benchmark_golden(capsys, monkeypatch, command):
+    monkeypatch.chdir(ROOT / "sample_forms")
+    code = cli.main(["--json", *command.split()])
+    doc = REFERENCE.strict_json(capsys.readouterr().out)
+    want = CLI_GOLDEN[command]
+    assert code == want["exit"]
+    assert want["doc"] is None or REFERENCE.same_document(doc, want["doc"])
