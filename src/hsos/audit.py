@@ -161,15 +161,15 @@ def check_laplacian_powers(form: HermitianForm, samples: int = 10_000) -> list[A
 # Radial moment identity
 # ---------------------------------------------------------------------------
 
-def radial_I1(h: float, M: int, n: int) -> AuditReport:
+def radial_I1(M: int, n: int) -> AuditReport:
     """Quadrature of the normalized radial moment against (M+n-1)!/(M!(n-1)!).
 
-    The Gaussian radial integral reduces, via t = r^2/h, to
-    ∫ t^(M+n-1) e^-t dt / (M! (n-1)!); h cancels exactly.  Also asserts the
-    closing inequality I1 <= (M+n)^n.
+    The Gaussian radial integral at any h > 0 reduces, via t = r^2/h, to
+    ∫ t^(M+n-1) e^-t dt / (M! (n-1)!); h cancels exactly, so it is no
+    argument.  Also asserts the closing inequality I1 <= (M+n)^n.
     """
-    if not h > 0 or M < 0 or n < 1:
-        raise ValueError(f"invalid (h, M, n) = ({h}, {M}, {n})")
+    if M < 0 or n < 1:
+        raise ValueError(f"invalid (M, n) = ({M}, {n})")
     from scipy import integrate, special  # scipy loads on first use: only the audit suites need it
     a = M + n
     lognorm = special.gammaln(a)
@@ -441,9 +441,9 @@ def _basic_value(
     interior = lambda_value * (1.0 - 2.0 * eps) ** m
     for j in range(1, m + 1):
         interior -= (
-            big_lambda_value * base**j / mi.factorial(j) * (1.0 + 2.0 * eps) ** (m - j)
+            big_lambda_value * base**j / math.factorial(j) * (1.0 + 2.0 * eps) ** (m - j)
         )
-    leak = sum(base**j / mi.factorial(j) * e_by_k[m - j] for j in range(m + 1))
+    leak = sum(base**j / math.factorial(j) * e_by_k[m - j] for j in range(m + 1))
     return (1.0 - e_by_k[0]) * interior - big_lambda_value * leak, interior, e_by_k
 
 

@@ -241,7 +241,7 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
     if suite in ("radial", "all"):
         for M in [0, 1, 5, 10, 25, 50] if args.M is None else [args.M]:
             for n in [1, 2, 3, 6] if args.n is None else [args.n]:
-                reports.append(audit_mod.radial_I1(0.01, M, n))  # h cancels in the radial moment
+                reports.append(audit_mod.radial_I1(M, n))
 
     if suite in ("tails", "all"):
         rhos = [args.rho] if args.rho is not None else [5, 10, 20, 50, 100]

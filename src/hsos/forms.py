@@ -252,7 +252,7 @@ def laplacian_iterates(form: HermitianForm) -> list[HermitianForm]:
 
 def big_lambda_sq(form: HermitianForm) -> Fraction:
     """Exact square of the weighted Frobenius norm: sum (a! b! / m!^2) |c_ab|^2."""
-    msq = Fraction(mi.factorial(form.m)) ** 2
+    msq = Fraction(math.factorial(form.m)) ** 2
     total = Fraction(0)
     for (alpha, beta), c in form.coeffs.items():
         w = Fraction(mi.index_factorial(alpha) * mi.index_factorial(beta)) / msq
@@ -266,7 +266,7 @@ def big_lambda(form: HermitianForm) -> float:
 
 def lambda_tilde(form: HermitianForm) -> Fraction:
     """max over diagonal entries of (a!/m!) |c_aa|, exact; off-diagonal terms are ignored, each c_aa is real."""
-    mfact = mi.factorial(form.m)
+    mfact = math.factorial(form.m)
     best = Fraction(0)
     for (alpha, beta), c in form.coeffs.items():
         if alpha != beta:
@@ -322,7 +322,7 @@ def q_symbol(form: HermitianForm, h) -> QSymbol:
         raise FormError(f"semiclassical parameter must be positive, got {h}")
     layers = []
     for j, g in enumerate(laplacian_iterates(form)):
-        weight = Fraction((-1) ** j) * h**j / mi.factorial(j)
+        weight = Fraction((-1) ** j) * h**j / math.factorial(j)
         layers.append(QLayer(j, weight, g))
     return QSymbol(h, form.n, form.m, tuple(layers))
 

@@ -52,28 +52,18 @@ def iter_degree(n: int, M: int) -> Iterator[MultiIndex]:
         a[j + 1] = tail + 1
 
 
-def factorial(k: int) -> int:
-    if k < 0:
-        raise ValueError("factorial of negative integer")
-    return math.factorial(k)
-
-
 def multinomial(alpha: Sequence[int]) -> int:
     """|alpha|! / alpha!, exact."""
     a = validate_index(alpha)
-    out = factorial(sum(a))
+    out = math.factorial(sum(a))
     for x in a:
-        out //= factorial(x)
+        out //= math.factorial(x)
     return out
 
 
 def index_factorial(alpha: Sequence[int]) -> int:
     """alpha! = prod_i alpha_i!, exact."""
-    a = validate_index(alpha)
-    out = 1
-    for x in a:
-        out *= factorial(x)
-    return out
+    return math.prod(map(math.factorial, validate_index(alpha)))
 
 
 def graded_lex_key(alpha: Sequence[int]):

@@ -448,14 +448,24 @@ def _polya_start(form: HermitianForm, n_max: int, size_cap: int) -> Optional[int
     Every shift below it has a negative diagonal entry, the first thing
     `psd_decided` refutes, so the shift scan may start here.  Like
     `multiplier_matrix` at a skipped shift, it raises SizeCapExceeded at the
-    first shift whose dimension is over the cap.
+    first shift whose dimension is over the cap.  Q_{N+1} sums to n times
+    Q_N, so once Q_N sums below 0 every later shift keeps a negative entry,
+    and the recurrence stops there; only the cap is left to check.
     """
-    for N, Q in enumerate(_polya_diagonals(form, n_max)):
+    diagonals = _polya_diagonals(form, n_max)
+    hopeless = False
+    for N in range(n_max + 1):
         dim = mi.dim_homogeneous(form.n, form.m + N)
         if dim > size_cap:
             raise SizeCapExceeded(dim, size_cap)
+        if hopeless:
+            continue
+        Q = next(diagonals)
         if min(Q.values(), default=0) >= 0:
             return N
+        hopeless = sum(Q.values()) < 0
+        if hopeless and mi.dim_homogeneous(form.n, form.m + n_max) <= size_cap:
+            return None  # the dimension grows with N, so no later shift is over the cap
     return None
 
 

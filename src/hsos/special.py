@@ -2,11 +2,15 @@
 
 numpy and `math` only, so that no command loads scipy for them.
 
-  * `ndtri` is Cephes' `ndtri` (S. L. Moshier), with the coefficients and the
-    branch order that scipy.special.ndtri uses.  Both logarithms of the tail
-    branch go through `math.log` (the C library's), which makes the result
-    bit-identical to scipy's; numpy's vectorized log differs from it in the
-    last bit on a few points in 10^5.
+  * `ndtri` is the sphere sampler's map from clipped Halton coordinates to
+    normal deviates: it clips p to [1e-12, 1 - 1e-12], then runs Cephes'
+    `ndtri` (S. L. Moshier) with the coefficients and the branch order that
+    scipy.special.ndtri uses.  The clip keeps |x| below 7.1, so Cephes'
+    far-tail branch (y <= e^-32) and its infinite and nan ends are not ported.
+    Both logarithms of the tail branch go through `math.log` (the C
+    library's), which makes the result bit-identical to scipy's on the
+    clipped p; numpy's vectorized log differs from it in the last bit on a
+    few points in 10^5.
   * `log_incomplete_gamma` is the log of the lower or upper incomplete gamma
     function: its power series below x = a + 1 and its continued fraction,
     evaluated by the modified Lentz method, above (DLMF 8.7.1 and 8.9.2).
@@ -21,6 +25,7 @@ import numpy as np
 
 _S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _EXP_M2 = 0.13533528323661269189  # exp(-2): the central branch serves exp(-2) < y < 1 - exp(-2)
+_P_MIN = 1e-12  # ndtri clips p to [_P_MIN, 1 - _P_MIN]: a Halton coordinate can be 0, never 1
 
 # central branch, |y - 1/2| <= 3/8: x = y + y^3 P0(y^2) / Q0(y^2)
 _P0 = (
@@ -40,7 +45,7 @@ _Q0 = (  # leading coefficient 1
     1.59056225126211695515e1,
     -1.18331621121330003142e0,
 )
-# tail, 2 <= sqrt(-2 log y) < 8
+# tail, 2 <= sqrt(-2 log y) < 7.44 after the clip (Cephes' x >= 8 branch lies beyond it)
 _P1 = (
     4.05544892305962419923e0,
     3.15251094599893866154e1,
@@ -61,28 +66,6 @@ _Q1 = (
     -1.42182922854787788574e-1,
     -3.80806407691578277194e-2,
     -9.33259480895457427372e-4,
-)
-# far tail, sqrt(-2 log y) >= 8
-_P2 = (
-    3.23774891776946035970e0,
-    6.91522889068984211695e0,
-    3.93881025292474443415e0,
-    1.33303460815807542389e0,
-    2.01485389549179081538e-1,
-    1.23716634817820021358e-2,
-    3.01581553508235416007e-4,
-    2.65806974686737550832e-6,
-    6.23974539184983293730e-9,
-)
-_Q2 = (
-    6.02427039364742014255e0,
-    3.67983563856160859403e0,
-    1.37702099489081330271e0,
-    2.16236993594496635890e-1,
-    1.34204006088543189037e-2,
-    3.28014464682127739104e-4,
-    2.89247864745380683936e-6,
-    6.79019408009981274425e-9,
 )
 
 
@@ -107,32 +90,23 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
 
 
 def ndtri(p) -> np.ndarray:
-    """The x with Φ(x) = p, elementwise, for p in [0, 1]: -inf at 0, inf at 1, nan outside."""
-    y0 = np.asarray(p, dtype=float)
+    """The x with Φ(x) = p, elementwise, for p clipped to [_P_MIN, 1 - _P_MIN] first."""
+    y0 = np.clip(np.asarray(p, dtype=float), _P_MIN, 1.0 - _P_MIN)
     flat = y0.reshape(-1)
-    out = np.full(flat.shape, np.nan)
-    out[flat == 0.0] = -np.inf
-    out[flat == 1.0] = np.inf
+    out = np.empty(flat.shape)
 
     upper = flat > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - flat, flat)
-    inside = (flat > 0.0) & (flat < 1.0)
-    central = inside & (y > _EXP_M2)
-    tail = inside & ~central
+    central = y > _EXP_M2
+    tail = ~central
 
     yc = y[central] - 0.5
     y2 = yc * yc
     out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
 
     x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    x0 = x - _libm_log(x) / x
     z = 1.0 / x
-    x1 = np.where(
-        x < 8.0,
-        z * _polevl(z, _P1) / _p1evl(z, _Q1),
-        z * _polevl(z, _P2) / _p1evl(z, _Q2),
-    )
-    xt = x0 - x1
+    xt = x - _libm_log(x) / x - z * _polevl(z, _P1) / _p1evl(z, _Q1)
     out[tail] = np.where(upper[tail], xt, -xt)
     return out.reshape(y0.shape)
 

@@ -173,9 +173,9 @@ def _halton(d: int, count: int, start: int = 0) -> np.ndarray:
 
 
 def _sphere_points(n: int, count: int, start: int) -> np.ndarray:
-    """Halton points start, ..., start + count - 1 on the unit sphere of C^n: ndtri, normalize."""
+    """Halton points start, ..., start + count - 1 on the unit sphere of C^n: ndtri (clipped), normalize."""
     from .special import ndtri  # imported on first use, so the exact commands never load it
-    g = ndtri(np.clip(_halton(2 * n, count, start), 1e-12, 1 - 1e-12))
+    g = ndtri(_halton(2 * n, count, start))
     z = g[:, :n] + 1j * g[:, n:]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 

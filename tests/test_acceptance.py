@@ -197,7 +197,7 @@ def test_criterion_8_radial_integral():
     bad = []
     for n in range(1, 7):
         for M in (0, 1, 2, 5, 10, 20, 35, 50):
-            rep = audit.radial_I1(0.01, M, n)
+            rep = audit.radial_I1(M, n)
             if not rep.passed:
                 bad.append((M, n))
     _report(8, not bad, f"I1 quadrature matches factorial ratio to 1e-8 and I1 <= (M+n)^n; failures: {bad}")

@@ -62,22 +62,19 @@ def test_laplacian_reports_do_not_depend_on_the_chunk_size(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_radial_I1_trivial_cases():
-    assert audit.radial_I1(0.1, 0, 3).rhs == 1.0
+    assert audit.radial_I1(0, 3).rhs == 1.0
     for M in (0, 3, 17):
-        rep = audit.radial_I1(0.5, M, 1)
+        rep = audit.radial_I1(M, 1)
         assert rep.rhs == 1.0 and rep.passed
+    for M, n in [(-1, 3), (2, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"invalid (M, n) = ({M}, {n})")):
+            audit.radial_I1(M, n)
 
 
 def test_radial_I1_example():
-    rep = audit.radial_I1(0.01, 10, 3)
+    rep = audit.radial_I1(10, 3)
     assert rep.rhs == 66.0
     assert rep.passed
-
-
-def test_radial_I1_h_independent():
-    a = audit.radial_I1(0.001, 7, 4)
-    b = audit.radial_I1(1.7, 7, 4)
-    assert a.lhs == b.lhs
 
 
 # ---------------------------------------------------------------------------

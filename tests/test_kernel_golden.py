@@ -28,6 +28,7 @@ re-record them with
 """
 
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -81,7 +82,7 @@ def random_kernel_form(seed: int) -> forms.HermitianForm:
         return forms.HermitianForm.from_terms(n, m, triples)
     if kind == 1:
         t = Fraction(rng.randint(1, 4), rng.choice(DENOMINATORS))
-        triples += [(a, a, qc(t * Fraction(mi.factorial(m), mi.index_factorial(a)))) for a in basis]
+        triples += [(a, a, qc(t * Fraction(math.factorial(m), mi.index_factorial(a)))) for a in basis]
     for _ in range(rng.randint(1, 6)):
         a, b = rng.choice(basis), rng.choice(basis)
         if a == b:

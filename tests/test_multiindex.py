@@ -40,7 +40,6 @@ def test_dim_pascal_recurrence():
 
 
 def test_factorial_multinomial():
-    assert mi.factorial(0) == 1
     assert mi.multinomial((2, 0)) == 1
     oracle = math.factorial(5) // (math.factorial(2) * math.factorial(2) * math.factorial(1))
     assert mi.multinomial((2, 2, 1)) == oracle == 30
@@ -58,8 +57,6 @@ def test_multinomial_theorem():
 def test_validation():
     with pytest.raises(ValueError):
         mi.validate_index((1, -1))
-    with pytest.raises(ValueError):
-        mi.factorial(-1)
     with pytest.raises(ValueError):
         mi.dim_homogeneous(0, 3)
 

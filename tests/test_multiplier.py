@@ -57,7 +57,7 @@ def test_fc_diagonal_closed_form():
         for N in range(0, 5):
             matrix = mult.multiplier_matrix(f, N)
             assert matrix.is_diagonal()
-            nfact = mi.factorial(N)
+            nfact = math.factorial(N)
             for i, rho in enumerate(matrix.basis):
                 r1, r2 = rho
                 expect = (
@@ -625,6 +625,27 @@ def test_scan_raises_the_size_cap_of_a_skipped_shift():
     form = formats.load_form(SAMPLES / "fc_7_4.json")
     expected = (mult.SizeCapExceeded, "matrix dimension 11 exceeds size cap 10")
     assert _outcome(mult.minimal_sos_N, form, 20, 10) == _outcome(_linear_scan, form, 20, 10) == expected
+
+
+def test_scan_stops_the_polya_recurrence_once_the_diagonal_sums_below_zero(monkeypatch):
+    # fc_3's Q_0 is (1, -3, 1): Q_N sums to -2^N, so every shift has a negative diagonal entry
+    drawn, diagonals = [], mult._polya_diagonals
+
+    def counted(form, n_max):
+        for Q in diagonals(form, n_max):
+            drawn.append(Q)
+            yield Q
+
+    monkeypatch.setattr(mult, "_polya_diagonals", counted)
+    form = forms.fc_form(3)
+    assert mult.minimal_sos_N(form, 2000) is None
+    assert len(drawn) == 1
+    # the cap still fires at the first shift over it: N = 8 (dim 11) here, and N = 19998 (dim 20001) by default
+    expected = (mult.SizeCapExceeded, "matrix dimension 11 exceeds size cap 10")
+    assert _outcome(mult.minimal_sos_N, form, 2000, 10) == _outcome(_linear_scan, form, 2000, 10) == expected
+    with pytest.raises(mult.SizeCapExceeded, match="matrix dimension 20001 exceeds size cap 20000"):
+        mult.minimal_sos_N(form, 19998)
+    assert len(drawn) == 3
 
 
 def test_scan_raises_on_a_non_real_diagonal_coefficient_at_zero():
