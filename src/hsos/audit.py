@@ -178,9 +178,9 @@ def radial_I1(M: int, n: int) -> AuditReport:
         return math.exp((a - 1) * math.log(t) - t - lognorm) if t > 0 else 0.0
 
     upper = a + 40.0 * math.sqrt(a) + 50.0
-    val, err = integrate.quad(
-        integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-10, limit=400, points=[max(0.0, a - 1)]
-    )
+    val, err = integrate.quad(  # full_output returns quad's message instead of warning: err is checked below
+        integrand, 0.0, upper, epsabs=1e-300, epsrel=1e-10, limit=400, points=[max(0.0, a - 1)], full_output=1
+    )[:2]
     if not math.isfinite(val) or err > 1e-8 * max(val, 1e-300):
         raise QuadratureNonConvergence(f"radial quadrature error {err:.3e} at (M, n) = ({M}, {n})")
     exact = math.comb(M + n - 1, n - 1)

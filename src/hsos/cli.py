@@ -4,16 +4,23 @@ Subcommands: analyze | certify | verify | search | bounds | audit.
 Exit codes: 0 ok, 1 negative verdict, 2 input error, 3 resource cap,
 4 numerical non-convergence.  Machine-readable output (--json) is a stable,
 versioned schema: identical invocations produce byte-identical documents.
+
+A CLI process runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set:
+every matrix hsos builds is small, and an idle OpenBLAS worker busy-waits on
+a second core for the life of the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy (or scipy) first loads OpenBLAS
 
 from . import audit as audit_mod
 from . import bounds as bounds_mod
@@ -255,6 +262,8 @@ def _audit_reports(args) -> list[audit_mod.AuditReport]:
         n = 2 if args.n is None else args.n
         m = 2 if args.m is None else args.m
         N = 320 if args.N is None else args.N
+        if args.h is None and N < 1:  # h = 1/N is derived, so the error names the option the user set
+            raise ValueError(f"--N must be at least 1 when --h is not given, got {N}")
         h = 1.0 / N if args.h is None else args.h
         eps = audit_mod.default_epsilon(h) if args.epsilon is None else args.epsilon
         params = audit_mod.RegimeParams(h=h, N=N, m=m, n=n, epsilon=eps)
@@ -401,8 +410,8 @@ def main(argv=None) -> int:
             raise ValueError(f"{args.command} does not read --size-cap")
         elif args.size_cap < 1:
             raise ValueError(f"--size-cap must be at least 1, got {args.size_cap}")
-        for name in ("h", "epsilon", "rho", "delta"):  # nan fails no range test such as h <= 0
-            value = getattr(args, name, None)  # only audit has these options
+        for name in ("h", "epsilon", "rho", "delta", "C"):  # nan fails no range test such as h <= 0
+            value = getattr(args, name, None)  # only audit and bounds have these options
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"--{name} must be finite, got {value}")
         return args.fn(args)

@@ -299,11 +299,14 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["certify", FC1, "-1"], 2),
         (["bounds", FC1, "--C", "nan"], 2),
         (["bounds", FC1, "--C", "inf"], 2),
+        (["bounds", FC1, "--C", "1e400"], 2),  # overflows to inf
         (["bounds", FC1, "--C", "-1"], 2),
         (["audit", "--suite", "radial", "--M", "-1"], 2),
         (["audit", "--suite", "tails", "--rho", "-1"], 2),
         (["audit", "--suite", "radial", "--h", "0"], 2),
         (["audit", "--suite", "localization", "--N", "0"], 2),
+        (["audit", "--suite", "localization", "--N", "-5"], 2),
+        (["audit", "--suite", "localization", "--N", "0", "--h", "0.1", "--samples", "1000"], 1),  # h is not derived
         (["audit", "--suite", "localization", "--h", "-1"], 2),
         (["audit", "--suite", "localization", "--epsilon", "0", "--samples", "1000"], 1),  # outside the window
         (["search", FC1, "--n-max", "-1"], 2),
@@ -340,8 +343,8 @@ def test_float_certificate_and_float_mode_are_input_errors(capsys, tmp_path):
         (["audit", "--suite", "basic", "--form", FC1, "--epsilon", "0.5"], 2),
     ],
     ids=[
-        "certify-N-1", "C-nan", "C-inf", "C-1", "radial-M-1", "tails-rho-1",
-        "radial-h0", "localization-N0", "localization-h-1", "localization-eps0",
+        "certify-N-1", "C-nan", "C-inf", "C-1e400", "C-1", "radial-M-1", "tails-rho-1",
+        "radial-h0", "localization-N0", "localization-N-5", "localization-N0-h", "localization-h-1", "localization-eps0",
         "search-n-max-1", "bounds-n-max-1", "localization-samples0", "laplacian-samples0",
         "size-cap0", "size-cap-5", "certify-size-cap0", "basic-h0",
         "localization-h-1-eps", "radial-h-nan", "localization-h0", "localization-h-nan", "localization-eps-nan", "tails-delta-inf",
@@ -360,6 +363,31 @@ def test_invalid_arguments_reach_the_validators(monkeypatch, capsys, argv, expec
     if expected == 2:  # one line, no traceback, and no sphere pass before the argument is rejected
         assert err.startswith("invalid argument: ") and err.count("\n") == 1
         assert descents == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", FC1, "--C", "nan"], "--C must be finite, got nan"),
+        (["bounds", FC1, "--C", "1e400"], "--C must be finite, got inf"),
+        # without --h, h = 1/N is derived: the error names --N, not h or a division by zero
+        (["audit", "--suite", "localization", "--N", "0"], "--N must be at least 1 when --h is not given, got 0"),
+        (["audit", "--suite", "localization", "--N", "-5"], "--N must be at least 1 when --h is not given, got -5"),
+        (["audit", "--suite", "all", "--N", "0"], "--N must be at least 1 when --h is not given, got 0"),
+    ],
+    ids=["C-nan", "C-1e400", "localization-N0", "localization-N-5", "all-N0"],
+)
+def test_invalid_arguments_name_the_option_the_user_set(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"invalid argument: {message}\n")
+
+
+def test_a_radial_quadrature_that_does_not_converge_prints_one_stderr_line():
+    # scipy's IntegrationWarning would print several lines to stderr before hsos's own
+    argv = ["-m", "hsos.cli", "--json", "audit", "--suite", "radial", "--M", "1000000000"]
+    env = dict(os.environ, PYTHONPATH=str(SAMPLES.parent / "src"))
+    out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr.startswith("numerical non-convergence: radial quadrature error") and out.stderr.count("\n") == 1
 
 
 def test_argparse_reads_the_negative_number_matcher_the_parsers_set():
