@@ -53,11 +53,15 @@ def iter_degree(n: int, M: int) -> Iterator[MultiIndex]:
 
 
 def multinomial(alpha: Sequence[int]) -> int:
-    """|alpha|! / alpha!, exact."""
-    a = validate_index(alpha)
-    out = math.factorial(sum(a))
-    for x in a:
-        out //= math.factorial(x)
+    """|alpha|! / alpha! = prod_k C(alpha_1 + ... + alpha_k, alpha_k), exact, with no factorial formed."""
+    out, total = 1, 0
+    try:
+        for x in alpha:
+            total += x
+            out *= math.comb(total, x)
+    except (TypeError, ValueError):  # math.comb refuses a negative or non-integer part; validate_index names it
+        validate_index(alpha)
+        raise
     return out
 
 

@@ -20,8 +20,8 @@ in.  Each square keeps the kernel's representation of its column, Gaussian
 integers over one denominator (in lowest terms), through verification and into
 the file.  The shift scan asks only for the verdict, and `psd_decided` proves
 most verdicts in floating point first: a verified Cholesky (Rump 2006) for a
-PD block, an eigenvector witness checked exactly for a not-PSD one; only what
-neither settles reaches the exact kernel.  The scan starts at the first shift
+PD block, an eigenvector witness checked exactly for a not-PSD one; the exact
+kernel sees only blocks neither settles.  The scan starts at the first shift
 whose diagonal, the coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a
 (Polya), has no negative entry, computed without assembly; every earlier shift
 fails on that entry, and a diagonal form's scan ends there.  Verification
@@ -35,6 +35,7 @@ it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -129,8 +130,8 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
     every mu, found by an integer code: the exponents read as the digits of a
     base-(m+N+1) number, so code(a + mu) = code(a) + code(mu) and the loop sums
     no multi-indices.  Each c_ab is scaled once to a Gaussian integer over D,
-    the lcm of f's coefficient denominators, and N!/mu! is an integer, so the
-    sums stay in ints.  Only the terms with a >= b are summed: the basis is lex-descending
+    the lcm of f's coefficient denominators, and N!/mu! (`mi.multinomial`) is
+    an integer, so the sums stay in ints.  Only the terms with a >= b are summed: the basis is lex-descending
     and adding mu keeps lex order, so they give the keys i <= j; zero sums are dropped last.
     """
     if N < 0:
@@ -154,9 +155,7 @@ def multiplier_matrix(form: HermitianForm, N: int, size_cap: int = DEFAULT_SIZE_
     D = _common_denominator(form.coeffs.values())
     scaled = [(row[alpha], row[beta], *_gaussian(c, D)) for (alpha, beta), c in form.coeffs.items() if alpha >= beta]
     numerators: dict[tuple[int, int], tuple[int, int]] = {}
-    fact = [math.factorial(k) for k in range(N + 1)]
-    for t, mu in enumerate(mus):
-        w = fact[N] // math.prod(fact[x] for x in mu)
+    for t, w in enumerate(map(mi.multinomial, mus)):
         for row_a, row_b, re, im in scaled:
             key = (row_a[t], row_b[t])
             old_re, old_im = numerators.get(key, (0, 0))
@@ -385,16 +384,16 @@ _WITNESS_BITS = 40  # eigenvector witnesses are rounded to Gaussian multiples of
 def psd_decided(matrix: MultiplierMatrix) -> bool:
     """Whether the matrix is PSD, decided in floating point where that is a proof and exactly elsewhere.
 
-    The chain: a negative diagonal numerator means not PSD (exact); the
-    connected blocks of the sparsity pattern (`_components`) are decided one by
-    one, a 1x1 block by its sign; a larger block is PD if the verified Cholesky
-    of `verified.cholesky_proves_pd` (Rump 2006; the shift is quoted there)
-    succeeds on its scaled real embedding, and the matrix is not PSD if the
-    lowest `eigh` eigenvector of the d x d complex block itself, half the
-    order of the embedding, rounded to Gaussian integers over 2^40, gives
-    <Mv, v> < 0 exactly.  A block that neither settles (a singular or
-    nearly singular one) escalates the whole matrix to `is_psd`, the exact
-    `_ldlt`; that is the only escalation, and every verdict equals `is_psd`'s.
+    The chain: a negative diagonal numerator means not PSD (exact); then each
+    connected block of the sparsity pattern (`_components`; blocks never
+    interact) is decided by exactly one route.  A 1x1 block is PSD by its
+    sign.  A larger one, its principal submatrix as a `MultiplierMatrix`, is
+    PD if the verified Cholesky of `verified.cholesky_proves_pd` (Rump 2006;
+    the shift is quoted there) succeeds on its scaled real embedding, not PSD
+    if the lowest `eigh` eigenvector of the d x d complex block, rounded to
+    Gaussian integers over 2^40, gives <Mv, v> < 0 exactly, and otherwise (a
+    singular or nearly singular block) goes alone to `is_psd`, the exact
+    `_ldlt`: the only escalation.  So every verdict equals `is_psd`'s.
     """
     diag, rows = _pattern(matrix)
     if any(d < 0 for d in diag.values()):
@@ -403,17 +402,17 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
         if len(block) == 1:
             continue  # its diagonal is >= 0
         position = {i: p for p, i in enumerate(sorted(block))}
-        entries = [(p, p, diag[i], 0) for i, p in position.items()]
-        entries += [(p, position[j], re, im) for i, p in position.items() for j, (re, im) in rows[i].items()]
-        H = verified.scaled_hermitian(len(block), entries)
+        numerators = {(p, position[j]): c for i, p in position.items() for j, c in rows[i].items() if i < j}
+        numerators.update({(p, p): (diag[i], 0) for i, p in position.items() if diag[i]})
+        H = verified.scaled_hermitian(len(position), numerators)
         if verified.cholesky_proves_pd(H):
             continue
+        sub = MultiplierMatrix(matrix.n, matrix.m, matrix.N, tuple(matrix.basis[i] for i in position), matrix.D, numerators)
         x = np.linalg.eigh(H)[1][:, 0]  # its lowest eigenvector, largest part scaled to 2^40, then rounded
         x = np.rint(x * (2.0**_WITNESS_BITS / max(np.abs(x.real).max(), np.abs(x.imag).max())))
-        g = dict(zip(position, zip(x.real.astype(int).tolist(), x.imag.astype(int).tolist())))
-        if _witness_quadratic_value(matrix, g, 2**_WITNESS_BITS) < 0:
+        g = dict(enumerate(zip(x.real.astype(int).tolist(), x.imag.astype(int).tolist())))
+        if _witness_quadratic_value(sub, g, 2**_WITNESS_BITS) < 0 or not is_psd(sub).is_psd:
             return False
-        return is_psd(matrix).is_psd
     return True
 
 
@@ -446,26 +445,20 @@ def _polya_start(form: HermitianForm, n_max: int, size_cap: int) -> Optional[int
     """First N <= n_max whose multiplier matrix has no negative diagonal entry, else None.
 
     Every shift below it has a negative diagonal entry, the first thing
-    `psd_decided` refutes, so the shift scan may start here.  Like
-    `multiplier_matrix` at a skipped shift, it raises SizeCapExceeded at the
-    first shift whose dimension is over the cap.  Q_{N+1} sums to n times
-    Q_N, so once Q_N sums below 0 every later shift keeps a negative entry,
-    and the recurrence stops there; only the cap is left to check.
+    `psd_decided` refutes, so the shift scan may start here.  If it does not
+    come before the first shift over the cap, found by bisection since the
+    dimension never falls with N, that shift raises SizeCapExceeded, as in
+    `multiplier_matrix`.  Q_{N+1} sums to n times Q_N, so once Q_N sums below
+    0 every later shift keeps a negative entry, and the recurrence stops.
     """
-    diagonals = _polya_diagonals(form, n_max)
-    hopeless = False
-    for N in range(n_max + 1):
-        dim = mi.dim_homogeneous(form.n, form.m + N)
-        if dim > size_cap:
-            raise SizeCapExceeded(dim, size_cap)
-        if hopeless:
-            continue
-        Q = next(diagonals)
+    over = bisect.bisect_right(range(n_max + 1), size_cap, key=lambda N: mi.dim_homogeneous(form.n, form.m + N))
+    for N, Q in zip(range(over), _polya_diagonals(form, n_max)):
         if min(Q.values(), default=0) >= 0:
             return N
-        hopeless = sum(Q.values()) < 0
-        if hopeless and mi.dim_homogeneous(form.n, form.m + n_max) <= size_cap:
-            return None  # the dimension grows with N, so no later shift is over the cap
+        if sum(Q.values()) < 0:
+            break
+    if over <= n_max:
+        raise SizeCapExceeded(mi.dim_homogeneous(form.n, form.m + over), size_cap)
     return None
 
 

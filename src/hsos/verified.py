@@ -1,10 +1,10 @@
 """Floating-point tests whose outcome is a proof about an exact hermitian matrix.
 
 A hermitian matrix H = Re + i Im is PD exactly when its real embedding
-[[Re, -Im], [Im, Re]] is.  `scaled_hermitian` rounds an exact integer matrix
-into a complex H once; `cholesky_proves_pd` turns a floating Cholesky of H's
-embedding into a proof of positive definiteness.  A witness of indefiniteness
-needs no bound here: the caller rounds an eigenvector of H and checks it exactly.
+[[Re, -Im], [Im, Re]] is.  `scaled_hermitian` rounds the upper triangle that a
+`MultiplierMatrix` stores into a complex H once; `cholesky_proves_pd` turns a
+floating Cholesky of H's embedding into a proof of positive definiteness.  A
+witness of indefiniteness needs no bound: the caller checks it exactly.
 """
 
 from __future__ import annotations
@@ -17,16 +17,17 @@ U = 2.0**-53  # unit roundoff of IEEE double
 ETA = 2.0**-1074  # smallest positive subnormal double
 
 
-def scaled_hermitian(d: int, entries: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """The d x d complex matrix with entries (p, q, re, im), divided by its largest part.
+def scaled_hermitian(d: int, numerators: dict[tuple[int, int], tuple[int, int]]) -> np.ndarray:
+    """The d x d hermitian matrix with upper triangle {(p, q): (re, im)}, divided by its largest part.
 
-    The entries are integers, both orientations of each off-diagonal pair
-    given.  Each part is one correctly rounded int / int division into
-    [-1, 1], so none overflows or is non-finite, whatever their size.
+    The integers are stored as in a `MultiplierMatrix`, each off-diagonal pair
+    once.  Each part is one correctly rounded int / int division into [-1, 1],
+    so none overflows or is non-finite, whatever their size.
     """
-    p, q, re, im = zip(*entries)
+    (p, q), (re, im) = zip(*numerators), zip(*numerators.values())
     scale = max(max(map(abs, re)), max(map(abs, im)))
     H = np.zeros((d, d), dtype=complex)
+    H[q, p] = [complex(a / scale, -b / scale) for a, b in zip(re, im)]  # an int negated: +0.0, not conj()'s -0.0
     H[p, q] = [complex(a / scale, b / scale) for a, b in zip(re, im)]
     return H
 

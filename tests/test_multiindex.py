@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsos import multiindex as mi
 
@@ -52,6 +53,12 @@ def test_multinomial_theorem():
         for M in range(0, 11):
             total = sum(mi.multinomial(a) for a in mi.iter_degree(n, M))
             assert total == n**M
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=5))
+def test_multinomial_is_the_factorial_ratio(alpha):
+    assert mi.multinomial(alpha) == math.factorial(sum(alpha)) // math.prod(map(math.factorial, alpha))
 
 
 def test_validation():

@@ -648,6 +648,15 @@ def test_scan_stops_the_polya_recurrence_once_the_diagonal_sums_below_zero(monke
     assert len(drawn) == 3
 
 
+def test_one_variable_form_builds_at_a_large_shift_without_factorials(monkeypatch):
+    # dim 1 at every N, so no size cap stops it; each N!/mu! is a product of binomials
+    monkeypatch.setattr(math, "factorial", _must_not_run)
+    form = forms.HermitianForm.from_terms(1, 2, [((2,), (2,), qc(Fraction(3, 7)))])
+    matrix = mult.multiplier_matrix(form, 20000)
+    assert matrix.basis == ((20002,),)
+    assert matrix.entry(0, 0) == qc(Fraction(3, 7))
+
+
 def test_scan_raises_on_a_non_real_diagonal_coefficient_at_zero():
     # the real parts (1, -1, 1) are negative until N = 1; such a form is refused when it is built
     f = forms.fc_form(1)
@@ -713,12 +722,12 @@ SINGULAR_SAMPLES = ("fc_1", "fc_3_2", "fc_7_4", "polya_diag_n2_m3", "polya_diag_
 
 @pytest.fixture
 def ldlt_calls(monkeypatch):
-    """Counts the exact kernel's calls; psd_decided reaches it only through is_psd."""
+    """The dimension of each matrix the exact kernel factors; psd_decided reaches it only through is_psd."""
     calls = []
     kernel = mult._ldlt
 
     def counted(matrix):
-        calls.append(matrix.N)
+        calls.append(matrix.dim)
         return kernel(matrix)
 
     monkeypatch.setattr(mult, "_ldlt", counted)
@@ -808,11 +817,34 @@ def test_singular_sample_forms_decide_exactly(name, monkeypatch):
 
 @pytest.mark.parametrize("N", [0, 1, 2])
 def test_singular_block_escalates_to_exact_kernel(N, ldlt_calls):
-    # |z1^2 + z2^2|^2 has a singular 2x2 block at every shift: no float test settles it
+    # |z1^2 + z2^2|^2 has singular blocks at every shift, which no float test settles: one of dim 2
+    # at N = 0, two at N = 1 and 2; each goes to the exact kernel alone, at its own dimension
     matrix = mult.multiplier_matrix(forms.HermitianForm.from_terms(
         2, 2, [((2, 0), (2, 0), qc(1)), ((0, 2), (0, 2), qc(1)), ((2, 0), (0, 2), qc(1)), ((0, 2), (2, 0), qc(1))]), N)
     assert mult.psd_decided(matrix)
-    assert ldlt_calls == [N]
+    assert ldlt_calls == {0: [2], 1: [2, 2], 2: [3, 2]}[N]
+
+
+def _orthogonal_form(n: int, c) -> forms.HermitianForm:
+    """||z||^4 - c |z^T z|^2, invariant under O(n) and diagonal in no basis for n >= 3."""
+    squares = [tuple(2 * (i == k) for i in range(n)) for k in range(n)]
+    return forms.add_forms(forms.inner_power(n, 2),
+                           forms.HermitianForm.from_terms(n, 2, [(a, b, qc(-c)) for a in squares for b in squares]))
+
+
+@pytest.mark.parametrize("n, N, c, dims", [
+    (3, 5, Fraction(7, 9), [10, 10, 10]),  # dim 36, blocks 6, 10, 10, 10: the 6-block is PD
+    (4, 4, Fraction(5, 8), [20]),  # dim 84, blocks 4, six of 10 and 20: only the 20-block is singular
+])
+def test_only_the_unsettled_blocks_reach_the_exact_kernel(n, N, c, dims, ldlt_calls):
+    # c = (2j + 1)/(2j + n), j = ceil(N/2), is the form's threshold at N: PSD and singular there
+    matrix = mult.multiplier_matrix(_orthogonal_form(n, c), N)
+    assert mult.psd_decided(matrix)
+    assert ldlt_calls == dims
+    assert mult.is_psd(matrix).is_psd
+    above = mult.multiplier_matrix(_orthogonal_form(n, c + Fraction(1, 2**20)), N)
+    assert not mult.psd_decided(above)
+    assert not mult.is_psd(above).is_psd
 
 
 def test_pd_ladder_form_decides_without_exact_kernel(monkeypatch):
