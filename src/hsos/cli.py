@@ -22,12 +22,9 @@ from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy (or scipy) first loads OpenBLAS
 
-from . import audit as audit_mod
-from . import bounds as bounds_mod
 from . import formats
 from . import forms as forms_mod
 from . import multiplier as mult
-from . import spheremin
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -46,6 +43,7 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from . import spheremin  # the float layers load on first use, so the exact commands load no numpy
     form = formats.load_form(args.form)
     lam, sharp = spheremin.sphere_range(form)
     big = forms_mod.big_lambda(form)
@@ -158,6 +156,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
     form = formats.load_form(args.form)
     C = Fraction(args.C).limit_denominator(10**9)
     if C == 0 and args.C != 0:
@@ -228,7 +227,8 @@ _SUITE_OPTIONS = {
 }
 
 
-def _audit_reports(args) -> list[audit_mod.AuditReport]:
+def _audit_reports(args) -> list:
+    from . import audit as audit_mod
     reports: list[audit_mod.AuditReport] = []
     suite = args.suite
     form = formats.load_form(args.form) if args.form else None  # an unreadable --form is an input error in any suite

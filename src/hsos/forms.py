@@ -22,8 +22,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import multiindex as mi
 from .exact import QC, QC_ZERO, as_fraction, qc
 
@@ -208,6 +206,7 @@ def evaluate_exact(form: HermitianForm, z: Sequence[QC]) -> Fraction:
 
 def evaluate_batch(form: HermitianForm, Z: np.ndarray) -> np.ndarray:
     """Vectorized f over rows of Z (complex array of shape (batch, n)): the real part of the term sum."""
+    import numpy as np  # imported on first use, so the exact commands never load it
     Z = np.asarray(Z, dtype=complex)
     if Z.ndim != 2 or Z.shape[1] != form.n:
         raise DimensionMismatch(f"batch shape {Z.shape} incompatible with n = {form.n}")
@@ -332,6 +331,7 @@ def q_evaluate(q: QSymbol, z: Sequence[complex]) -> float:
 
 
 def q_evaluate_batch(q: QSymbol, Z: np.ndarray) -> np.ndarray:
+    import numpy as np
     Z = np.asarray(Z, dtype=complex)
     out = np.zeros(Z.shape[0])
     for layer in q.layers:

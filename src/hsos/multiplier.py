@@ -43,9 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import multiindex as mi, verified
+from . import multiindex as mi
 from .exact import QC, QC_ONE, QC_ZERO
 from .forms import HermitianForm, is_diagonal
 
@@ -114,6 +112,7 @@ class MultiplierMatrix:
         return all(i == j for (i, j) in self.numerators)
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
         A = np.zeros((self.dim, self.dim), dtype=complex)
         for (i, j), (re, im) in self.numerators.items():  # correctly rounded, as float(Fraction(re, D))
             A[j, i], A[i, j] = complex(re / self.D, -im / self.D), complex(re / self.D, im / self.D)
@@ -395,6 +394,8 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
     singular or nearly singular block) goes alone to `is_psd`, the exact
     `_ldlt`: the only escalation.  So every verdict equals `is_psd`'s.
     """
+    import numpy as np  # numpy and the float proofs load on first use: certify and verify never need them
+    from . import verified
     diag, rows = _pattern(matrix)
     if any(d < 0 for d in diag.values()):
         return False

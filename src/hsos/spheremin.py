@@ -15,11 +15,17 @@ form, every λ and Λ♯ of a form with n <= 3 includes the grid, and
 minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp all read
 it.  An equal form that is a different object runs its own pass.
 
-The descent is pinned bit for bit (tests/golden/sphere_descent.json), and two
-rules of _Objective keep it so: an array that np.multiply.reduce multiplies
-along its last axis is C-contiguous, since a complex product rounds by memory
-layout, and every complex @ sees the rows it always saw, in the same order,
-since it rounds a row by its batch size and position.
+The descent is pinned bit for bit (tests/golden/sphere_descent.json).  Its
+objective multiplies each distinct monomial factor list once, so its cost
+follows the distinct monomials, not the terms, and three rules of _Objective
+keep every float: np.multiply.reduce along a C-contiguous last axis is the
+plain left fold of separately rounded complex products, whatever the batch
+size or a row's position; an elementwise complex * rounds differently from it
+and is not commutative in the last bit, so each * keeps its operands, their
+shapes and which of them is a temporary (numpy reuses a large temporary for
+the result and swaps the operands); and every complex @ sees the rows it
+always saw, in the same order, since it rounds a row by its batch: the
+gradient's is one transposed (kb, B, K) stack @ C per block of kb slices.
 """
 
 from __future__ import annotations
@@ -62,12 +68,12 @@ def lipschitz_bound(form: HermitianForm) -> float:
 class _Objective:
     """Batched f and Euclidean gradient on R^{2n} via Wirtinger derivatives.
 
-    Each point's powers z_j^e and z̄_j^e, e <= m, are computed once into a table row, and every
-    monomial factor is gathered from it.  Two rules keep each float what per-term powers and
-    np.prod gave: a gathered array is C-contiguous when np.multiply.reduce multiplies along its
-    last axis (the product rounds by memory layout, and a left fold of * rounds differently),
-    and every @ sees the rows it always saw, in the same order (complex @ rounds a row by its
-    batch size and position).
+    Each point's powers z_j^e and z̄_j^e, e <= m, are computed once into a table row.  Each
+    distinct factor list is gathered from it and multiplied once, and z^a, z̄^b and the ∂̄_k
+    factors of every term are gathered from those products.  The module docstring's three rules
+    keep each float what per-term powers and np.prod gave: the reduce runs along a C-contiguous
+    last axis, each elementwise * keeps its operands, shapes and temporaries (so the gradient
+    keeps its block size kb), and each @ sees the rows it always saw.
     """
 
     def __init__(self, form: HermitianForm):
@@ -76,25 +82,26 @@ class _Objective:
         A = np.array([k[0] for k in keys], dtype=np.int64).reshape(K, n)
         B = np.array([k[1] for k in keys], dtype=np.int64).reshape(K, n)
         self.n, self.C, self.powers = n, np.array([complex(form.coeffs[k]) for k in keys]), np.arange(width)
-        # flat positions in a table row [z_j^e ..., z̄_j^e ..., e z̄_j^(e-1) ...], j < n, e <= m:
-        # index gathers z^a and z̄^b, and slice k of dindex gathers z̄^b with its factor k
-        # replaced by b_k z̄_k^(b_k - 1), the terms of dbar_k f = sum c z^a b_k z̄^(b - e_k)
+        # flat positions in a table row [z_j^e ..., z̄_j^e ..., e z̄_j^(e-1) ...], j < n, e <= m: the
+        # lists of z^a and z̄^b, and for each k those of z̄^b with factor k replaced by
+        # b_k z̄_k^(b_k - 1), the terms of dbar_k f = sum c z^a b_k z̄^(b - e_k)
         at = np.arange(n) * width
-        self.index = np.concatenate([A + at, B + at + n * width])
-        self.dindex = np.broadcast_to(B + at + n * width, (n, K, n)).copy()
-        self.dindex[np.arange(n), :, np.arange(n)] = (B + at + 2 * n * width).T
+        dlists = np.broadcast_to(B + at + n * width, (n, K, n)).copy()
+        dlists[np.arange(n), :, np.arange(n)] = (B + at + 2 * n * width).T
+        # value reduces the distinct lists of z^a and z̄^b, value_grad those and the ∂̄_k lists after
+        # them; index[0], index[1] and dindex[k] gather each term's products from the reduced row
+        self.lists, index = np.unique(np.concatenate([A + at, B + at + n * width]), axis=0, return_inverse=True)
+        dlists, dindex = np.unique(dlists.reshape(n * K, n), axis=0, return_inverse=True)
+        self.index, self.dindex = index.reshape(2, K), dindex.reshape(n, K) + len(self.lists)
+        self.all_lists = np.concatenate([self.lists, dlists])
 
     def _table(self, X: np.ndarray) -> np.ndarray:
         z = X[:, : self.n] + 1j * X[:, self.n :]
         return np.concatenate([z, np.conj(z)], axis=1)[:, :, None] ** self.powers  # (B, 2n, m + 1)
 
-    def _terms(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """z^a and z̄^b of every term at every point, (B, K) each."""
-        za_zb = np.multiply.reduce(table.take(self.index, axis=1), axis=2)
-        return za_zb[:, : len(self.C)], za_zb[:, len(self.C) :]
-
     def value(self, X: np.ndarray) -> np.ndarray:
-        za, zb = self._terms(self._table(X).reshape(len(X), -1))
+        mono = np.multiply.reduce(self._table(X).reshape(len(X), -1).take(self.lists, axis=1), axis=2)
+        za, zb = mono.take(self.index, axis=1).transpose(1, 0, 2)
         return (za * zb @ self.C).real
 
     def value_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,13 +109,15 @@ class _Objective:
         deriv = np.zeros_like(table[:, self.n :])
         deriv[:, :, 1:] = self.powers[1:] * table[:, self.n :, :-1]
         table = np.concatenate([table, deriv], axis=1).reshape(len(X), -1)
-        za, zb = self._terms(table)
-        # dbar_k f for the slices k of dindex, at most 2^20 gathered factors at a time; each @
-        # sees the B rows, as the per-k products did
+        mono = np.multiply.reduce(table.take(self.all_lists, axis=1), axis=2)
+        za, zb = mono.take(self.index, axis=1).transpose(1, 0, 2)
+        # dbar_k f for the rows k of dindex, kb = 2^20 / (n K B) at a time; each @ sees the B rows.
+        # kb stays: a block of one has za's shape, so from 256 KiB numpy reuses the gathered
+        # temporary for the product and swaps the * operands
         g = np.empty((self.n, len(X)), dtype=complex)
-        block = max(1, (1 << 20) // max(1, self.dindex[0].size * len(X)))
+        block = max(1, (1 << 20) // max(1, self.dindex.size * len(X)))
         for k in range(0, self.n, block):
-            dbar = za[:, None, :] * np.multiply.reduce(table.take(self.dindex[k : k + block], axis=1), axis=3)
+            dbar = za[:, None, :] * mono.take(self.dindex[k : k + block], axis=1)
             g[k : k + block] = dbar.transpose(1, 0, 2) @ self.C
         return (za * zb @ self.C).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
 

@@ -17,8 +17,9 @@ largest diagonal, then the index), zero diagonals last; it was chosen for its
 fill-in, which the largest-diagonal rule made almost dense.
 
 tests/golden/sphere_descent.json pins the sphere descent bit for bit: for the
-sample forms and the distinct forms of the invariants benchmark at seeds 1-3
-(n 2-4, diagonal and not), the float.hex of the minimum and minimizer of the
+sample forms, the distinct forms of the invariants benchmark at seeds 1-3
+(n 2-4, diagonal and not) and perfbench/kernel_table's dense n = 5 form (225
+terms), the float.hex of the minimum and minimizer of the
 uncertified descents on f and on -f, their converged flags and start counts,
 and of Λ♯.  The form documents are stored in the file; test_spheremin
 compares against it.  A change that alters these files must say why and
@@ -117,9 +118,10 @@ def record() -> None:
 
 
 def descent_corpus() -> list[tuple[str, dict]]:
-    """(id, form document): the sample forms, then each invariants form of DESCENT_SEEDS once."""
+    """(id, form document): the sample forms, each invariants form of DESCENT_SEEDS once, and one dense form."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from inputs import invariants_jobs
+    from kernel_table import test_form
 
     corpus = [(p.stem, formats.form_to_dict(formats.load_form(p))) for p in sorted((ROOT / "sample_forms").glob("*.json"))]
     for seed in DESCENT_SEEDS:
@@ -127,6 +129,10 @@ def descent_corpus() -> list[tuple[str, dict]]:
             doc = formats.form_to_dict(formats.form_from_dict(job["form"]))
             if all(doc != seen for _, seen in corpus):
                 corpus.append((f"invariants-{seed}/{job['id']}", doc))
+    # n 5, m 2, 225 terms, the smallest form found on which a gradient split per k moves bits: from
+    # 256 KiB numpy reuses a temporary operand of * for its result and swaps the complex operands
+    dense = formats.form_from_dict(test_form(random.Random("kernel-0-66"), 5))
+    corpus.append(("kernel_table-n5", formats.form_to_dict(dense)))
     return corpus
 
 

@@ -811,7 +811,7 @@ def test_singular_sample_forms_decide_exactly(name, monkeypatch):
     matrix, below = mult.multiplier_matrix(form, N), mult.multiplier_matrix(form, N - 1)
     assert matrix.is_diagonal() and mult.is_psd(matrix).rank < matrix.dim  # singular
     monkeypatch.setattr(mult, "_ldlt", _must_not_run)
-    monkeypatch.setattr(mult.np.linalg, "cholesky", _must_not_run)
+    monkeypatch.setattr(np.linalg, "cholesky", _must_not_run)
     assert mult.psd_decided(matrix) and not mult.psd_decided(below)
 
 

@@ -1,6 +1,7 @@
 """The package imports lazily, and a CLI process runs BLAS on one thread unless told otherwise."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import hsos
 
 ROOT = Path(__file__).resolve().parent.parent
 FC_3_2 = str(ROOT / "sample_forms" / "fc_3_2.json")
+FC_7_4 = str(ROOT / "sample_forms" / "fc_7_4.json")
 
 
 def _child(args, **env):
@@ -39,6 +41,17 @@ def _numpy_uses_openblas() -> bool:
 
 def test_import_hsos_loads_no_numpy():
     _child(["-c", "import sys, hsos; assert 'numpy' not in sys.modules, 'numpy loaded'"])
+
+
+def test_exact_commands_load_no_numpy(tmp_path):
+    cert = str(tmp_path / "cert.json")
+    commands = [["search", FC_7_4, "--n-max", "13"], ["certify", FC_7_4, "13", "--out", cert], ["verify", cert]]
+    code = (
+        "import json, sys; from hsos import cli\n"
+        "assert [cli.main(['--json', *argv]) for argv in json.loads(sys.argv[1])] == [0, 0, 0]\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _child(["-c", code, json.dumps(commands)]).splitlines()[-1] == "False"
 
 
 def test_every_export_resolves_to_its_submodule_object():

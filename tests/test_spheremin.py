@@ -271,7 +271,7 @@ def test_descent_matches_golden_bit_for_bit(case):
 def test_descent_golden_covers_samples_n4_and_non_diagonal_forms():
     cases = _descent_cases()
     assert {c["id"] for c in cases} >= {path.stem for path in SAMPLES.glob("*.json")}
-    assert {c["form"]["n"] for c in cases} == {2, 3, 4}
+    assert {c["form"]["n"] for c in cases} == {2, 3, 4, 5}
     assert any(t["alpha"] != t["beta"] for c in cases if c["form"]["n"] == 4 for t in c["form"]["terms"])
 
 
@@ -301,6 +301,66 @@ def test_objective_value_matches_evaluate_batch(case):
     tol = 1e-12 * float(form.coefficient_l1()) * np.linalg.norm(X, axis=1) ** (2 * form.m)
     assert np.all(np.abs(obj.value(X) - want) <= tol)
     assert np.array_equal(obj.value_grad(X)[0], obj.value(X))
+
+
+def _per_term_objective(form, X):
+    """Reference _Objective: each term's z^a, z̄^b and ∂̄_k factor lists gathered and reduced on their own,
+    the gradient in the same blocks of k; returns the value and the gradient at the rows of X."""
+    n, K, width = form.n, len(form.coeffs), form.m + 1
+    A, B = (np.array([key[s] for key in form.coeffs], dtype=np.int64).reshape(K, n) for s in (0, 1))
+    C, at = np.array([complex(c) for c in form.coeffs.values()]), np.arange(n) * width
+    z = X[:, :n] + 1j * X[:, n:]
+    table = np.concatenate([z, np.conj(z)], axis=1)[:, :, None] ** np.arange(width)
+    deriv = np.zeros_like(table[:, n:])
+    deriv[:, :, 1:] = np.arange(1, width) * table[:, n:, :-1]
+    table = np.concatenate([table, deriv], axis=1).reshape(len(X), -1)
+    za_zb = np.multiply.reduce(table.take(np.concatenate([A + at, B + at + n * width]), axis=1), axis=2)
+    za, zb = za_zb[:, :K], za_zb[:, K:]
+    dindex = np.broadcast_to(B + at + n * width, (n, K, n)).copy()
+    dindex[np.arange(n), :, np.arange(n)] = (B + at + 2 * n * width).T
+    g = np.empty((n, len(X)), dtype=complex)
+    block = max(1, (1 << 20) // max(1, dindex[0].size * len(X)))
+    for k in range(0, n, block):
+        dbar = za[:, None, :] * np.multiply.reduce(table.take(dindex[k : k + block], axis=1), axis=3)
+        g[k : k + block] = dbar.transpose(1, 0, 2) @ C
+    return (za * zb @ C).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
+
+
+def _assert_objective_matches_per_term_bit_for_bit(form, X):
+    """float64 bits, so that a changed sign of zero shows too."""
+    value, grad = _per_term_objective(form, X)
+    obj = spheremin._Objective(form)
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (value, grad, obj.value(X), *obj.value_grad(X))]
+    assert np.array_equal(bits[2], bits[0]) and np.array_equal(bits[3], bits[0])
+    assert np.array_equal(bits[4], bits[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_objective_cases())
+def test_objective_matches_per_term_products_bit_for_bit(case):
+    _assert_objective_matches_per_term_bit_for_bit(*case)
+
+
+def _dense_forms():
+    """Seeded dense forms, n 2-5, up to 225 terms: the golden's kernel_table-n5 and random hermitian ones."""
+    (dense,) = [c["form"] for c in _descent_cases() if c["id"] == "kernel_table-n5"]
+    out = {"kernel_table-n5": formats.form_from_dict(dense)}
+    for n, m in ((2, 3), (3, 2), (3, 3), (4, 2), (5, 2)):
+        rng = random.Random(f"dense-objective-{n}-{m}")
+        out[f"random-n{n}-m{m}"] = random_hermitian_form(rng, n, m, max_terms=mi.dim_homogeneous(n, m) ** 2 // 2)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_dense_forms()))
+def test_objective_matches_per_term_products_on_dense_forms(name):
+    form = _dense_forms()[name]
+    # the descent's start points (exact zeros at the axes) and Halton points, in batches of 1, 76 and
+    # 200; at 200 the 225-term gradient runs a block of one k after a block of four
+    z = np.concatenate([spheremin._starting_points(form.n), spheremin.unit_sphere_samples(form.n, 200)])
+    X = np.concatenate([z.real, z.imag], axis=1)
+    assert len(form.coeffs) <= 225
+    for rows in (1, 76, 200):
+        _assert_objective_matches_per_term_bit_for_bit(form, X[:rows])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
