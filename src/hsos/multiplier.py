@@ -20,8 +20,9 @@ in.  Each square keeps the kernel's representation of its column, Gaussian
 integers over one denominator (in lowest terms), through verification and into
 the file.  The shift scan asks only for the verdict, and `psd_decided` proves
 most verdicts in floating point first: a verified Cholesky (Rump 2006) for a
-PD block, an eigenvector witness checked exactly for a not-PSD one; the exact
-kernel sees only blocks neither settles.  The scan starts at the first shift
+PD block, a witness checked exactly for a not-PSD one, found by inverse
+iteration at the lowest float eigenvalue; the exact kernel sees only blocks
+neither settles.  The scan starts at the first shift
 whose diagonal, the coefficients of (x_1 + ... + x_n)^N sum_a c_aa x^a
 (Polya), has no negative entry, computed without assembly; every earlier shift
 fails on that entry, and a diagonal form's scan ends there.  Verification
@@ -389,10 +390,12 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
     sign.  A larger one, its principal submatrix as a `MultiplierMatrix`, is
     PD if the verified Cholesky of `verified.cholesky_proves_pd` (Rump 2006;
     the shift is quoted there) succeeds on its scaled real embedding, not PSD
-    if the lowest `eigh` eigenvector of the d x d complex block, rounded to
-    Gaussian integers over 2^40, gives <Mv, v> < 0 exactly, and otherwise (a
-    singular or nearly singular block) goes alone to `is_psd`, the exact
-    `_ldlt`: the only escalation.  So every verdict equals `is_psd`'s.
+    if a vector for the lowest eigenvalue of the d x d complex block
+    (`verified.lowest_eigenvector`: `eigvalsh`'s eigenvalue, then inverse
+    iteration), rounded to Gaussian integers over 2^40, gives <Mv, v> < 0
+    exactly, and otherwise (a singular or nearly singular block, or a solve
+    that raises `LinAlgError`) goes alone to `is_psd`, the exact `_ldlt`: the
+    only escalation.  So every verdict equals `is_psd`'s.
     """
     import numpy as np  # numpy and the float proofs load on first use: certify and verify never need them
     from . import verified
@@ -409,10 +412,15 @@ def psd_decided(matrix: MultiplierMatrix) -> bool:
         if verified.cholesky_proves_pd(H):
             continue
         sub = MultiplierMatrix(matrix.n, matrix.m, matrix.N, tuple(matrix.basis[i] for i in position), matrix.D, numerators)
-        x = np.linalg.eigh(H)[1][:, 0]  # its lowest eigenvector, largest part scaled to 2^40, then rounded
-        x = np.rint(x * (2.0**_WITNESS_BITS / max(np.abs(x.real).max(), np.abs(x.imag).max())))
-        g = dict(enumerate(zip(x.real.astype(int).tolist(), x.imag.astype(int).tolist())))
-        if _witness_quadratic_value(sub, g, 2**_WITNESS_BITS) < 0 or not is_psd(sub).is_psd:
+        try:
+            x = verified.lowest_eigenvector(H)
+        except np.linalg.LinAlgError:
+            refuted = False
+        else:  # the largest part scaled to 2^40, then rounded
+            x = np.rint(x * (2.0**_WITNESS_BITS / max(np.abs(x.real).max(), np.abs(x.imag).max())))
+            g = dict(enumerate(zip(x.real.astype(int).tolist(), x.imag.astype(int).tolist())))
+            refuted = _witness_quadratic_value(sub, g, 2**_WITNESS_BITS) < 0
+        if refuted or not is_psd(sub).is_psd:
             return False
     return True
 

@@ -4,7 +4,9 @@ A hermitian matrix H = Re + i Im is PD exactly when its real embedding
 [[Re, -Im], [Im, Re]] is.  `scaled_hermitian` rounds the upper triangle that a
 `MultiplierMatrix` stores into a complex H once; `cholesky_proves_pd` turns a
 floating Cholesky of H's embedding into a proof of positive definiteness.  A
-witness of indefiniteness needs no bound: the caller checks it exactly.
+witness of indefiniteness needs no bound: `lowest_eigenvector` takes H's
+lowest eigenvalue and finds a vector for it by inverse iteration, and the
+caller checks that vector exactly.
 """
 
 from __future__ import annotations
@@ -26,10 +28,39 @@ def scaled_hermitian(d: int, numerators: dict[tuple[int, int], tuple[int, int]])
     """
     (p, q), (re, im) = zip(*numerators), zip(*numerators.values())
     scale = max(max(map(abs, re)), max(map(abs, im)))
+    vals = np.array([complex(a / scale, b / scale) for a, b in zip(re, im)])
     H = np.zeros((d, d), dtype=complex)
-    H[q, p] = [complex(a / scale, -b / scale) for a, b in zip(re, im)]  # an int negated: +0.0, not conj()'s -0.0
-    H[p, q] = [complex(a / scale, b / scale) for a, b in zip(re, im)]
+    H[p, q] = vals
+    H[q, p] = np.conj(vals) + 0.0  # + 0.0: a zero imaginary part stays +0.0 below the diagonal, not conj()'s -0.0
     return H
+
+
+_PHI = (math.sqrt(5) - 1) / 2  # the start exp(2 pi i phi k^2) of the inverse iteration
+_STEP = 2.0**-40  # the shift's distance below the lowest eigenvalue, relative to ||H||_F
+
+
+def lowest_eigenvector(H: np.ndarray) -> np.ndarray:
+    """A vector whose Rayleigh quotient is H's lowest eigenvalue, up to rounding, for hermitian H != 0.
+
+    lambda = eigvalsh(H)[0]; two solves with H - sigma I, sigma = lambda -
+    2^-40 ||H||_F, from x_k = exp(2 pi i phi k^2), phi = 0.618..., each
+    result scaled to a largest part of 1 (inverse iteration; Ipsen, Computing
+    an eigenvector with inverse iteration, SIAM Rev. 39, 1997).  Each solve
+    shrinks the part of x along an eigenvalue mu > lambda against lambda's by
+    (lambda - sigma)/(mu - sigma).  The start has no symmetry, since a
+    symmetric one can miss the eigenvector: the all-ones vector is orthogonal
+    to the lowest eigenvector of [[1, 3], [3, 1]].  Raises LinAlgError when a
+    solve meets an exactly singular matrix.
+    """
+    d = H.shape[0]
+    lam = np.linalg.eigvalsh(H)[0]
+    A = H - (lam - _STEP * np.linalg.norm(H)) * np.eye(d)
+    k = np.arange(d)
+    x = np.exp(2j * np.pi * (_PHI * k * k % 1.0))
+    for _ in range(2):
+        x = np.linalg.solve(A, x)
+        x /= np.abs(x).max()
+    return x
 
 
 def cholesky_proves_pd(H: np.ndarray) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from hsos import formats, forms, multiindex as mi, multiplier as mult
+from hsos import formats, forms, multiindex as mi, multiplier as mult, verified
 from hsos.exact import QC_ZERO, qc
 
 from conftest import (
@@ -856,6 +856,45 @@ def test_pd_ladder_form_decides_without_exact_kernel(monkeypatch):
     monkeypatch.setattr(mult, "_ldlt", _must_not_run)
     assert mult.psd_decided(matrix)
     assert mult.minimal_sos_N(form, 10) == 5
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_ladder_form_is_refuted_without_eigh_or_the_exact_kernel(N, monkeypatch):
+    # below its minimal shift one dense block is indefinite: the inverse-iteration witness refutes it
+    matrix = mult.multiplier_matrix(_ladder_form(), N)
+    monkeypatch.setattr(np.linalg, "eigh", _must_not_run)
+    monkeypatch.setattr(mult, "is_psd", _must_not_run)
+    assert not mult.psd_decided(matrix)
+
+
+@st.composite
+def _hermitian_blocks(draw):
+    """Hermitian d x d blocks, d <= 40: dense, with a repeated lowest eigenvalue, or circulant."""
+    d, kind = draw(st.integers(1, 40)), draw(st.sampled_from(["dense", "repeated", "circulant", "real circulant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        H = A + A.conj().T
+    elif kind == "repeated":
+        Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        lam = rng.standard_normal(d)
+        lam[:draw(st.integers(1, d))] = lam.min()
+        H = (Q * lam) @ Q.conj().T
+        H = (H + H.conj().T) / 2
+    else:  # eigenvectors are Fourier vectors; a real symmetric one pairs eigenvalues k and d - k
+        c = rng.standard_normal(d) + (0 if kind == "real circulant" else 1j) * rng.standard_normal(d)
+        c = (c + np.conj(np.roll(c[::-1], 1))) / 2  # c_(-k) = conj(c_k)
+        H = c[(np.arange(d)[None, :] - np.arange(d)[:, None]) % d]
+    return H * 10.0 ** draw(st.integers(-6, 6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_hermitian_blocks())
+@example(np.array([[1, 3], [3, 1]], dtype=complex))  # lowest eigenvector (1, -1), orthogonal to all ones
+def test_lowest_eigenvector_has_the_lowest_rayleigh_quotient(H):
+    x = verified.lowest_eigenvector(H)
+    rayleigh = (x.conj() @ H @ x).real / (x.conj() @ x).real
+    assert abs(rayleigh - np.linalg.eigvalsh(H)[0]) <= 1e-9 * np.linalg.norm(H)
 
 
 @pytest.mark.parametrize("entries, psd, escalations", [
