@@ -36,31 +36,30 @@ def scaled_hermitian(d: int, numerators: dict[tuple[int, int], tuple[int, int]])
 
 
 _PHI = (math.sqrt(5) - 1) / 2  # the start exp(2 pi i phi k^2) of the inverse iteration
-_STEP = 2.0**-40  # the shift's distance below the lowest eigenvalue, relative to ||H||_F
+_STEP = 2.0**-40  # the shift's distance below the lowest eigenvalue, relative to ||H||_2
 
 
 def lowest_eigenvector(H: np.ndarray) -> np.ndarray:
     """A vector whose Rayleigh quotient is H's lowest eigenvalue, up to rounding, for hermitian H != 0.
 
-    lambda = eigvalsh(H)[0]; two solves with H - sigma I, sigma = lambda -
-    2^-40 ||H||_F, from x_k = exp(2 pi i phi k^2), phi = 0.618..., each
-    result scaled to a largest part of 1 (inverse iteration; Ipsen, Computing
-    an eigenvector with inverse iteration, SIAM Rev. 39, 1997).  Each solve
-    shrinks the part of x along an eigenvalue mu > lambda against lambda's by
-    (lambda - sigma)/(mu - sigma).  The start has no symmetry, since a
-    symmetric one can miss the eigenvector: the all-ones vector is orthogonal
-    to the lowest eigenvector of [[1, 3], [3, 1]].  Raises LinAlgError when a
-    solve meets an exactly singular matrix.
+    w = eigvalsh(H); two solves with H - sigma I, sigma = w_1 - 2^-40 ||H||_2
+    (||H||_2 = max(-w_1, w_d)), from x_k = exp(2 pi i phi k^2), phi =
+    0.618..., the result scaled to a largest part of 1 (inverse iteration;
+    Ipsen, Computing an eigenvector with inverse iteration, SIAM Rev. 39,
+    1997).  Each solve shrinks the part of x along an eigenvalue mu > w_1
+    against w_1's by (w_1 - sigma)/(mu - sigma) and grows x by about
+    2^40/||H||_2 at most, so the two need no scaling between them.  The start
+    has no symmetry, since a symmetric one can miss the eigenvector: the
+    all-ones vector is orthogonal to the lowest eigenvector of [[1, 3], [3,
+    1]].  Raises LinAlgError when a solve meets an exactly singular matrix.
     """
     d = H.shape[0]
-    lam = np.linalg.eigvalsh(H)[0]
-    A = H - (lam - _STEP * np.linalg.norm(H)) * np.eye(d)
+    w = np.linalg.eigvalsh(H)
+    A = H.copy()
+    A.flat[:: d + 1] -= w[0] - _STEP * max(-w[0], w[-1])
     k = np.arange(d)
-    x = np.exp(2j * np.pi * (_PHI * k * k % 1.0))
-    for _ in range(2):
-        x = np.linalg.solve(A, x)
-        x /= np.abs(x).max()
-    return x
+    x = np.linalg.solve(A, np.linalg.solve(A, np.exp(2j * np.pi * (_PHI * k * k % 1.0))))
+    return x / np.abs(x).max()
 
 
 def cholesky_proves_pd(H: np.ndarray) -> bool:
@@ -79,15 +78,20 @@ def cholesky_proves_pd(H: np.ndarray) -> bool:
     c = 2 (gamma_{k+1}/(1 - gamma_{k+1}) tr(S) + 4k(2(k+2) + max S_ii) eta + u ||S||_F + k eta + u max S_ii),
     the factor 2 covering both u c and the few roundings made in evaluating c.
     """
-    S = np.block([[H.real, -H.imag], [H.imag, H.real]])
-    k = S.shape[0]
+    d = H.shape[0]
+    k = 2 * d
+    S = np.empty((k, k))
+    S[:d, :d] = S[d:, d:] = H.real
+    S[d:, :d] = H.imag
+    S[:d, d:] = -H.imag
     gamma = (k + 1) * U / (1 - (k + 1) * U)
     diag = np.diag(S)
     top = float(diag.max())
     c = 2 * (gamma / (1 - gamma) * math.fsum(diag) + 4 * k * (2 * (k + 2) + top) * ETA
              + U * float(np.linalg.norm(S)) + k * ETA + U * top)
     try:
-        np.linalg.cholesky(S - c * np.eye(k))
+        S.flat[:: k + 1] -= c
+        np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return False
     return True
