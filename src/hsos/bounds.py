@@ -6,8 +6,10 @@ parameter, the Powers-Resnick diagonal bound, the To-Yeung bound, and the
 Nie-Schweighofer bound (comparative only, at c = NS_C).  All logs are natural,
 rounding is ceil (or "smallest integer strictly greater" where the source
 inequality is strict), and results are floored at 0.  A constant C or c <= 0
-is refused with a ValueError.  The smallest sufficient C is read off the
-empirical minimal shift alone; it is unknown where the scan found none.
+is refused with a ValueError.  The smallest sufficient C is the first step
+k / C_RESOLUTION <= C_MAX at which the semiclassical bound reaches the
+empirical minimal shift; it is unknown where the scan found none or no step
+reaches it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import forms as forms_mod
 from . import multiplier as mult
@@ -105,28 +107,6 @@ class BoundReport:
     checks: dict[str, bool] = field(default_factory=dict)
 
 
-def _smallest_sufficient_C(bound: Callable[[Fraction], int], empirical_N: int) -> Optional[Fraction]:
-    """Binary search for the smallest C on the 1/C_RESOLUTION grid, up to C_MAX, with bound(C) >= empirical_N.
-
-    PSD at a shift is monotone in the shift, so a bound at or above the minimal
-    PSD shift is sufficient, and bound(C) is monotone in C.
-    """
-
-    def sufficient(k: int) -> bool:
-        return bound(Fraction(k, C_RESOLUTION)) >= empirical_N
-
-    lo, hi = 1, C_RESOLUTION * C_MAX
-    if not sufficient(hi):
-        return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sufficient(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(hi, C_RESOLUTION)
-
-
 def bound_report(
     form: HermitianForm,
     C=Fraction(1),
@@ -178,20 +158,21 @@ def bound_report(
         report.checks["lambda_le_sharp"] = lam.value <= sharp.value * (1 + 1e-9) + 1e-12
         report.checks["sharp_le_big_lambda"] = sharp.value <= big * (1 + 1e-9) + 1e-12
     emp = report.empirical_minimal_N
-    if emp is not None:
-        if report.powers_resnick_N is not None:
-            report.checks["empirical_le_powers_resnick"] = emp <= report.powers_resnick_N
-        if report.to_yeung_N is not None:
-            report.checks["empirical_le_to_yeung"] = emp <= report.to_yeung_N
-        if report.certified_N is not None:
-            report.checks["empirical_le_certified"] = emp <= report.certified_N
+    for name in ("powers_resnick_N", "to_yeung_N", "certified_N"):  # `hsos bounds` lists failures in this order
+        if emp is not None and getattr(report, name) is not None:
+            report.checks["empirical_le_" + name.removesuffix("_N")] = emp <= getattr(report, name)
 
     if lam.value > 0 and emp is None:
         report.notes["smallest_sufficient_C"] = f"no empirical minimal N up to N = {n_max}"
     elif lam.value > 0:
+        # certified_N is monotone in C, so the first sufficient step of the grid is the smallest
+        grid = (Fraction(k, C_RESOLUTION) for k in range(1, C_RESOLUTION * C_MAX + 1))
         try:
-            report.smallest_sufficient_C = _smallest_sufficient_C(lambda c: certified_N(form, c, lam.value, big), emp)
+            report.smallest_sufficient_C = next((c for c in grid if certified_N(form, c, lam.value, big) >= emp), None)
         except ValueError as exc:  # n < 2
             report.notes["smallest_sufficient_C"] = str(exc)
+        else:
+            if report.smallest_sufficient_C is None:
+                report.notes["smallest_sufficient_C"] = f"no C up to {C_MAX} on the 1/{C_RESOLUTION} grid"
 
     return report

@@ -118,7 +118,8 @@ def _parse_index(value, n: int, context: str) -> mi.MultiIndex:
 
 def form_to_dict(form: HermitianForm) -> dict:
     terms = []
-    for (alpha, beta), c in form.sorted_items():
+    # a and b each have degree m, so descending lex on (a, b) is graded-lex on a, then on b
+    for (alpha, beta), c in sorted(form.coeffs.items(), reverse=True):
         terms.append(
             {
                 "alpha": list(alpha),
@@ -271,18 +272,16 @@ def _over(x: int, den: int) -> str:
 
 def _squares_text(squares) -> str:
     """The squares as the value of a top-level key, each coefficient one text fragment."""
-    index_text: dict[mi.MultiIndex, tuple] = {}  # alpha -> (sort key, the text between "im" and "re")
+    index_text: dict[mi.MultiIndex, str] = {}  # alpha -> the text between "im" and "re"
     texts = []
     for sq in squares:
-        den, coeffs = sq.den, []
-        for alpha, (re, im) in sq.coefficients.items():
+        den, fragments = sq.den, []
+        for alpha, (re, im) in sorted(sq.coefficients.items(), reverse=True):  # one degree: graded-lex order
             if alpha not in index_text:
                 exponents = ",\n            ".join(map(str, alpha))
                 exponents = f"[\n            {exponents}\n          ]" if alpha else "[]"
-                index_text[alpha] = mi.graded_lex_key(alpha), f'",\n          "index": {exponents},\n          "re": "'
-            coeffs.append((*index_text[alpha], re, im))
-        fragments = [f'{{\n          "im": "{_over(im, den)}{middle}{_over(re, den)}"\n        }}'
-                     for _, middle, re, im in sorted(coeffs)]  # the sort keys are distinct
+                index_text[alpha] = f'",\n          "index": {exponents},\n          "re": "'
+            fragments.append(f'{{\n          "im": "{_over(im, den)}{index_text[alpha]}{_over(re, den)}"\n        }}')
         listed = "[\n        " + ",\n        ".join(fragments) + "\n      ]" if fragments else "[]"
         texts.append(f'{{\n      "coefficients": {listed},\n      "weight": "{format_rational(sq.weight)}"\n    }}')
     return "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"

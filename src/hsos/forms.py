@@ -131,12 +131,6 @@ class HermitianForm:
 
         return SpherePass()
 
-    def sorted_items(self):
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: (mi.graded_lex_key(kv[0][0]), mi.graded_lex_key(kv[0][1])),
-        )
-
 
 def fc_form(c) -> HermitianForm:
     """The standard two-variable family |z1|^4 + |z2|^4 - c |z1|^2 |z2|^2."""

@@ -69,8 +69,3 @@ def index_factorial(alpha: Sequence[int]) -> int:
     """alpha! = prod_i alpha_i!, exact."""
     return math.prod(map(math.factorial, validate_index(alpha)))
 
-
-def graded_lex_key(alpha: Sequence[int]):
-    """Sort key realizing the canonical order across degrees."""
-    a = tuple(alpha)
-    return (sum(a), tuple(-x for x in a))

@@ -457,15 +457,31 @@ def _polya_start(form: HermitianForm, n_max: int, size_cap: int) -> Optional[int
     `psd_decided` refutes, so the shift scan may start here.  If it does not
     come before the first shift over the cap, found by bisection since the
     dimension never falls with N, that shift raises SizeCapExceeded, as in
-    `multiplier_matrix`.  Q_{N+1} sums to n times Q_N, so once Q_N sums below
-    0 every later shift keeps a negative entry, and the recurrence stops.
+    `multiplier_matrix`.  Q_N lists the coefficients of (x_1 + ... + x_n)^N p(x),
+    which is p(x) on the simplex; so once p < 0 at a point of the simplex every
+    later shift keeps a negative entry, and the recurrence stops.  The points
+    tried are the centroid (Q_N sums below 0) at every N, and at N = 1, 2, 4, ...
+    the exponents of Q_N's most negative entry, scaled onto the simplex.
     """
     over = bisect.bisect_right(range(n_max + 1), size_cap, key=lambda N: mi.dim_homogeneous(form.n, form.m + N))
+    base = form.m + n_max + 1  # the base of _polya_diagonals' codes
+    digits = [base**k for k in range(form.n - 1, -1, -1)]
+
+    def exponents(code: int) -> list[int]:
+        return [code // d % base for d in digits]
+
     for N, Q in zip(range(over), _polya_diagonals(form, n_max)):
-        if min(Q.values(), default=0) >= 0:
+        low = min(Q.values(), default=0)
+        if low >= 0:
             return N
         if sum(Q.values()) < 0:
             break
+        if not N:
+            p = [(exponents(a), v) for a, v in Q.items()]  # D c_aa at each a
+        elif not N & (N - 1):
+            rho = exponents(next(r for r, v in Q.items() if v == low))
+            if sum(v * math.prod(map(pow, rho, a)) for a, v in p) < 0:
+                break
     if over <= n_max:
         raise SizeCapExceeded(mi.dim_homogeneous(form.n, form.m + over), size_cap)
     return None

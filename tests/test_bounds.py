@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hsos import bounds, forms, multiplier as mult
+from hsos import bounds, forms, multiplier as mult, spheremin
 
 from conftest import C_GRID, coordinate_power, diag_n3_form, ridge_form
 
@@ -185,3 +185,17 @@ def test_bound_report_notes_the_size_cap():
     assert report.empirical_minimal_N is None and report.smallest_sufficient_C is None
     assert report.notes["empirical_minimal_N"] == "matrix dimension 3 exceeds size cap 2"
     assert report.notes["smallest_sufficient_C"] == "no empirical minimal N up to N = 4"
+
+
+def test_smallest_sufficient_C_is_noted_when_no_grid_step_reaches_the_shift(monkeypatch):
+    # a shift the bound reaches only at C = 8, the last grid step, and one it never reaches
+    form = forms.fc_form(1)
+    lam, _ = spheremin.sphere_range(form)  # the form's one sphere pass, which bound_report reads again
+    at_max = bounds.certified_N(form, bounds.C_MAX, lam.value, forms.big_lambda(form))
+    assert bounds.certified_N(form, bounds.C_MAX - Fraction(1, 64), lam.value, forms.big_lambda(form)) < at_max
+    for shift, smallest, note in ((at_max, Fraction(8), None), (at_max + 1, None, "no C up to 8 on the 1/64 grid")):
+        monkeypatch.setattr(mult, "minimal_sos_N", lambda f, n_max, size_cap: shift)
+        report = bounds.bound_report(form)
+        assert report.empirical_minimal_N == shift and report.smallest_sufficient_C == smallest
+        assert report.notes.get("smallest_sufficient_C") == note
+        assert report.checks["empirical_le_certified"] is False

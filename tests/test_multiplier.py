@@ -648,6 +648,25 @@ def test_scan_stops_the_polya_recurrence_once_the_diagonal_sums_below_zero(monke
     assert len(drawn) == 3
 
 
+def test_scan_stops_the_polya_recurrence_once_the_diagonal_is_negative_on_the_simplex(monkeypatch):
+    # p = 8 x1^2 - 9 x1 x2 + 2 x2^2 sums to 1 > 0, but Q_1's most negative entry sits at (1, 2), where p = -2
+    drawn, diagonals = [], mult._polya_diagonals
+
+    def counted(form, n_max):
+        for Q in diagonals(form, n_max):
+            drawn.append(Q)
+            yield Q
+
+    monkeypatch.setattr(mult, "_polya_diagonals", counted)
+    form = forms.HermitianForm.from_terms(
+        2, 2, [((2, 0), (2, 0), qc(4)), ((0, 2), (0, 2), qc(1)), ((1, 1), (1, 1), qc(Fraction(-9, 2)))])
+    assert mult.minimal_sos_N(form, 4000) is None
+    assert len(drawn) <= 3
+    # the cap still fires at the first shift over it, as it does in the scan that assembles every shift
+    expected = (mult.SizeCapExceeded, "matrix dimension 11 exceeds size cap 10")
+    assert _outcome(mult.minimal_sos_N, form, 20, 10) == _outcome(_linear_scan, form, 20, 10) == expected
+
+
 def test_one_variable_form_builds_at_a_large_shift_without_factorials(monkeypatch):
     # dim 1 at every N, so no size cap stops it; each N!/mu! is a product of binomials
     monkeypatch.setattr(math, "factorial", _must_not_run)

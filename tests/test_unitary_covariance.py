@@ -1,0 +1,117 @@
+"""Unitary covariance as an oracle: for a unitary U, ||Uz|| = ||z||, and p -> p∘U maps the holomorphic
+polynomials of each degree onto themselves, so ||z||^(2N) f is a hermitian sum of squares exactly when
+||z||^(2N) (f∘U) is.  The minimal shift, λ, Λ♯ and Λ² (the Bombieri-Fischer norm) are U(n)-invariant.
+
+A rotated diagonal form is dense, so its minimal shift comes from the float and exact kernels while the
+original's comes from the Pólya diagonal alone: each path checks the other.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from hsos import formats, forms, multiplier as mult, spheremin
+from hsos.exact import QC_ONE, QC_ZERO, QC, qc
+from hsos.forms import HermitianForm
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
+MINIMAL_N = {"fc_1": 1, "fc_1_2": 1, "fc_3_2": 5, "fc_7_4": 13,
+             "polya_diag_n2_m3": 4, "polya_diag_n3_m2": 3, "ridge_plus_power": 0}
+
+
+def _quarter(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-3, 3), 4)
+
+
+def cayley_unitary(rng: random.Random, n: int) -> list[list[QC]]:
+    """U = (I - S)(I + S)^-1, exact, for a skew-hermitian S with entries in (1/4) Z[i] of parts at most 3/4.
+
+    S has imaginary eigenvalues, so I + S is invertible, and U U* = I holds exactly.
+    """
+    S = [[QC_ZERO] * n for _ in range(n)]
+    for j in range(n):
+        S[j][j] = qc(0, _quarter(rng))
+        for k in range(j + 1, n):
+            S[j][k] = qc(_quarter(rng), _quarter(rng))
+            S[k][j] = -S[j][k].conj()
+    eye = [[QC_ONE if j == k else QC_ZERO for k in range(n)] for j in range(n)]
+    # Gauss-Jordan on [I + S | I - S] solves (I + S) U = I - S; I - S and (I + S)^-1 commute
+    rows = [[eye[j][k] + S[j][k] for k in range(n)] + [eye[j][k] - S[j][k] for k in range(n)] for j in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = rows[col][col].conj() * (1 / rows[col][col].abs2())
+        rows[col] = [x * inv for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    U = [row[n:] for row in rows]
+    for j in range(n):
+        for k in range(n):
+            assert sum((U[j][i] * U[k][i].conj() for i in range(n)), QC_ZERO) == eye[j][k]
+    return U
+
+
+def _power(U: list[list[QC]], a: tuple[int, ...]) -> dict[tuple[int, ...], QC]:
+    """(Uz)^a = prod_k (sum_j U_kj z_j)^(a_k), as {exponent: coefficient}."""
+    n = len(U)
+    poly = {(0,) * n: QC_ONE}
+    for k, e in enumerate(a):
+        for _ in range(e):
+            nxt: dict[tuple[int, ...], QC] = {}
+            for mono, c in poly.items():
+                for j in range(n):
+                    if U[k][j]:
+                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                        nxt[key] = nxt.get(key, QC_ZERO) + c * U[k][j]
+            poly = nxt
+    return poly
+
+
+def rotated(form: HermitianForm, U: list[list[QC]]) -> HermitianForm:
+    """f∘U by exact expansion: sum over c_ab z^a z̄^b of c_ab (Uz)^a conj((Uz)^b)."""
+    powers: dict[tuple[int, ...], dict] = {}
+    acc: dict[tuple, QC] = {}
+    for (a, b), c in form.coeffs.items():
+        pa = powers.setdefault(a, _power(U, a))
+        pb = powers.setdefault(b, _power(U, b))
+        for alpha, x in pa.items():
+            for beta, y in pb.items():
+                acc[alpha, beta] = acc.get((alpha, beta), QC_ZERO) + c * x * y.conj()
+    return HermitianForm(form.n, form.m, {key: c for key, c in acc.items() if c})
+
+
+def _sample_and_rotated(name: str) -> tuple[HermitianForm, HermitianForm]:
+    form = formats.load_form(SAMPLES / f"{name}.json")
+    return form, rotated(form, cayley_unitary(random.Random(f"unitary-{name}"), form.n))
+
+
+def test_cayley_unitary_rotates_a_diagonal_form_into_a_dense_one():
+    form, turned = _sample_and_rotated("polya_diag_n3_m2")
+    assert forms.is_diagonal(form) and not forms.is_diagonal(turned)
+    assert len(turned.coeffs) > len(form.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_N))
+def test_minimal_shift_and_bombieri_norm_are_unitary_invariants(name):
+    form, turned = _sample_and_rotated(name)
+    assert mult.minimal_sos_N(turned, 20) == mult.minimal_sos_N(form, 20) == MINIMAL_N[name]
+    assert forms.big_lambda_sq(turned) == forms.big_lambda_sq(form)
+
+
+# the descent stops 2.1e-5 above λ on the rotated ridge form, with converged False, where it meets λ on the form
+_RIDGE_MISSED = pytest.mark.xfail(strict=True, reason="the sphere descent does not reach λ on f∘U (ROADMAP item 15)")
+
+
+@pytest.mark.parametrize("name", [*sorted(set(MINIMAL_N) - {"ridge_plus_power"}),
+                                  pytest.param("ridge_plus_power", marks=_RIDGE_MISSED)])
+def test_sphere_extremes_are_unitary_invariants(name):
+    form, turned = _sample_and_rotated(name)
+    (low, sharp), (turned_low, turned_sharp) = spheremin.sphere_range(form), spheremin.sphere_range(turned)
+    assert turned_low.value == pytest.approx(low.value, rel=1e-12)
+    assert turned_sharp.value == pytest.approx(sharp.value, rel=1e-12)
