@@ -126,12 +126,6 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     cert, form = formats.load_certificate(args.certificate)
-    if form is None:
-        if not args.form:
-            raise formats.ParseError("certificate has no embedded form; pass --form")
-        form = formats.load_form(args.form)
-    elif args.form and formats.load_form(args.form) != form:
-        raise formats.ParseError(f"--form {args.form} differs from the form embedded in the certificate")
     status, residual = mult.verify_certificate(form, cert, size_cap=args.size_cap)
     payload = {
         "command": "verify",
@@ -360,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-verify a stored certificate")
     p.add_argument("certificate")
-    p.add_argument("--form", help="form file when the certificate does not embed one; if it does, the two must be equal")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="minimal shift N with a PSD multiplier matrix")

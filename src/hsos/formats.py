@@ -12,8 +12,8 @@ int-string digits, so every value read can be written again.  So "+3", "-0",
 "1/-2", "1e4300" and non-ASCII digits are errors.  Unknown fields and
 duplicate coefficient keys are rejected, and so is a certificate whose mode is
 not "exact" or whose verification block holds an unknown status or a residual
-not null or finite.  A certificate names its form only by embedding it; loading
-one reads no other file.
+not null or finite.  A certificate always embeds its form, and one without it
+is an error; loading one reads no other file.
 A square's coefficients are written in lowest terms, as `SosSquare` holds
 them, each in one text fragment.  The squares array is written in one pass and
 json.dumps(..., sort_keys=True, indent=2, allow_nan=False) writes every other
@@ -30,7 +30,6 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
 
 from . import multiindex as mi
 from .exact import QC
@@ -173,15 +172,11 @@ def load_form(path) -> HermitianForm:
     return form_from_dict(_read_json(path))
 
 
-def certificate_to_dict(cert: SosCertificate, form: Optional[HermitianForm] = None) -> dict:
-    return json.loads(_certificate_text(cert, form))
-
-
-def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[HermitianForm]]:
+def certificate_from_dict(data: dict) -> tuple[SosCertificate, HermitianForm]:
     _expect_keys(
         data,
         {"format_version", "n", "m", "N", "mode", "squares", "verification", "form"},
-        {"n", "m", "N", "mode", "squares"},
+        {"n", "m", "N", "mode", "squares", "form"},
         "certificate",
     )
     version = data.get("format_version", FORMAT_VERSION)
@@ -227,20 +222,18 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, Optional[Hermitia
         raise ParseError(f"unknown verification status {status!r}", "verification")
     if not (residual is None or type(residual) is int or (type(residual) is float and math.isfinite(residual))):
         raise ParseError(f"residual must be null or a finite number, got {residual!r}", "verification")
-    cert = SosCertificate(n, m, N, tuple(squares), status, residual)
-
-    return cert, form_from_dict(data["form"]) if "form" in data else None
+    return SosCertificate(n, m, N, tuple(squares), status, residual), form_from_dict(data["form"])
 
 
-def load_certificate(path) -> tuple[SosCertificate, Optional[HermitianForm]]:
+def load_certificate(path) -> tuple[SosCertificate, HermitianForm]:
     return certificate_from_dict(_read_json(path))
 
 
-def save_certificate(cert: SosCertificate, path, form: Optional[HermitianForm] = None) -> None:
+def save_certificate(cert: SosCertificate, path, form: HermitianForm) -> None:
     Path(path).write_text(_certificate_text(cert, form))
 
 
-def _certificate_text(cert: SosCertificate, form: Optional[HermitianForm]) -> str:
+def _certificate_text(cert: SosCertificate, form: HermitianForm) -> str:
     """The certificate document as json.dumps(doc, sort_keys=True, indent=2) writes it, and a newline.
 
     The squares array is written in one pass; every other value is `dumps_stable`'s
@@ -254,9 +247,8 @@ def _certificate_text(cert: SosCertificate, form: Optional[HermitianForm]) -> st
         "mode": "exact",
         "squares": None,
         "verification": {"status": cert.verified, "residual": cert.residual},
+        "form": form_to_dict(form),
     }
-    if form is not None:
-        doc["form"] = form_to_dict(form)
     fields = []
     for key, value in sorted(doc.items()):
         text = _squares_text(cert.squares) if key == "squares" else dumps_stable(value).replace("\n", "\n  ")

@@ -105,9 +105,6 @@ class HermitianForm:
     def zero(n: int, m: int) -> "HermitianForm":
         return HermitianForm(n, m, {})
 
-    def coeff(self, alpha, beta) -> QC:
-        return self.coeffs.get((tuple(alpha), tuple(beta)), QC_ZERO)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -157,15 +154,6 @@ def inner_power(n: int, m: int) -> HermitianForm:
 def scale(form: HermitianForm, t) -> HermitianForm:
     t = qc(t)
     return HermitianForm(form.n, form.m, {k: v * t for k, v in form.coeffs.items()})
-
-
-def add_forms(a: HermitianForm, b: HermitianForm) -> HermitianForm:
-    if a.n != b.n or a.m != b.m:
-        raise FormError("cannot add forms of different shape")
-    out = dict(a.coeffs)
-    for k, v in b.coeffs.items():
-        out[k] = out.get(k, QC_ZERO) + v
-    return HermitianForm(a.n, a.m, out)
 
 
 def is_diagonal(form: HermitianForm) -> bool:
@@ -292,42 +280,25 @@ def lambda_sharp(form: HermitianForm):
     return spheremin.sphere_range(form)[1]
 
 
-@dataclass(frozen=True)
-class QLayer:
-    j: int
-    weight: Fraction  # (-1)^j h^j / j!; the sign convention lives here, not in the form
-    form: HermitianForm
+def q_symbol(form: HermitianForm, h) -> tuple[tuple[Fraction, HermitianForm], ...]:
+    """Semiclassical symbol q = sum_j (h^j/j!) (-(1/4)Δ)^j f as its layers (weight, (1/4)^j Δ^j f).
 
-
-@dataclass(frozen=True)
-class QSymbol:
-    """Semiclassical symbol q = sum_j (h^j/j!) (-(1/4)Δ)^j f of a bidegree-m form."""
-
-    h: Fraction
-    n: int
-    m: int
-    layers: tuple[QLayer, ...]
-
-
-def q_symbol(form: HermitianForm, h) -> QSymbol:
+    Each weight is (-1)^j h^j / j!; the sign convention lives there, not in the forms.
+    """
     h = as_fraction(h)
     if h <= 0:
         raise FormError(f"semiclassical parameter must be positive, got {h}")
-    layers = []
-    for j, g in enumerate(laplacian_iterates(form)):
-        weight = Fraction((-1) ** j) * h**j / math.factorial(j)
-        layers.append(QLayer(j, weight, g))
-    return QSymbol(h, form.n, form.m, tuple(layers))
+    return tuple((Fraction((-1) ** j) * h**j / math.factorial(j), g) for j, g in enumerate(laplacian_iterates(form)))
 
 
-def q_evaluate(q: QSymbol, z: Sequence[complex]) -> float:
+def q_evaluate(q: Sequence[tuple[Fraction, HermitianForm]], z: Sequence[complex]) -> float:
     return float(q_evaluate_batch(q, [z])[0])
 
 
-def q_evaluate_batch(q: QSymbol, Z: np.ndarray) -> np.ndarray:
+def q_evaluate_batch(q: Sequence[tuple[Fraction, HermitianForm]], Z: np.ndarray) -> np.ndarray:
     import numpy as np
     Z = np.asarray(Z, dtype=complex)
     out = np.zeros(Z.shape[0])
-    for layer in q.layers:
-        out += float(layer.weight) * evaluate_batch(layer.form, Z)
+    for weight, g in q:
+        out += float(weight) * evaluate_batch(g, Z)
     return out

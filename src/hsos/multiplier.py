@@ -99,18 +99,11 @@ class MultiplierMatrix:
     def dim(self) -> int:
         return len(self.basis)
 
-    def entry(self, i: int, j: int) -> QC:
-        re, im = self.numerators.get((min(i, j), max(i, j)), (0, 0))
-        return QC(Fraction(re, self.D), Fraction(im if i <= j else -im, self.D))
-
     @property
     def entries(self) -> dict[tuple[int, int], QC]:
         """The nonzero entries as exact QC values, both orientations."""
-        upper = {key: self.entry(*key) for key in self.numerators}
+        upper = {key: QC(Fraction(re, self.D), Fraction(im, self.D)) for key, (re, im) in self.numerators.items()}
         return {**upper, **{(j, i): c.conj() for (i, j), c in upper.items() if i != j}}
-
-    def is_diagonal(self) -> bool:
-        return all(i == j for (i, j) in self.numerators)
 
     def to_dense(self) -> np.ndarray:
         import numpy as np
@@ -168,8 +161,7 @@ class PsdVerdict:
     is_psd: bool
     witness: Optional[tuple[QC, ...]] = None       # <Mv, v> < 0
     witness_value: Optional[Fraction] = None
-    pivots: Optional[tuple[Fraction, ...]] = None  # positive pivots
-    rank: Optional[int] = None
+    pivots: Optional[tuple[Fraction, ...]] = None  # positive pivots, as many as the rank
 
 
 def _witness_quadratic_value(matrix: MultiplierMatrix, g: dict[int, tuple[int, int]], s: int) -> Fraction:
@@ -350,7 +342,7 @@ def is_psd(matrix: MultiplierMatrix) -> PsdVerdict:
         _, pivots = _ldlt(matrix)
     except NotPsdError as exc:
         return PsdVerdict(False, witness=exc.witness, witness_value=exc.witness_value)
-    return PsdVerdict(True, pivots=tuple(pivots), rank=len(pivots))
+    return PsdVerdict(True, pivots=tuple(pivots))
 
 
 @dataclass(frozen=True)

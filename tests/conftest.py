@@ -129,6 +129,11 @@ def diag_n3_form(c=Fraction(1, 2)) -> HermitianForm:
     )
 
 
+def add_forms(a: HermitianForm, b: HermitianForm) -> HermitianForm:
+    """a + b, built by HermitianForm.from_terms, which sums the terms the two share."""
+    return HermitianForm.from_terms(a.n, a.m, [(*key, c) for f in (a, b) for key, c in f.coeffs.items()])
+
+
 def ridge_form() -> HermitianForm:
     """|z1^2 + z2^2|^2 + <z, z̄>^2, non-diagonal with sphere minimum 1."""
     sq = HermitianForm.from_terms(
@@ -141,7 +146,7 @@ def ridge_form() -> HermitianForm:
             ((0, 2), (2, 0), qc(1)),
         ],
     )
-    return forms.add_forms(sq, forms.inner_power(2, 2))
+    return add_forms(sq, forms.inner_power(2, 2))
 
 
 def polya_diag_n2() -> HermitianForm:

@@ -196,14 +196,16 @@ def test_verify_rejects_certificate_of_another_shape(capsys, tmp_path):
     assert code == 1 and json.loads(out)["status"] == "fail"
 
 
-def test_verify_form_must_match_the_embedded_form(capsys, tmp_path):
-    cert_path = str(tmp_path / "cert.json")
-    run(capsys, ["certify", FC1, "1", "--out", cert_path])
-    code, out, err = run(capsys, ["verify", cert_path, "--form", str(SAMPLES / "fc_7_4.json")])
-    assert (code, out) == (2, "")
-    assert err.startswith("input error:") and "fc_7_4.json" in err and len(err.splitlines()) == 1
-    code, out, _ = run(capsys, ["verify", cert_path, "--form", FC1])
-    assert code == 0 and "exact-pass" in out
+def test_verify_refuses_a_certificate_without_its_form(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, ["certify", FC1, "1", "--out", str(cert_path)])
+    doc = json.loads(cert_path.read_text())
+    del doc["form"]
+    cert_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["--json", "verify", str(cert_path)])
+    assert (code, out, err) == (2, "", "input error: missing field(s) ['form'] (at certificate)\n")
+    with pytest.raises(formats.ParseError, match=re.escape("missing field(s) ['form']")):
+        formats.certificate_from_dict(doc)
 
 
 def test_certify_out_in_missing_directory_is_input_error_before_factoring(capsys, monkeypatch, tmp_path):
@@ -731,13 +733,14 @@ _INVALID_FORMS = {
     ["audit", "--suite", "basic", "--form", "{form}"],
     ["audit", "--suite", "laplacian", "--form", "{form}"],
     ["audit", "--suite", "radial", "--form", "{form}"],
-    ["verify", "{cert}", "--form", "{form}"],
+    ["verify", "{cert}"],
 ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("{")))
 def test_every_form_reading_command_refuses_an_invalid_form(capsys, tmp_path, kind, argv):
     form = tmp_path / "form.json"
     form.write_text(json.dumps({"n": 2, "m": 2, "terms": _INVALID_FORMS[kind]}))
-    cert = tmp_path / "cert.json"  # a valid certificate with no embedded form
-    formats.save_certificate(mult.sos_decompose(forms.fc_form(1), 1), cert)
+    cert = tmp_path / "cert.json"  # a valid certificate of fc_1 with the invalid form embedded in its place
+    formats.save_certificate(mult.sos_decompose(forms.fc_form(1), 1), cert, form=forms.fc_form(1))
+    cert.write_text(json.dumps({**json.loads(cert.read_text()), "form": json.loads(form.read_text())}))
     code, out, err = run(capsys, [a.format(form=form, cert=cert) for a in argv])
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("invalid form: ")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hsos import formats, forms, multiindex as mi, multiplier as mult
 from hsos.exact import qc
 
-from conftest import FLOAT_CERTIFICATE, random_hermitian_form, ridge_form, save_form
+from conftest import FLOAT_CERTIFICATE, add_forms, random_hermitian_form, ridge_form, save_form
 
 _SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_forms").glob("*.json"))
 
@@ -228,10 +228,9 @@ def test_certificate_roundtrip_exact(tmp_path, case):
     path = tmp_path / "cert.json"
     formats.save_certificate(cert, path, form=f)
     loaded, embedded = formats.load_certificate(path)
-    assert embedded is not None and embedded.coeffs == f.coeffs
+    assert embedded.coeffs == f.coeffs
     assert loaded.N == N
     assert loaded == cert  # bit-exact: weights and coefficients, in order, and the verification status
-    assert formats.certificate_from_dict(formats.certificate_to_dict(cert, f)) == (loaded, embedded)
     assert mult.verify_certificate(embedded, loaded) == ("exact-pass", 0.0)
 
 
@@ -240,7 +239,7 @@ _parts = st.one_of(st.integers(-5, 5), st.integers(-(2**300), 2**300), st.sample
 
 @st.composite
 def _written_certificates(draw):
-    """Any certificate in lowest terms, without or with its form: empty squares, squares with no coefficient,
+    """Any certificate in lowest terms, with a form: empty squares, squares with no coefficient,
     zero, negative and 300-bit parts, den > 1."""
     n, m, N = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
     basis = list(mi.iter_degree(n, m + N))
@@ -253,23 +252,23 @@ def _written_certificates(draw):
         squares.append(mult.SosSquare(weight, den // g, {a: (re // g, im // g) for a, (re, im) in coeffs.items()}))
     status, residual = draw(st.sampled_from([("unverified", None), ("exact-pass", 0.0), ("fail", None)]))
     cert = mult.SosCertificate(n, m, N, tuple(squares), status, residual)
-    form = random_hermitian_form(random.Random(draw(st.integers(0, 99))), n, m) if m and draw(st.booleans()) else None
-    return cert, form
+    return cert, random_hermitian_form(random.Random(draw(st.integers(0, 99))), n, m)
 
 
 # the one file is rewritten by every example
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_written_certificates())
-@example((mult.SosCertificate(1, 1, 0, ()), None))
-@example((mult.SosCertificate(0, 0, 0, (mult.SosSquare(Fraction(2), 3, {(): (1, 0)}),)), None))  # "index": []
+@example((mult.SosCertificate(1, 1, 0, ()), forms.HermitianForm.zero(1, 1)))  # "terms": []
+# "index": []; a form has n >= 1, and the reader leaves matching the form's shape to verify_certificate
+@example((mult.SosCertificate(0, 0, 0, (mult.SosSquare(Fraction(2), 3, {(): (1, 0)}),)), forms.HermitianForm.zero(1, 0)))
 @example((mult.SosCertificate(2, 1, 1, (mult.SosSquare(Fraction(3, 2), 1, {}),)), forms.fc_form(1)))
 def test_certificate_writer_matches_json_dumps_and_reloads(tmp_path, case):
     cert, form = case
     path = tmp_path / "cert.json"
     formats.save_certificate(cert, path, form=form)
     text = path.read_text()
-    assert text == json.dumps(formats.certificate_to_dict(cert, form), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     for sq in json.loads(text)["squares"]:  # in lowest terms and in graded-lex order, as the goldens are
         assert all(entry[part] == str(Fraction(entry[part])) for entry in sq["coefficients"] for part in ("re", "im"))
         indices = [tuple(entry["index"]) for entry in sq["coefficients"]]
@@ -277,7 +276,7 @@ def test_certificate_writer_matches_json_dumps_and_reloads(tmp_path, case):
         assert indices == [a for a in canonical if a in indices]
     loaded, loaded_form = formats.load_certificate(path)
     assert loaded == cert
-    assert (loaded_form is None) if form is None else (loaded_form.n, loaded_form.m, loaded_form.coeffs) == (form.n, form.m, form.coeffs)
+    assert (loaded_form.n, loaded_form.m, loaded_form.coeffs) == (form.n, form.m, form.coeffs)
 
 
 def test_certificate_rejects_wrong_degree():
@@ -289,6 +288,7 @@ def test_certificate_rejects_wrong_degree():
         "squares": [
             {"weight": "1", "coefficients": [{"index": [1, 0], "re": "1", "im": "0"}]}
         ],
+        "form": formats.form_to_dict(forms.fc_form(1)),
     }
     with pytest.raises(formats.ParseError, match="degree"):
         formats.certificate_from_dict(doc)
@@ -303,6 +303,7 @@ def test_certificate_rejects_nonpositive_weight():
         "squares": [
             {"weight": "0", "coefficients": [{"index": [2, 0], "re": "1", "im": "0"}]}
         ],
+        "form": formats.form_to_dict(forms.fc_form(1)),
     }
     with pytest.raises(formats.ParseError, match="positive"):
         formats.certificate_from_dict(doc)
@@ -384,14 +385,18 @@ def test_stable_dump_matches_json_dumps_on_any_document(doc):
 _SAMPLE_FORM = Path(__file__).resolve().parent.parent / "sample_forms" / "fc_1.json"
 
 
+def _certificate_document(cert, form) -> dict:
+    return json.loads(formats._certificate_text(cert, form))
+
+
 def _documents() -> list[tuple[str, dict]]:
     fc1 = forms.fc_form(1)
     ridge = ridge_form()
     return [
         ("form", formats.form_to_dict(fc1)),
-        ("form", formats.form_to_dict(forms.add_forms(ridge, random_hermitian_form(random.Random(3), 2, 2)))),
-        ("certificate", formats.certificate_to_dict(mult.sos_decompose(ridge, 0), ridge)),
-        ("certificate", formats.certificate_to_dict(mult.sos_decompose(fc1, 1))),  # no embedded form
+        ("form", formats.form_to_dict(add_forms(ridge, random_hermitian_form(random.Random(3), 2, 2)))),
+        ("certificate", _certificate_document(mult.sos_decompose(ridge, 0), ridge)),
+        ("certificate", _certificate_document(mult.sos_decompose(fc1, 1), fc1)),
         ("float certificate", FLOAT_CERTIFICATE),
     ]
 
@@ -446,8 +451,9 @@ def _parse(kind, doc):
 
 
 # JSON true where an integer belongs, each in a document that loads with 1 in its place
-_ONE_SQUARE = {"n": 1, "m": 1, "N": 0, "mode": "exact", "squares": [{"weight": "1", "coefficients": [{"index": [1], "re": "1"}]}]}
 _ONE_TERM = {"n": 1, "m": 1, "terms": [{"alpha": [1], "beta": [1], "re": "1"}]}
+_ONE_SQUARE = {"n": 1, "m": 1, "N": 0, "mode": "exact", "squares": [{"weight": "1", "coefficients": [{"index": [1], "re": "1"}]}],
+               "form": _ONE_TERM}
 _BOOLEAN_DOCUMENTS = [
     ("boolean certificate", {**_DOCUMENTS[3][1], "N": True, "format_version": True}),
     ("boolean certificate", {**_ONE_SQUARE, "n": True}),
@@ -564,6 +570,7 @@ def test_certificate_coefficient_fault_messages(fault):
             {"weight": "1", "coefficients": [{"index": [0, 3], "re": "1"}]},
             {"weight": "1/2", "coefficients": coefficients},
         ],
+        "form": formats.form_to_dict(forms.fc_form(1)),
     }
     with pytest.raises(formats.ParseError) as info:
         formats.certificate_from_dict(doc)

@@ -77,7 +77,7 @@ def test_exact_documents_and_certificate_file_match_golden(capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("form", FORMS)
-def test_certificate_squares_match_golden(form):
+def test_certificate_squares_match_golden(form, tmp_path):
     golden = json.loads((GOLDEN / f"squares_{form}.json").read_text())
     f = formats.load_form(ROOT / "sample_forms" / f"{form}.json")
     assert mult.minimal_sos_N(f, golden["N"]) == golden["N"]
@@ -87,7 +87,8 @@ def test_certificate_squares_match_golden(form):
     def canonical(squares):
         return sorted(json.dumps(sq, sort_keys=True) for sq in squares)
 
-    assert canonical(formats.certificate_to_dict(cert)["squares"]) == canonical(golden["squares"])
+    formats.save_certificate(cert, tmp_path / "cert.json", form=f)
+    assert canonical(json.loads((tmp_path / "cert.json").read_text())["squares"]) == canonical(golden["squares"])
 
 
 def _benchmark_reference():

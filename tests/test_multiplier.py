@@ -17,6 +17,7 @@ from hsos.exact import QC_ZERO, qc
 
 from conftest import (
     C_GRID,
+    add_forms,
     coordinate_power,
     diag_n3_form,
     product_expansion_oracle,
@@ -24,6 +25,10 @@ from conftest import (
     random_sos_form,
     ridge_form,
 )
+
+
+def _is_diagonal(matrix: mult.MultiplierMatrix) -> bool:
+    return all(i == j for i, j in matrix.numerators)
 
 
 def matrix_as_coeff_map(matrix: mult.MultiplierMatrix) -> dict:
@@ -56,14 +61,14 @@ def test_fc_diagonal_closed_form():
         f = forms.fc_form(c)
         for N in range(0, 5):
             matrix = mult.multiplier_matrix(f, N)
-            assert matrix.is_diagonal()
-            nfact = math.factorial(N)
+            assert _is_diagonal(matrix)
+            nfact, entries = math.factorial(N), matrix.entries
             for i, rho in enumerate(matrix.basis):
                 r1, r2 = rho
                 expect = (
                     Fraction(r1 * (r1 - 1) + r2 * (r2 - 1)) - c * r1 * r2
                 ) * Fraction(nfact, mi.index_factorial(rho))
-                assert matrix.entry(i, i) == qc(expect)
+                assert entries.get((i, i), QC_ZERO) == qc(expect)
 
 
 def _add(alpha, beta):
@@ -123,7 +128,7 @@ def test_hermitian_and_dimension_invariants():
 def test_diagonal_form_gives_diagonal_matrix():
     f = forms.fc_form(1)
     for N in range(4):
-        assert mult.multiplier_matrix(f, N).is_diagonal()
+        assert _is_diagonal(mult.multiplier_matrix(f, N))
 
 
 def test_size_cap():
@@ -149,7 +154,7 @@ def test_fc_psd_at_one_with_zero_pivot():
     verdict = mult.is_psd(matrix)
     assert verdict.is_psd
     # entries at (2,1) and (1,2) vanish: rank drops below the dimension
-    assert verdict.rank < matrix.dim
+    assert len(verdict.pivots) < matrix.dim
 
 
 def test_identity_matrix_psd():
@@ -218,14 +223,14 @@ def test_zero_pivot_witness_uses_rational_schur_entry_across_blocks():
 )
 def test_diagonal_matrix_verdict(c, N, psd):
     matrix = mult.multiplier_matrix(diag_n3_form(c), N)
-    assert matrix.is_diagonal()
-    diagonal = [matrix.entry(i, i).re for i in range(matrix.dim)]
+    assert _is_diagonal(matrix)
+    diagonal = [matrix.entries.get((i, i), QC_ZERO).re for i in range(matrix.dim)]
     verdict = mult.is_psd(matrix)
     assert verdict.is_psd == psd
     if psd:
         positive = sorted((d for d in diagonal if d > 0), reverse=True)
         assert verdict.pivots == tuple(positive)
-        assert verdict.rank == len(positive) < matrix.dim  # zero diagonal entries present
+        assert len(verdict.pivots) == len(positive) < matrix.dim  # zero diagonal entries present
     else:
         assert sum(d < 0 for d in diagonal) > 1
         assert verdict.witness_value == min(diagonal)
@@ -361,7 +366,7 @@ def test_a_block_with_zero_remainder_does_not_stop_the_next_block():
     matrix = _hand_built_matrix({(0, 0): (4, 0), (1, 1): (1, 0), (0, 1): (2, 0),
                                  (2, 2): (3, 0), (3, 3): (3, 0), (2, 3): (1, 0)})
     verdict = mult.is_psd(matrix)
-    assert verdict.is_psd and verdict.rank == matrix.dim - 1
+    assert verdict.is_psd and len(verdict.pivots) == matrix.dim - 1
     assert verdict.pivots == (4, 3, Fraction(8, 3))
     processed, _ = mult._ldlt(matrix)
     assert [k for k, _, _ in processed] == [0, 2, 3]
@@ -485,7 +490,7 @@ def test_relabelling_the_basis_keeps_verdict_rank_and_certificate(case, rng):
         moved[(min(p, q), max(p, q))] = (re, im if p <= q else -im)
     relabelled = mult.MultiplierMatrix(matrix.n, matrix.m, N, matrix.basis, matrix.D, moved)
     verdict, moved = mult.is_psd(matrix), mult.is_psd(relabelled)
-    assert (moved.is_psd, moved.rank) == (verdict.is_psd, verdict.rank)
+    assert (moved.is_psd, len(moved.pivots or ())) == (verdict.is_psd, len(verdict.pivots or ()))
     if moved.is_psd:
         assert mult._decompose(relabelled).verified == "exact-pass"
     else:
@@ -673,7 +678,7 @@ def test_one_variable_form_builds_at_a_large_shift_without_factorials(monkeypatc
     form = forms.HermitianForm.from_terms(1, 2, [((2,), (2,), qc(Fraction(3, 7)))])
     matrix = mult.multiplier_matrix(form, 20000)
     assert matrix.basis == ((20002,),)
-    assert matrix.entry(0, 0) == qc(Fraction(3, 7))
+    assert matrix.entries == {(0, 0): qc(Fraction(3, 7))}
 
 
 def test_scan_raises_on_a_non_real_diagonal_coefficient_at_zero():
@@ -794,7 +799,7 @@ def _boundary_matrices(draw):
     assume(lam < -1e-6)  # then t* = -1 / lam
     step = draw(st.sampled_from([-1e-4, -1e-8, -1e-12, -2.0**-52, 0.0, 2.0**-52, 1e-12, 1e-8, 1e-4]))
     t = Fraction(-1 / lam * (1 + step))
-    return mult.multiplier_matrix(forms.add_forms(base, forms.scale(G, t)), N)
+    return mult.multiplier_matrix(add_forms(base, forms.scale(G, t)), N)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -828,7 +833,7 @@ def test_singular_sample_forms_decide_exactly(name, monkeypatch):
     form = formats.load_form(SAMPLES / f"{name}.json")
     N = mult.minimal_sos_N(form, 20)
     matrix, below = mult.multiplier_matrix(form, N), mult.multiplier_matrix(form, N - 1)
-    assert matrix.is_diagonal() and mult.is_psd(matrix).rank < matrix.dim  # singular
+    assert _is_diagonal(matrix) and len(mult.is_psd(matrix).pivots) < matrix.dim  # singular
     monkeypatch.setattr(mult, "_ldlt", _must_not_run)
     monkeypatch.setattr(np.linalg, "cholesky", _must_not_run)
     assert mult.psd_decided(matrix) and not mult.psd_decided(below)
@@ -847,8 +852,8 @@ def test_singular_block_escalates_to_exact_kernel(N, ldlt_calls):
 def _orthogonal_form(n: int, c) -> forms.HermitianForm:
     """||z||^4 - c |z^T z|^2, invariant under O(n) and diagonal in no basis for n >= 3."""
     squares = [tuple(2 * (i == k) for i in range(n)) for k in range(n)]
-    return forms.add_forms(forms.inner_power(n, 2),
-                           forms.HermitianForm.from_terms(n, 2, [(a, b, qc(-c)) for a in squares for b in squares]))
+    return add_forms(forms.inner_power(n, 2),
+                     forms.HermitianForm.from_terms(n, 2, [(a, b, qc(-c)) for a in squares for b in squares]))
 
 
 @pytest.mark.parametrize("n, N, c, dims", [
@@ -870,7 +875,7 @@ def test_pd_ladder_form_decides_without_exact_kernel(monkeypatch):
     # PD at its minimal shift 5 (smallest eigenvalue 0.014 of the Frobenius norm), one dense block
     form = _ladder_form()
     matrix = mult.multiplier_matrix(form, 5)
-    assert mult.is_psd(matrix).rank == matrix.dim == 36
+    assert len(mult.is_psd(matrix).pivots) == matrix.dim == 36
     assert not mult.is_psd(mult.multiplier_matrix(form, 4)).is_psd
     monkeypatch.setattr(mult, "_ldlt", _must_not_run)
     assert mult.psd_decided(matrix)
@@ -963,7 +968,7 @@ def test_decompose_not_psd_raises():
 @pytest.mark.parametrize("seed", range(6))
 def test_not_psd_error_carries_exact_witness(seed):
     rng = random.Random(seed)
-    form = forms.add_forms(forms.fc_form(3), random_hermitian_form(rng, 2, 2)) if seed else forms.fc_form(1)
+    form = add_forms(forms.fc_form(3), random_hermitian_form(rng, 2, 2)) if seed else forms.fc_form(1)
     matrix = mult.multiplier_matrix(form, 0)
     with pytest.raises(mult.NotPsdError) as info:
         mult.sos_decompose(form, 0)

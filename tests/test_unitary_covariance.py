@@ -3,7 +3,8 @@ polynomials of each degree onto themselves, so ||z||^(2N) f is a hermitian sum o
 ||z||^(2N) (f∘U) is.  The minimal shift, λ, Λ♯ and Λ² (the Bombieri-Fischer norm) are U(n)-invariant.
 
 A rotated diagonal form is dense, so its minimal shift comes from the float and exact kernels while the
-original's comes from the Pólya diagonal alone: each path checks the other.
+original's comes from the Pólya diagonal alone: each path checks the other.  The same holds for the
+thresholds c*_N of the family fc_c, whose closed form decides every rotated shift without `is_psd`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import pytest
 from hsos import formats, forms, multiplier as mult, spheremin
 from hsos.exact import QC_ONE, QC_ZERO, QC, qc
 from hsos.forms import HermitianForm
+
+from conftest import add_forms
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
 MINIMAL_N = {"fc_1": 1, "fc_1_2": 1, "fc_3_2": 5, "fc_7_4": 13,
@@ -115,3 +118,56 @@ def test_sphere_extremes_are_unitary_invariants(name):
     (low, sharp), (turned_low, turned_sharp) = spheremin.sphere_range(form), spheremin.sphere_range(turned)
     assert turned_low.value == pytest.approx(low.value, rel=1e-12)
     assert turned_sharp.value == pytest.approx(sharp.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_N))
+def test_rotated_sample_certifies_at_its_minimal_shift_and_is_refuted_below(name):
+    _, turned = _sample_and_rotated(name)
+    N = MINIMAL_N[name]
+    cert = mult.sos_decompose(turned, N)
+    assert cert.verified == "exact-pass" and mult.verify_certificate(turned, cert) == ("exact-pass", 0.0)
+    if N == 0:
+        return
+    with pytest.raises(mult.NotPsdError) as info:
+        mult.sos_decompose(turned, N - 1)
+    v, matrix = info.value.witness, mult.multiplier_matrix(turned, N - 1)
+    quadratic = sum((v[i].conj() * c * v[j] for (i, j), c in matrix.entries.items()), QC_ZERO)
+    assert quadratic == qc(info.value.witness_value) and info.value.witness_value < 0
+
+
+def fc_threshold(N: int) -> Fraction:
+    """c*_N = (K^2 - K) / floor(K^2 / 4) - 2 with K = N + 2: the largest c at which ||z||^(2N) fc_c is a sum of squares.
+
+    c*_(2j) = c*_(2j-1), so at c*_N the form is a sum of squares at N - 1 exactly when N is even.
+    """
+    K = N + 2
+    return Fraction(K * K - K, K * K // 4) - 2
+
+
+_FC_U = cayley_unitary(random.Random("unitary-fc_c"), 2)
+_FC_QUARTIC = rotated(HermitianForm.from_terms(2, 2, [((2, 0), (2, 0), QC_ONE), ((0, 2), (0, 2), QC_ONE)]), _FC_U)
+_FC_CROSS = rotated(HermitianForm.from_terms(2, 2, [((1, 1), (1, 1), qc(-1))]), _FC_U)
+
+
+def _rotated_fc(c: Fraction) -> HermitianForm:
+    """fc_c∘U = (|z1|^4 + |z2|^4)∘U - c (|z1|^2 |z2|^2)∘U, dense in every coefficient."""
+    return add_forms(_FC_QUARTIC, forms.scale(_FC_CROSS, c))
+
+
+def test_fc_threshold_is_the_minimal_shift_of_the_diagonal_form():
+    assert [fc_threshold(N) for N in (1, 2, 7, 8)] == [1, 1, Fraction(8, 5), Fraction(8, 5)]
+    for N in range(1, 17):
+        assert mult.minimal_sos_N(forms.fc_form(fc_threshold(N)), N) == N - (N % 2 == 0)
+        assert mult.minimal_sos_N(forms.fc_form(fc_threshold(N) + Fraction(1, 2**40)), N) is None
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 12, 16, 32, 48, 64])
+def test_rotated_fc_thresholds_decide_on_the_closed_form(N):
+    # the closed form is the oracle, so no verdict is compared with is_psd's; which cases psd_decided sends to
+    # the exact kernel (the threshold at every N, c - 2^-40 from N = 12, most others from N = 48) is left free
+    c = fc_threshold(N)
+    assert mult.psd_decided(mult.multiplier_matrix(_rotated_fc(c), N))
+    assert mult.psd_decided(mult.multiplier_matrix(_rotated_fc(c), N - 1)) == (N % 2 == 0)
+    for k in (10, 20, 30, 40):
+        assert mult.psd_decided(mult.multiplier_matrix(_rotated_fc(c - Fraction(1, 2**k)), N)), k
+        assert not mult.psd_decided(mult.multiplier_matrix(_rotated_fc(c + Fraction(1, 2**k)), N)), k
