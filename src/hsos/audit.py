@@ -107,7 +107,7 @@ def default_epsilon(h: float) -> float:
 # Lemma: sphere growth of iterated quarter-Laplacians
 # ---------------------------------------------------------------------------
 
-def check_laplacian_powers(form: HermitianForm, samples: int = 10_000) -> list[AuditReport]:
+def check_laplacian_powers(form: HermitianForm, samples: int) -> list[AuditReport]:
     """Sampled max of |(Δ/4)^j f| on the sphere against (n m^2)^j Λ(f), j = 0..m.
 
     The points are drawn and evaluated a chunk at a time (`unit_sphere_chunks`), so memory does not
@@ -347,7 +347,7 @@ def mc_localization_check(
     k: int,
     h: float,
     epsilon: float,
-    samples: int = 1_000_000,
+    samples: int,
     seed: int = 20240,
 ) -> AuditReport:
     """Monte-Carlo Rayleigh quotient of the exterior operator against the closed form.

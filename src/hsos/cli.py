@@ -42,6 +42,11 @@ def _emit(args, payload: dict, human_lines: list[str]) -> None:
             print(line)
 
 
+def _finite(x):
+    """x, or None (JSON null) where x is a nan or infinite float."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def cmd_analyze(args) -> int:
     from . import spheremin  # the float layers load on first use, so the exact commands load no numpy
     form = formats.load_form(args.form)
@@ -56,7 +61,7 @@ def cmd_analyze(args) -> int:
         "terms": len(form.coeffs),
         "diagonal": diagonal,
         "lambda": lam.value,
-        "lambda_uncertainty": lam.uncertainty if math.isfinite(lam.uncertainty) else None,
+        "lambda_uncertainty": _finite(lam.uncertainty),
         "lambda_certified": lam.certified,
         "big_lambda": big,
         "big_lambda_sq": formats.format_rational(forms_mod.big_lambda_sq(form)),
@@ -312,9 +317,9 @@ def cmd_audit(args) -> int:
             {
                 "check": r.check_name,
                 "parameters": r.parameters,
-                "lhs": None if isinstance(r.lhs, float) and not math.isfinite(r.lhs) else r.lhs,
-                "rhs": None if isinstance(r.rhs, float) and not math.isfinite(r.rhs) else r.rhs,
-                "ratio": None if isinstance(r.ratio, float) and not math.isfinite(r.ratio) else r.ratio,
+                "lhs": _finite(r.lhs),
+                "rhs": _finite(r.rhs),
+                "ratio": _finite(r.ratio),
                 "pass": r.passed,
                 "notes": r.notes,
             }
@@ -408,7 +413,7 @@ def main(argv=None) -> int:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"--{name} must be finite, got {value}")
         return args.fn(args)
-    except formats.ParseError as exc:
+    except (formats.ParseError, OSError) as exc:  # OSError: an unwritable file, such as --out in a vanished directory
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except forms_mod.FormError as exc:
@@ -426,9 +431,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # a radial quadrature or an incomplete gamma expansion that did not converge
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:  # a file that cannot be written, such as --out in a directory that vanished
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ int-string digits, so every value read can be written again.  So "+3", "-0",
 duplicate coefficient keys are rejected, and so is a certificate whose mode is
 not "exact" or whose verification block holds an unknown status or a residual
 not null or finite.  A certificate always embeds its form, and one without it
-is an error; loading one reads no other file.
+is an error; loading one reads no other file.  The form fixes the shape: a
+header n or m that is not the form's is an error, not a failed proof.
 A square's coefficients are written in lowest terms, as `SosSquare` holds
 them, each in one text fragment.  The squares array is written in one pass and
 json.dumps(..., sort_keys=True, indent=2, allow_nan=False) writes every other
@@ -130,11 +131,15 @@ def form_to_dict(form: HermitianForm) -> dict:
     return {"format_version": FORMAT_VERSION, "n": form.n, "m": form.m, "terms": terms}
 
 
-def form_from_dict(data: dict) -> HermitianForm:
-    _expect_keys(data, {"format_version", "n", "m", "terms"}, {"n", "m", "terms"}, "form")
+def _check_version(data: dict, context: str) -> None:
     version = data.get("format_version", FORMAT_VERSION)
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version}", "form")
+        raise ParseError(f"unsupported format_version {version}", context)
+
+
+def form_from_dict(data: dict) -> HermitianForm:
+    _expect_keys(data, {"format_version", "n", "m", "terms"}, {"n", "m", "terms"}, "form")
+    _check_version(data, "form")
     n, m = data["n"], data["m"]
     if type(n) is not int or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}", "form")
@@ -179,15 +184,15 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, HermitianForm]:
         {"n", "m", "N", "mode", "squares", "form"},
         "certificate",
     )
-    version = data.get("format_version", FORMAT_VERSION)
-    if type(version) is not int or version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {version}", "certificate")
+    _check_version(data, "certificate")
     if data["mode"] != "exact":
         raise ParseError(f"mode must be 'exact', got {data['mode']!r}", "certificate")
-    n, m, N = data["n"], data["m"], data["N"]
-    for name, v in (("n", n), ("m", m), ("N", N)):
-        if type(v) is not int or v < 0:
-            raise ParseError(f"{name} must be a non-negative integer", "certificate")
+    form = form_from_dict(data["form"])
+    n, m, N = form.n, form.m, data["N"]
+    if (type(data["n"]), type(data["m"]), data["n"], data["m"]) != (int, int, n, m):
+        raise ParseError(f"(n, m) = ({data['n']!r}, {data['m']!r}) is not the embedded form's ({n}, {m})", "certificate")
+    if type(N) is not int or N < 0:
+        raise ParseError("N must be a non-negative integer", "certificate")
     if not isinstance(data["squares"], list):
         raise ParseError("squares must be a list", "certificate")
     squares = []
@@ -222,7 +227,7 @@ def certificate_from_dict(data: dict) -> tuple[SosCertificate, HermitianForm]:
         raise ParseError(f"unknown verification status {status!r}", "verification")
     if not (residual is None or type(residual) is int or (type(residual) is float and math.isfinite(residual))):
         raise ParseError(f"residual must be null or a finite number, got {residual!r}", "verification")
-    return SosCertificate(n, m, N, tuple(squares), status, residual), form_from_dict(data["form"])
+    return SosCertificate(n, m, N, tuple(squares), status, residual), form
 
 
 def load_certificate(path) -> tuple[SosCertificate, HermitianForm]:

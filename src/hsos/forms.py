@@ -117,16 +117,14 @@ class HermitianForm:
         return total
 
     @cached_property
-    def sphere_pass(self):
-        """The spheremin.SpherePass of this form object, built on first use and freed with the form.
+    def sphere_pass(self) -> dict:
+        """The dict in which spheremin caches this form object's sphere pass, freed with the form.
 
         It lives in the instance's __dict__, outside the dataclass fields, so ==, repr and the
         constructor ignore it, and an equal form built elsewhere runs its own pass.  Caching
         per object is sound because a form's coefficients cannot change after it is built.
         """
-        from .spheremin import SpherePass
-
-        return SpherePass()
+        return {}
 
 
 def fc_form(c) -> HermitianForm:
@@ -160,11 +158,6 @@ def is_diagonal(form: HermitianForm) -> bool:
     return all(a == b for (a, b) in form.coeffs)
 
 
-def _check_point(form: HermitianForm, z: Sequence) -> None:
-    if len(z) != form.n:
-        raise DimensionMismatch(f"point has {len(z)} coordinates, form has n = {form.n}")
-
-
 def evaluate(form: HermitianForm, z: Sequence[complex]) -> float:
     """f(z, z̄) in double precision: the one row of evaluate_batch on [z]."""
     return float(evaluate_batch(form, [z])[0])
@@ -172,7 +165,8 @@ def evaluate(form: HermitianForm, z: Sequence[complex]) -> float:
 
 def evaluate_exact(form: HermitianForm, z: Sequence[QC]) -> Fraction:
     """f at a Gaussian-rational point, exactly; the sum is real because a built form is hermitian."""
-    _check_point(form, z)
+    if len(z) != form.n:
+        raise DimensionMismatch(f"point has {len(z)} coordinates, form has n = {form.n}")
     zv = [qc(w) for w in z]
     total = QC_ZERO
     for (alpha, beta), c in form.coeffs.items():
@@ -260,7 +254,7 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
 def lambda_min(form: HermitianForm):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    Read from the form's one sphere pass (spheremin.SpherePass): the descent on f
+    Read from the form's one sphere pass (HermitianForm.sphere_pass): the descent on f
     runs once per form object, and for n <= 3 the certified grid once before it;
     the descent stops at the fixed relative gradient bound spheremin.TOL.
     """

@@ -7,6 +7,8 @@ numpy and `math` only, so that no command loads scipy for them.
     `ndtri` (S. L. Moshier) with the coefficients and the branch order that
     scipy.special.ndtri uses.  The clip keeps |x| below 7.1, so Cephes'
     far-tail branch (y <= e^-32) and its infinite and nan ends are not ported.
+    Its polynomials run through `np.polyval`, which rounds in the order of
+    Cephes' `polevl`; `_Q0` and `_Q1` write out the leading 1 of `p1evl`.
     Both logarithms of the tail branch go through `math.log` (the C
     library's), which makes the result bit-identical to scipy's on the
     clipped p; numpy's vectorized log differs from it in the last bit on a
@@ -35,7 +37,8 @@ _P0 = (
     1.39312609387279679503e1,
     -1.23916583867381258016e0,
 )
-_Q0 = (  # leading coefficient 1
+_Q0 = (
+    1.0,
     1.95448858338141759834e0,
     4.67627912898881538453e0,
     8.63602421390890590575e1,
@@ -58,6 +61,7 @@ _P1 = (
     -8.57456785154685413611e-4,
 )
 _Q1 = (
+    1.0,
     1.57799883256466749731e1,
     4.53907635128879210584e1,
     4.13172038254672030440e1,
@@ -67,22 +71,6 @@ _Q1 = (
     -3.80806407691578277194e-2,
     -9.33259480895457427372e-4,
 )
-
-
-def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    """Horner's rule from the leading coefficient, in Cephes' operation order."""
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    """_polevl with an implicit leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
@@ -102,11 +90,11 @@ def ndtri(p) -> np.ndarray:
 
     yc = y[central] - 0.5
     y2 = yc * yc
-    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    out[central] = (yc + yc * (y2 * np.polyval(_P0, y2) / np.polyval(_Q0, y2))) * _S2PI
 
     x = np.sqrt(-2.0 * _libm_log(y[tail]))
     z = 1.0 / x
-    xt = x - _libm_log(x) / x - z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    xt = x - _libm_log(x) / x - z * np.polyval(_P1, z) / np.polyval(_Q1, z)
     out[tail] = np.where(upper[tail], xt, -xt)
     return out.reshape(y0.shape)
 

@@ -9,9 +9,10 @@ but far from tight.  The grid is a product of moduli cells and phase cells, and
 f on it is a sum of moduli-factor x phase-factor outer products, so its points
 are never formed and it makes no forms.evaluate_batch call.
 
-Each form object keeps one SpherePass (HermitianForm.sphere_pass), filled on
-demand: the grid and the descents on f and on -f each run at most once per
-form, every λ and Λ♯ of a form with n <= 3 includes the grid, and
+Each form object keeps one sphere pass, the dict HermitianForm.sphere_pass:
+"grid" holds the grid's (min, max, cover, count) for n <= 3, 0 and 1 the final
+SphereMinResult of f and of -f.  The grid and each descent run at most once
+per form, every λ and Λ♯ of a form with n <= 3 includes the grid, and
 minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp all read
 it.  An equal form that is a different object runs its own pass.
 
@@ -266,15 +267,6 @@ def _certified_grid(form: HermitianForm):
     return float(vals.min()), float(vals.max()), cover, vals.size
 
 
-class SpherePass:
-    """What one nonzero form's sphere pass has computed so far: the grid's (min, max, cover,
-    count) for n <= 3, not its points, and the final SphereMinResult of each side."""
-
-    def __init__(self):
-        self.grid = None
-        self.results: list[SphereMinResult | None] = [None, None]
-
-
 def _descent(form: HermitianForm, side: int) -> SphereMinResult:
     """The multi-start descent alone on f (side 0) or on -f (side 1): no grid, uncertified."""
     z0 = _starting_points(form.n)
@@ -293,13 +285,13 @@ def _minimum(form: HermitianForm, side: int) -> SphereMinResult:
         e = tuple(1.0 + 0j if k == 0 else 0j for k in range(form.n))
         return SphereMinResult(0.0, e, 0.0, True, True, 0, 0)
     sp = form.sphere_pass
-    if sp.results[side] is None:
-        if form.n <= 3 and sp.grid is None:
+    if side not in sp:
+        if form.n <= 3 and "grid" not in sp:
             # before the starts: the grid's value table is freed before the descent allocates its arrays
-            sp.grid = _certified_grid(form)
+            sp["grid"] = _certified_grid(form)
         found = _descent(form, side)
-        if sp.grid is not None:
-            grid_min, grid_max, cover, grid_points = sp.grid
+        if "grid" in sp:
+            grid_min, grid_max, cover, grid_points = sp["grid"]
             if side:  # min(-f) = -max f on the same grid values
                 grid_min = -grid_max
             lower = grid_min - lipschitz_bound(form) * cover
@@ -307,8 +299,8 @@ def _minimum(form: HermitianForm, side: int) -> SphereMinResult:
             found = replace(
                 found, value=value, uncertainty=max(0.0, value - lower), certified=True, grid_points=grid_points
             )
-        sp.results[side] = found
-    return sp.results[side]
+        sp[side] = found
+    return sp[side]
 
 
 def _sharp(low: SphereMinResult, high: SphereMinResult) -> SphereMinResult:

@@ -124,6 +124,14 @@ def test_bound_report_boundary_c2():
         assert "positive" in report.notes[key]
 
 
+def test_bound_report_on_one_variable_notes_both_bounds_that_need_n2():
+    # |z|^4 is a sum of squares at N = 0 with λ = 1 > 0, so only n = 1 keeps certified_N and the C grid from a value
+    report = bounds.bound_report(coordinate_power(1, 2, 0), n_max=2)
+    assert report.lambda_value == pytest.approx(1.0) and report.empirical_minimal_N == 0
+    assert report.certified_N is None and report.smallest_sufficient_C is None
+    assert report.notes["certified_N"] == report.notes["smallest_sufficient_C"] == "bound requires n >= 2 (log n > 0)"
+
+
 def test_bound_report_nondiagonal_skips_pr():
     report = bounds.bound_report(ridge_form(), n_max=4)
     assert report.powers_resnick_N is None

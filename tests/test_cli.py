@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,14 @@ def test_analyze_json_fields(capsys, fc1_path):
     assert abs(doc["lambda"] - 0.25) < 1e-9
     assert doc["big_lambda_sq"] == "9/4"
     assert doc["format_version"] == 1
+
+
+def test_analyze_that_does_not_converge_exits_numerical(capsys, fc1_path, monkeypatch):
+    descent = spheremin._descent
+    monkeypatch.setattr(spheremin, "_descent", lambda form, side: replace(descent(form, side), converged=False))
+    code, out, err = run(capsys, ["--json", "analyze", fc1_path])
+    assert (code, err) == (cli.EXIT_NUMERICAL, "")
+    assert json.loads(out)["converged"] is False
 
 
 def test_analyze_parse_error(capsys, tmp_path):
@@ -181,7 +190,8 @@ def test_verify_boolean_integer_is_input_error(capsys, fc1_path, tmp_path):
 
 
 def test_verify_rejects_certificate_of_another_shape(capsys, tmp_path):
-    # one square |z1^2|^2 at (n, m, N) = (2, 2, 0) has the matrix of the embedded |z1|^2 (m = 1)
+    # one square |z1^2|^2 at (n, m, N) = (2, 2, 0) has the matrix of the embedded |z1|^2 (m = 1); the form fixes
+    # the shape, so the header that disagrees with it is an input error, not a failed proof
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(
         json.dumps(
@@ -192,8 +202,9 @@ def test_verify_rejects_certificate_of_another_shape(capsys, tmp_path):
             }
         )
     )
-    code, out, _ = run(capsys, ["--json", "verify", str(cert_path)])
-    assert code == 1 and json.loads(out)["status"] == "fail"
+    code, out, err = run(capsys, ["--json", "verify", str(cert_path)])
+    assert (code, out) == (2, "")
+    assert err == "input error: (n, m) = (2, 2) is not the embedded form's (2, 1) (at certificate)\n"
 
 
 def test_verify_refuses_a_certificate_without_its_form(capsys, tmp_path):
@@ -657,6 +668,19 @@ def test_audit_basic_scan(capsys, fc1_path):
     code, out, _ = run(capsys, ["audit", "--suite", "basic", "--form", fc1_path])
     assert code == 0
     assert "empirical-h0" in out and "implied N" in out
+
+
+def test_audit_basic_scan_without_a_positive_lambda_is_a_failed_check(capsys, tmp_path):
+    # fc_3 has λ = -1/4: the h0 scan stops before its grid
+    path = tmp_path / "fc3.json"
+    save_form(forms.fc_form(3), path)
+    code, out, err = run(capsys, ["audit", "--suite", "basic", "--form", str(path)])
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "[FAIL] empirical-h0: lhs=nan rhs=0.000000e+00 ratio=nan "
+        "no positive RHS (lambda <= 0: leading term cannot be positive)",
+        "0/1 checks passed",
+    ]
 
 
 def test_audit_basic_single_h(capsys, fc1_path):

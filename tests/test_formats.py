@@ -260,9 +260,7 @@ def _written_certificates(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_written_certificates())
 @example((mult.SosCertificate(1, 1, 0, ()), forms.HermitianForm.zero(1, 1)))  # "terms": []
-# "index": []; a form has n >= 1, and the reader leaves matching the form's shape to verify_certificate
-@example((mult.SosCertificate(0, 0, 0, (mult.SosSquare(Fraction(2), 3, {(): (1, 0)}),)), forms.HermitianForm.zero(1, 0)))
-@example((mult.SosCertificate(2, 1, 1, (mult.SosSquare(Fraction(3, 2), 1, {}),)), forms.fc_form(1)))
+@example((mult.SosCertificate(2, 1, 1, (mult.SosSquare(Fraction(3, 2), 1, {}),)), forms.inner_power(2, 1)))
 def test_certificate_writer_matches_json_dumps_and_reloads(tmp_path, case):
     cert, form = case
     path = tmp_path / "cert.json"
@@ -272,11 +270,22 @@ def test_certificate_writer_matches_json_dumps_and_reloads(tmp_path, case):
     for sq in json.loads(text)["squares"]:  # in lowest terms and in graded-lex order, as the goldens are
         assert all(entry[part] == str(Fraction(entry[part])) for entry in sq["coefficients"] for part in ("re", "im"))
         indices = [tuple(entry["index"]) for entry in sq["coefficients"]]
-        canonical = list(mi.iter_degree(cert.n, cert.m + cert.N)) if cert.n else [()]
+        canonical = list(mi.iter_degree(cert.n, cert.m + cert.N))
         assert indices == [a for a in canonical if a in indices]
     loaded, loaded_form = formats.load_certificate(path)
     assert loaded == cert
     assert (loaded_form.n, loaded_form.m, loaded_form.coeffs) == (form.n, form.m, form.coeffs)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (1, 1), (2, 0), ("1", 0), (1.0, 0), (True, 0)])
+def test_certificate_header_must_be_the_shape_of_its_form(n, m):
+    # the embedded zero form of (n, m) = (1, 0) fixes the shape; a header of n = 0, once read with "index": [], is refused
+    square = mult.SosSquare(Fraction(2), 3, {(0,): (1, 0)})
+    doc = json.loads(formats._certificate_text(mult.SosCertificate(1, 0, 0, (square,)), forms.HermitianForm.zero(1, 0)))
+    assert formats.certificate_from_dict(doc)[0].squares == (square,)
+    with pytest.raises(formats.ParseError) as info:
+        formats.certificate_from_dict({**doc, "n": n, "m": m})
+    assert str(info.value) == f"(n, m) = ({n!r}, {m!r}) is not the embedded form's (1, 0) (at certificate)"
 
 
 def test_certificate_rejects_wrong_degree():

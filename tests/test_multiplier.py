@@ -934,6 +934,29 @@ def test_huge_numerators_do_not_overflow(entries, psd, escalations, ldlt_calls):
     assert len(ldlt_calls) == escalations + 1  # + the is_psd call of the assertion
 
 
+@pytest.mark.parametrize("entries, psd, blocks", [
+    ({(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, True, 1),  # singular block
+    ({(0, 0): (1, 0), (0, 1): (3, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, False, 1),  # indefinite block
+    ({(0, 0): (1, 0), (0, 1): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0), (2, 3): (0, 1), (3, 3): (1, 0)}, True, 2),
+])
+def test_a_witness_solve_that_raises_leaves_the_block_to_is_psd(entries, psd, blocks, monkeypatch):
+    def no_solve(H):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    exact, calls = mult.is_psd, []
+
+    def counted(matrix):
+        calls.append(matrix.dim)
+        return exact(matrix)
+
+    basis = ((3, 0), (2, 1), (1, 2), (0, 3))[: 1 + max(j for _, j in entries)]
+    matrix = mult.MultiplierMatrix(2, 3, 0, basis, 1, entries)
+    monkeypatch.setattr(verified, "lowest_eigenvector", no_solve)
+    monkeypatch.setattr(mult, "is_psd", counted)
+    assert mult.psd_decided(matrix) == psd == exact(matrix).is_psd
+    assert calls == [2] * blocks  # each block that neither float test settles, at its own dimension
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

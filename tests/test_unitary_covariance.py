@@ -9,17 +9,19 @@ thresholds c*_N of the family fc_c, whose closed form decides every rotated shif
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hsos import formats, forms, multiplier as mult, spheremin
+from hsos import formats, forms, multiindex as mi, multiplier as mult, spheremin
 from hsos.exact import QC_ONE, QC_ZERO, QC, qc
 from hsos.forms import HermitianForm
 
-from conftest import add_forms
+from conftest import add_forms, random_sos_form
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_forms"
 MINIMAL_N = {"fc_1": 1, "fc_1_2": 1, "fc_3_2": 5, "fc_7_4": 13,
@@ -120,12 +122,8 @@ def test_sphere_extremes_are_unitary_invariants(name):
     assert turned_sharp.value == pytest.approx(sharp.value, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(MINIMAL_N))
-def test_rotated_sample_certifies_at_its_minimal_shift_and_is_refuted_below(name):
-    _, turned = _sample_and_rotated(name)
-    N = MINIMAL_N[name]
-    cert = mult.sos_decompose(turned, N)
-    assert cert.verified == "exact-pass" and mult.verify_certificate(turned, cert) == ("exact-pass", 0.0)
+def _assert_refuted_below(turned: HermitianForm, N: int) -> None:
+    """N = 0, or sos_decompose(turned, N - 1) raises NotPsdError with a witness checked exactly to be < 0."""
     if N == 0:
         return
     with pytest.raises(mult.NotPsdError) as info:
@@ -133,6 +131,54 @@ def test_rotated_sample_certifies_at_its_minimal_shift_and_is_refuted_below(name
     v, matrix = info.value.witness, mult.multiplier_matrix(turned, N - 1)
     quadratic = sum((v[i].conj() * c * v[j] for (i, j), c in matrix.entries.items()), QC_ZERO)
     assert quadratic == qc(info.value.witness_value) and info.value.witness_value < 0
+
+
+@pytest.mark.parametrize("name", sorted(MINIMAL_N))
+def test_rotated_sample_certifies_at_its_minimal_shift_and_is_refuted_below(name):
+    _, turned = _sample_and_rotated(name)
+    N = MINIMAL_N[name]
+    cert = mult.sos_decompose(turned, N)
+    assert cert.verified == "exact-pass" and mult.verify_certificate(turned, cert) == ("exact-pass", 0.0)
+    _assert_refuted_below(turned, N)
+
+
+def positive_form(rng: random.Random, n: int, m: int, delta: Fraction) -> HermitianForm:
+    """||z||^(2m) + θ g, g = s/8 - (m!/a!) |z^a|^2 for a random square s and a random mixed index a.
+
+    (m!/a!) x^a is at most P_a = (m!/a!) prod (a_i/m)^(a_i) < 1 on the simplex, so with θ = (1 - delta)/P_a
+    the diagonal part is at least delta on the sphere and f, which adds θ s/8 >= 0, is positive.  θ > 1, so
+    f is no sum of squares at N = 0 unless s covers |z^a|^2.  A mixed index needs n >= 2 and m >= 2.
+    """
+    a = rng.choice([a for a in mi.iter_degree(n, m) if max(a) < m])
+    theta = (1 - delta) / (mi.multinomial(a) * math.prod(Fraction(x, m) ** x for x in a))
+    g = add_forms(forms.scale(random_sos_form(rng, n, m, 1), Fraction(1, 8)),
+                  HermitianForm.from_terms(n, m, [(a, a, qc(-mi.multinomial(a)))]))
+    return add_forms(forms.inner_power(n, m), forms.scale(g, theta))
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.integers(2, 3), st.sampled_from([Fraction(1, 3), Fraction(1, 4)]), st.integers(0, 2**32))
+def test_rotated_positive_forms_keep_their_minimal_shift_and_certify_there(n, m, delta, seed):
+    # f is dense after the rotation, so the Polya start and the float route decide f∘U, and the exact kernel
+    # factors it, where f's own scan starts from its Polya diagonal
+    rng = random.Random(seed)
+    form = positive_form(rng, n, m, delta)
+    turned = rotated(form, cayley_unitary(rng, n))
+    N = mult.minimal_sos_N(form, 12)
+    assert N is not None and mult.minimal_sos_N(turned, 12) == N
+    assert forms.big_lambda_sq(turned) == forms.big_lambda_sq(form)
+    assert mult.sos_decompose(turned, N).verified == "exact-pass"
+    _assert_refuted_below(turned, N)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)])
+def test_sphere_extremes_of_rotated_positive_forms_agree(n, m):
+    rng = random.Random(f"sphere-{n}-{m}")
+    form = positive_form(rng, n, m, Fraction(1, 3))
+    turned = rotated(form, cayley_unitary(rng, n))
+    (low, sharp), (turned_low, turned_sharp) = spheremin.sphere_range(form), spheremin.sphere_range(turned)
+    assert turned_low.value == pytest.approx(low.value, rel=1e-12) and low.value > 0
+    assert turned_sharp.value == pytest.approx(sharp.value, rel=1e-12)
 
 
 def fc_threshold(N: int) -> Fraction:
