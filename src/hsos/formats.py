@@ -243,7 +243,10 @@ def _certificate_text(cert: SosCertificate, form: HermitianForm) -> str:
 
     The squares array is written in one pass; every other value is `dumps_stable`'s
     text indented one level, which leaves its strings alone, since JSON strings hold no raw newline.
+    A certificate whose (n, m) is not its form's is refused, as certificate_from_dict would refuse the file.
     """
+    if (cert.n, cert.m) != (form.n, form.m):
+        raise ValueError(f"certificate (n, m) = ({cert.n}, {cert.m}) is not its form's ({form.n}, {form.m})")
     doc = {
         "format_version": FORMAT_VERSION,
         "n": cert.n,
@@ -275,8 +278,7 @@ def _squares_text(squares) -> str:
         den, fragments = sq.den, []
         for alpha, (re, im) in sorted(sq.coefficients.items(), reverse=True):  # one degree: graded-lex order
             if alpha not in index_text:
-                exponents = ",\n            ".join(map(str, alpha))
-                exponents = f"[\n            {exponents}\n          ]" if alpha else "[]"
+                exponents = "[\n            " + ",\n            ".join(map(str, alpha)) + "\n          ]"
                 index_text[alpha] = f'",\n          "index": {exponents},\n          "re": "'
             fragments.append(f'{{\n          "im": "{_over(im, den)}{index_text[alpha]}{_over(re, den)}"\n        }}')
         listed = "[\n        " + ",\n        ".join(fragments) + "\n      ]" if fragments else "[]"

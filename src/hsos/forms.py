@@ -254,9 +254,10 @@ def lambda_tilde(form: HermitianForm) -> Fraction:
 def lambda_min(form: HermitianForm):
     """Minimum of f over the unit sphere with minimizer and uncertainty radius.
 
-    Read from the form's one sphere pass (HermitianForm.sphere_pass): the descent on f
-    runs once per form object, and for n <= 3 the certified grid once before it;
-    the descent stops at the fixed relative gradient bound spheremin.TOL.
+    Read from the form's one sphere pass (HermitianForm.sphere_pass): one descent batch
+    of the starts on f and on -f runs once per form object, and for n <= 3 the certified
+    grid once before it; a start stops at the fixed relative gradient bound spheremin.TOL
+    or at an exact fixed point of the descent.
     """
     from . import spheremin
 
@@ -266,8 +267,8 @@ def lambda_min(form: HermitianForm):
 def lambda_sharp(form: HermitianForm):
     """sup of |f| on the unit sphere; spheremin.sphere_range returns it with lambda_min.
 
-    It shares the form's sphere pass with lambda_min and adds only the descent
-    on -f, so lambda_min then lambda_sharp on one form runs one grid and two descents.
+    It shares the form's sphere pass with lambda_min, whose descent batch also ran -f,
+    so lambda_min then lambda_sharp on one form runs one grid and one descent batch.
     """
     from . import spheremin
 

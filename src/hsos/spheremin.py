@@ -11,22 +11,25 @@ are never formed and it makes no forms.evaluate_batch call.
 
 Each form object keeps one sphere pass, the dict HermitianForm.sphere_pass:
 "grid" holds the grid's (min, max, cover, count) for n <= 3, 0 and 1 the final
-SphereMinResult of f and of -f.  The grid and each descent run at most once
-per form, every λ and Λ♯ of a form with n <= 3 includes the grid, and
-minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp all read
-it.  An equal form that is a different object runs its own pass.
+SphereMinResult of f and of -f.  The grid and the one descent batch of f and
+-f run at most once per form, every λ and Λ♯ of a form with n <= 3 includes
+the grid, and minimize_on_sphere, sphere_range and forms.lambda_min/lambda_sharp
+all read it.  An equal form that is a different object runs its own pass.
 
 The descent is pinned bit for bit (tests/golden/sphere_descent.json).  Its
 objective multiplies each distinct monomial factor list once, so its cost
-follows the distinct monomials, not the terms, and three rules of _Objective
-keep every float: np.multiply.reduce along a C-contiguous last axis is the
-plain left fold of separately rounded complex products, whatever the batch
-size or a row's position; an elementwise complex * rounds differently from it
-and is not commutative in the last bit, so each * keeps its operands, their
-shapes and which of them is a temporary (numpy reuses a large temporary for
-the result and swaps the operands); and every complex @ sees the rows it
-always saw, in the same order, since it rounds a row by its batch: the
-gradient's is one transposed (kb, B, K) stack @ C per block of kb slices.
+follows the distinct monomials, not the terms.  One rule keeps every float: a
+row's floats depend on that row alone, never on the other rows of its batch.
+So the starts of f and of -f run as one batch, and a row is retired once an
+iteration leaves it unchanged bit for bit, both exactly.  _Objective keeps the
+rule three ways: np.multiply.reduce along a C-contiguous last axis is the plain
+left fold of separately rounded complex products within each row; the
+gradient's elementwise complex product is an explicit np.multiply, since
+numpy's temporary elision swaps the operands of a large temporary's * and
+complex * is not commutative in the last bit; and each complex @ sees at least
+two rows, since numpy's one-row matvec runs a dot kernel that rounds
+differently.  Each @ is split at the side boundary, so the -f rows use the
+exactly negated coefficients, as a descent on -f alone does.
 """
 
 from __future__ import annotations
@@ -71,10 +74,8 @@ class _Objective:
 
     Each point's powers z_j^e and z̄_j^e, e <= m, are computed once into a table row.  Each
     distinct factor list is gathered from it and multiplied once, and z^a, z̄^b and the ∂̄_k
-    factors of every term are gathered from those products.  The module docstring's three rules
-    keep each float what per-term powers and np.prod gave: the reduce runs along a C-contiguous
-    last axis, each elementwise * keeps its operands, shapes and temporaries (so the gradient
-    keeps its block size kb), and each @ sees the rows it always saw.
+    factors of every term are gathered from those products.  Rows [:cut] of a batch X are on f,
+    the rest on -f, and each row's floats depend on that row alone (the module docstring).
     """
 
     def __init__(self, form: HermitianForm):
@@ -82,7 +83,8 @@ class _Objective:
         keys = list(form.coeffs.keys())
         A = np.array([k[0] for k in keys], dtype=np.int64).reshape(K, n)
         B = np.array([k[1] for k in keys], dtype=np.int64).reshape(K, n)
-        self.n, self.C, self.powers = n, np.array([complex(form.coeffs[k]) for k in keys]), np.arange(width)
+        C = np.array([complex(form.coeffs[k]) for k in keys])
+        self.n, self.C, self.powers = n, (C, -C), np.arange(width)  # f and -f: exactly negated coefficients
         # flat positions in a table row [z_j^e ..., z̄_j^e ..., e z̄_j^(e-1) ...], j < n, e <= m: the
         # lists of z^a and z̄^b, and for each k those of z̄^b with factor k replaced by
         # b_k z̄_k^(b_k - 1), the terms of dbar_k f = sum c z^a b_k z̄^(b - e_k)
@@ -100,27 +102,32 @@ class _Objective:
         z = X[:, : self.n] + 1j * X[:, self.n :]
         return np.concatenate([z, np.conj(z)], axis=1)[:, :, None] ** self.powers  # (B, 2n, m + 1)
 
-    def value(self, X: np.ndarray) -> np.ndarray:
+    def _dot(self, P: np.ndarray, cut: int) -> np.ndarray:
+        """P @ C over P's last two axes, f's C on rows [:cut] and -f's on the rest; a one-row part runs as two rows."""
+        parts = []
+        for p, C in zip((P[..., :cut, :], P[..., cut:, :]), self.C):
+            parts.append((np.concatenate([p, p], axis=-2) @ C)[..., :1] if p.shape[-2] == 1 else p @ C)
+        return np.concatenate(parts, axis=-1)
+
+    def value(self, X: np.ndarray, cut: int) -> np.ndarray:
         mono = np.multiply.reduce(self._table(X).reshape(len(X), -1).take(self.lists, axis=1), axis=2)
         za, zb = mono.take(self.index, axis=1).transpose(1, 0, 2)
-        return (za * zb @ self.C).real
+        return self._dot(za * zb, cut).real
 
-    def value_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_grad(self, X: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray]:
         table = self._table(X)
         deriv = np.zeros_like(table[:, self.n :])
         deriv[:, :, 1:] = self.powers[1:] * table[:, self.n :, :-1]
         table = np.concatenate([table, deriv], axis=1).reshape(len(X), -1)
         mono = np.multiply.reduce(table.take(self.all_lists, axis=1), axis=2)
         za, zb = mono.take(self.index, axis=1).transpose(1, 0, 2)
-        # dbar_k f for the rows k of dindex, kb = 2^20 / (n K B) at a time; each @ sees the B rows.
-        # kb stays: a block of one has za's shape, so from 256 KiB numpy reuses the gathered
-        # temporary for the product and swaps the * operands
+        # dbar_k f for the rows k of dindex, 2^20 / (n K B) of them at a time
         g = np.empty((self.n, len(X)), dtype=complex)
         block = max(1, (1 << 20) // max(1, self.dindex.size * len(X)))
         for k in range(0, self.n, block):
-            dbar = za[:, None, :] * mono.take(self.dindex[k : k + block], axis=1)
-            g[k : k + block] = dbar.transpose(1, 0, 2) @ self.C
-        return (za * zb @ self.C).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
+            dbar = np.multiply(za[:, None, :], mono.take(self.dindex[k : k + block], axis=1))
+            g[k : k + block] = self._dot(dbar.transpose(1, 0, 2), cut)
+        return self._dot(za * zb, cut).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
 
 
 def _normalize_rows(X: np.ndarray) -> np.ndarray:
@@ -130,26 +137,32 @@ def _normalize_rows(X: np.ndarray) -> np.ndarray:
     return X / nrm
 
 
-def _pgd_batch(obj: _Objective, X0: np.ndarray):
-    """Armijo projected gradient on all rows at once; returns (values, points, converged)."""
+def _pgd_batch(obj: _Objective, X0: np.ndarray, cut: int):
+    """Armijo projected gradient on all rows at once, on f from rows [:cut] of X0 and on -f from the rest.
+
+    Returns (values, points, converged).  A row stops once it converges, or once an iteration
+    leaves its point, value, step and gradient unchanged bit for bit: as its floats depend on
+    the row alone, every later iteration would repeat that one.
+    """
     X = _normalize_rows(X0.astype(float))
-    fx, G = obj.value_grad(X)
+    fx, G = obj.value_grad(X, cut)
     step = np.ones(X.shape[0])
-    converged = np.zeros(X.shape[0], dtype=bool)
+    converged, moving = np.zeros(X.shape[0], dtype=bool), np.ones(X.shape[0], dtype=bool)
     for _ in range(MAX_ITER):
         Gt = G - np.sum(G * X, axis=1, keepdims=True) * X
         gn = np.linalg.norm(Gt, axis=1)
         converged |= gn <= TOL * (1.0 + np.abs(fx))
-        active = np.flatnonzero(~converged)
+        active = np.flatnonzero(moving & ~converged)  # sorted, so the f rows come first in every batch
         if not active.size:
             break
+        before = np.column_stack([X, fx, step, G])[active].view(np.int64)
         step[active] = np.minimum(step[active] * 2.0, 1e3)
         # the rows still backtracking and their step, point, direction, value and |g|^2; a step
         # of at most 1e3 falls below 1e-18 within 70 halvings, so every row leaves the loop
         rows, s, Xr, Gr, fr, g2 = active, step[active], X[active], Gt[active], fx[active], gn[active] ** 2
         while rows.size:
             Xc = _normalize_rows(Xr - s[:, None] * Gr)
-            fc = obj.value(Xc)
+            fc = obj.value(Xc, np.searchsorted(rows, cut))
             ok = fc <= fr - 1e-4 * s * g2
             half = s * 0.5
             dead = ~ok & (half < 1e-18)  # no float-resolution descent left
@@ -161,7 +174,8 @@ def _pgd_batch(obj: _Objective, X0: np.ndarray):
                 keep = ~leave
                 rows, half, Xr, Gr, fr, g2 = rows[keep], half[keep], Xr[keep], Gr[keep], fr[keep], g2[keep]
             s = half
-        fx[active], G[active] = obj.value_grad(X[active])
+        fx[active], G[active] = obj.value_grad(X[active], np.searchsorted(active, cut))
+        moving[active] = (np.column_stack([X, fx, step, G])[active].view(np.int64) != before).any(axis=1)
     return fx, X, converged
 
 
@@ -267,16 +281,17 @@ def _certified_grid(form: HermitianForm):
     return float(vals.min()), float(vals.max()), cover, vals.size
 
 
-def _descent(form: HermitianForm, side: int) -> SphereMinResult:
-    """The multi-start descent alone on f (side 0) or on -f (side 1): no grid, uncertified."""
+def _descents(form: HermitianForm) -> tuple[SphereMinResult, SphereMinResult]:
+    """The multi-start descents on f and on -f, as one batch: no grid, uncertified."""
     z0 = _starting_points(form.n)
-    starts, obj = np.concatenate([z0.real, z0.imag], axis=1), _Objective(form)
-    if side:  # -f: exactly negated coefficients
-        obj.C = -obj.C
-    vals, X, conv = _pgd_batch(obj, starts)
-    best = int(np.argmin(vals))
-    z = tuple(complex(X[best, k], X[best, form.n + k]) for k in range(form.n))
-    return SphereMinResult(float(vals[best]), z, math.inf, False, bool(conv.any()), len(starts), 0)
+    starts = np.concatenate([z0.real, z0.imag], axis=1)
+    vals, X, conv = _pgd_batch(_Objective(form), np.concatenate([starts, starts]), len(starts))
+    found = []
+    for v, x, c in zip(vals.reshape(2, -1), X.reshape(2, len(starts), -1), conv.reshape(2, -1)):
+        best = int(np.argmin(v))
+        z = tuple(complex(x[best, k], x[best, form.n + k]) for k in range(form.n))
+        found.append(SphereMinResult(float(v[best]), z, math.inf, False, bool(c.any()), len(starts), 0))
+    return found[0], found[1]
 
 
 def _minimum(form: HermitianForm, side: int) -> SphereMinResult:
@@ -286,20 +301,20 @@ def _minimum(form: HermitianForm, side: int) -> SphereMinResult:
         return SphereMinResult(0.0, e, 0.0, True, True, 0, 0)
     sp = form.sphere_pass
     if side not in sp:
-        if form.n <= 3 and "grid" not in sp:
+        if form.n <= 3:
             # before the starts: the grid's value table is freed before the descent allocates its arrays
             sp["grid"] = _certified_grid(form)
-        found = _descent(form, side)
-        if "grid" in sp:
-            grid_min, grid_max, cover, grid_points = sp["grid"]
-            if side:  # min(-f) = -max f on the same grid values
-                grid_min = -grid_max
-            lower = grid_min - lipschitz_bound(form) * cover
-            value = min(found.value, grid_min)
-            found = replace(
-                found, value=value, uncertainty=max(0.0, value - lower), certified=True, grid_points=grid_points
-            )
-        sp[side] = found
+        for s, found in enumerate(_descents(form)):
+            if "grid" in sp:
+                grid_min, grid_max, cover, grid_points = sp["grid"]
+                if s:  # min(-f) = -max f on the same grid values
+                    grid_min = -grid_max
+                lower = grid_min - lipschitz_bound(form) * cover
+                value = min(found.value, grid_min)
+                found = replace(
+                    found, value=value, uncertainty=max(0.0, value - lower), certified=True, grid_points=grid_points
+                )
+            sp[s] = found
     return sp[side]
 
 
@@ -323,6 +338,6 @@ def minimize_on_sphere(form: HermitianForm) -> SphereMinResult:
 
 
 def sphere_range(form: HermitianForm) -> tuple[SphereMinResult, SphereMinResult]:
-    """(λ, Λ♯): minimize_on_sphere(form) and sup |f| from the same sphere pass and a descent on -f."""
+    """(λ, Λ♯): minimize_on_sphere(form) and sup |f|, both from the form's one sphere pass."""
     low = _minimum(form, 0)
     return low, _sharp(low, _minimum(form, 1))

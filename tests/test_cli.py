@@ -49,8 +49,8 @@ def test_analyze_json_fields(capsys, fc1_path):
 
 
 def test_analyze_that_does_not_converge_exits_numerical(capsys, fc1_path, monkeypatch):
-    descent = spheremin._descent
-    monkeypatch.setattr(spheremin, "_descent", lambda form, side: replace(descent(form, side), converged=False))
+    descents = spheremin._descents
+    monkeypatch.setattr(spheremin, "_descents", lambda form: [replace(r, converged=False) for r in descents(form)])
     code, out, err = run(capsys, ["--json", "analyze", fc1_path])
     assert (code, err) == (cli.EXIT_NUMERICAL, "")
     assert json.loads(out)["converged"] is False

@@ -288,6 +288,14 @@ def test_certificate_header_must_be_the_shape_of_its_form(n, m):
     assert str(info.value) == f"(n, m) = ({n!r}, {m!r}) is not the embedded form's (1, 0) (at certificate)"
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (2, 0), (1, 1)])
+def test_certificate_writer_refuses_another_shape_than_its_form_and_writes_nothing(tmp_path, n, m):
+    path = tmp_path / "cert.json"
+    with pytest.raises(ValueError, match=rf"^certificate \(n, m\) = \({n}, {m}\) is not its form's \(1, 0\)$"):
+        formats.save_certificate(mult.SosCertificate(n, m, 0, ()), path, form=forms.HermitianForm.zero(1, 0))
+    assert not path.exists()
+
+
 def test_certificate_rejects_wrong_degree():
     doc = {
         "n": 2,

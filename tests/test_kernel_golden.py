@@ -147,7 +147,7 @@ def descent_record(form: forms.HermitianForm) -> dict:
             "starts": result.starts,
         }
 
-    low, high = (spheremin._descent(form, side) for side in (0, 1))
+    low, high = spheremin._descents(form)
     return {"min_f": exact(low), "min_minus_f": exact(high), "lambda_sharp": spheremin._sharp(low, high).value.hex()}
 
 

@@ -109,13 +109,13 @@ def _count_calls(monkeypatch, name, calls=None):
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["bounds", "--n-max", "3"]])
-def test_analyze_and_bounds_run_one_grid_and_two_descents(monkeypatch, capsys, argv):
+def test_analyze_and_bounds_run_one_grid_and_one_descent_batch(monkeypatch, capsys, argv):
     grids = _count_calls(monkeypatch, "_certified_grid")
     descents = _count_calls(monkeypatch, "_pgd_batch")
     path = str(SAMPLES / "fc_7_4.json")
     assert cli.main(["--json", argv[0], path, *argv[1:]]) == 0
     capsys.readouterr()
-    assert (len(grids), len(descents)) == (1, 2)
+    assert (len(grids), len(descents)) == (1, 1)
 
 
 def test_lambda_min_and_lambda_sharp_pass_counts():
@@ -126,7 +126,7 @@ def test_lambda_min_and_lambda_sharp_pass_counts():
             descents = _count_calls(mp, "_pgd_batch")
             fn(forms.fc_form(1))  # a fresh form each: what one call costs on its own
         counts[fn.__name__] = (len(grids), len(descents))
-    assert counts == {"lambda_min": (1, 1), "lambda_sharp": (1, 2)}
+    assert counts == {"lambda_min": (1, 1), "lambda_sharp": (1, 1)}
 
 
 def _pass_counts(monkeypatch, form, *calls):
@@ -139,13 +139,13 @@ def _pass_counts(monkeypatch, form, *calls):
 
 
 def test_lambda_min_then_lambda_sharp_share_one_pass(monkeypatch):
-    assert _pass_counts(monkeypatch, forms.fc_form(1), forms.lambda_min, forms.lambda_sharp) == (1, 2)
+    assert _pass_counts(monkeypatch, forms.fc_form(1), forms.lambda_min, forms.lambda_sharp) == (1, 1)
 
 
-def test_sphere_range_after_minimize_on_sphere_adds_one_descent(monkeypatch):
+def test_sphere_range_after_minimize_on_sphere_adds_no_pass(monkeypatch):
     form = forms.fc_form(1)
     spheremin.minimize_on_sphere(form)
-    assert _pass_counts(monkeypatch, form, spheremin.sphere_range) == (0, 1)
+    assert _pass_counts(monkeypatch, form, spheremin.sphere_range) == (0, 0)
 
 
 def test_certified_grid_runs_before_the_starts(monkeypatch):
@@ -275,9 +275,46 @@ def test_descent_golden_covers_samples_n4_and_non_diagonal_forms():
     assert any(t["alpha"] != t["beta"] for c in cases if c["form"]["n"] == 4 for t in c["form"]["terms"])
 
 
+def _starts(n):
+    z0 = spheremin._starting_points(n)
+    return np.concatenate([z0.real, z0.imag], axis=1)
+
+
+def _bits(*arrays):
+    """float64 bits, so that a changed sign of zero shows too (a bool array as 0.0 and 1.0)."""
+    return [np.ascontiguousarray(x, dtype=float).view(np.uint64) for x in arrays]
+
+
+@pytest.mark.parametrize("case", _descent_cases(), ids=lambda case: case["id"])
+def test_descent_batch_of_f_and_minus_f_matches_a_batch_per_side(case):
+    form = formats.form_from_dict(case["form"])
+    starts, obj = _starts(form.n), spheremin._Objective(form)
+    paired = spheremin._pgd_batch(obj, np.concatenate([starts, starts]), len(starts))
+    alone = [spheremin._pgd_batch(obj, starts, cut) for cut in (len(starts), 0)]  # f alone, -f alone
+    for got, f, minus_f in zip(paired, *alone):
+        assert np.array_equal(*_bits(got, np.concatenate([f, minus_f])))
+
+
+@pytest.mark.parametrize("name", ["invariants-1/polya-diag-n3", "invariants-3/polya-diag-n2"])
+def test_descent_retires_its_fixed_points_with_the_result_of_all_iterations(name):
+    """The golden was recorded by descents that ran all MAX_ITER iterations on these f sides."""
+    (case,) = [c for c in _descent_cases() if c["id"] == name]
+    form = formats.form_from_dict(case["form"])
+    obj, calls, starts = spheremin._Objective(form), [], _starts(form.n)
+    value_grad = obj.value_grad
+    obj.value_grad = lambda X, cut: calls.append(len(X)) or value_grad(X, cut)
+    vals, X, conv = spheremin._pgd_batch(obj, starts, len(starts))
+    assert len(calls) < spheremin.MAX_ITER // 5
+    best = int(np.argmin(vals))
+    minimizer = [[X[best, k].hex(), X[best, form.n + k].hex()] for k in range(form.n)]
+    assert (vals[best].hex(), minimizer, bool(conv.any())) == tuple(
+        case["min_f"][key] for key in ("value", "minimizer", "converged")
+    )
+
+
 @st.composite
-def _objective_cases(draw):
-    """A hermitian form with n <= 4, m <= 3 and complex coefficients, and 1-6 points of R^{2n} near the sphere."""
+def _objective_cases(draw, max_rows=6):
+    """A hermitian form with n <= 4, m <= 3 and complex coefficients, and 1-max_rows points of R^{2n} near the sphere."""
     n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
     basis = list(mi.iter_degree(n, m))
     parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
@@ -287,7 +324,7 @@ def _objective_cases(draw):
         c = qc(draw(parts)) if a == b else qc(draw(parts), draw(parts))
         triples += [(a, b, c)] if a == b else [(a, b, c), (b, a, c.conj())]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = spheremin._normalize_rows(rng.standard_normal((draw(st.integers(1, 6)), 2 * n)))
+    X = spheremin._normalize_rows(rng.standard_normal((draw(st.integers(1, max_rows)), 2 * n)))
     X[:, draw(st.integers(0, 2 * n - 1))] = 0.0  # an exact zero coordinate, as at the axis starts
     return forms.HermitianForm.from_terms(n, m, triples), X * rng.uniform(0.5, 1.5, (len(X), 1))
 
@@ -299,13 +336,39 @@ def test_objective_value_matches_evaluate_batch(case):
     obj, n = spheremin._Objective(form), form.n
     want = forms.evaluate_batch(form, X[:, :n] + 1j * X[:, n:])
     tol = 1e-12 * float(form.coefficient_l1()) * np.linalg.norm(X, axis=1) ** (2 * form.m)
-    assert np.all(np.abs(obj.value(X) - want) <= tol)
-    assert np.array_equal(obj.value_grad(X)[0], obj.value(X))
+    assert np.all(np.abs(obj.value(X, len(X)) - want) <= tol)
+    assert np.array_equal(obj.value_grad(X, len(X))[0], obj.value(X, len(X)))
+    assert np.array_equal(obj.value(X, 0), -obj.value(X, len(X)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_objective_cases(max_rows=8), st.data())
+def test_objective_rows_depend_on_their_row_alone(case, data):
+    """Each row's value and gradient bits, on f (rows [:cut]) and on -f, whether the row is evaluated alone,
+    in any subset of the batch or in the whole batch; a zero row makes every product an exact zero."""
+    form, X = case
+    if data.draw(st.booleans()):
+        X[data.draw(st.integers(0, len(X) - 1))] = 0.0
+    obj, cut = spheremin._Objective(form), data.draw(st.integers(0, len(X)))
+    whole = _bits(obj.value(X, cut), *obj.value_grad(X, cut))
+    for size in range(1, len(X) + 1):
+        for rows in map(list, itertools.combinations(range(len(X)), size)):
+            sub_cut = int(np.searchsorted(rows, cut))
+            for got, want in zip(_bits(obj.value(X[rows], sub_cut), *obj.value_grad(X[rows], sub_cut)), whole):
+                assert np.array_equal(got, want[rows]), rows
+    # -f's rows are f's rows under the exactly negated coefficients, +0.0 where a sum cancels exactly
+    minus = spheremin._Objective(form)
+    minus.C = minus.C[::-1]
+    assert all(map(np.array_equal, _bits(obj.value(X, 0), *obj.value_grad(X, 0)),
+                   _bits(minus.value(X, len(X)), *minus.value_grad(X, len(X)))))
 
 
 def _per_term_objective(form, X):
-    """Reference _Objective: each term's z^a, z̄^b and ∂̄_k factor lists gathered and reduced on their own,
-    the gradient in the same blocks of k; returns the value and the gradient at the rows of X."""
+    """Reference _Objective on f: each term's z^a, z̄^b and ∂̄_k factor lists gathered and reduced on their own,
+    za times each ∂̄_k product in that operand order, and a one-row X run as two copies of its row;
+    returns the value and the gradient at the rows of X."""
+    rows = len(X)
+    X = np.concatenate([X, X]) if rows == 1 else X
     n, K, width = form.n, len(form.coeffs), form.m + 1
     A, B = (np.array([key[s] for key in form.coeffs], dtype=np.int64).reshape(K, n) for s in (0, 1))
     C, at = np.array([complex(c) for c in form.coeffs.values()]), np.arange(n) * width
@@ -319,18 +382,17 @@ def _per_term_objective(form, X):
     dindex = np.broadcast_to(B + at + n * width, (n, K, n)).copy()
     dindex[np.arange(n), :, np.arange(n)] = (B + at + 2 * n * width).T
     g = np.empty((n, len(X)), dtype=complex)
-    block = max(1, (1 << 20) // max(1, dindex[0].size * len(X)))
-    for k in range(0, n, block):
-        dbar = za[:, None, :] * np.multiply.reduce(table.take(dindex[k : k + block], axis=1), axis=3)
-        g[k : k + block] = dbar.transpose(1, 0, 2) @ C
-    return (za * zb @ C).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
+    for k in range(n):
+        dbar = np.multiply(za[:, None, :], np.multiply.reduce(table.take(dindex[k : k + 1], axis=1), axis=3))
+        g[k : k + 1] = dbar.transpose(1, 0, 2) @ C
+    value, grad = (za * zb @ C).real, np.concatenate([2.0 * g.real.T, 2.0 * g.imag.T], axis=1)
+    return value[:rows], grad[:rows]
 
 
 def _assert_objective_matches_per_term_bit_for_bit(form, X):
-    """float64 bits, so that a changed sign of zero shows too."""
     value, grad = _per_term_objective(form, X)
     obj = spheremin._Objective(form)
-    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (value, grad, obj.value(X), *obj.value_grad(X))]
+    bits = _bits(value, grad, obj.value(X, len(X)), *obj.value_grad(X, len(X)))
     assert np.array_equal(bits[2], bits[0]) and np.array_equal(bits[3], bits[0])
     assert np.array_equal(bits[4], bits[1])
 
@@ -368,14 +430,14 @@ def test_objective_matches_per_term_products_on_dense_forms(name):
 def test_objective_gradient_matches_central_differences(case):
     form, X = case
     obj, h = spheremin._Objective(form), 1e-5
-    grad = obj.value_grad(X)[1]
+    grad = obj.value_grad(X, len(X))[1]
     assert grad.shape == X.shape
     # truncation h^2/6 |f'''| <= 4e-9 sum |c| |x|^(2m) for m <= 3; rounding 1e-16 sum |c| |x|^(2m) / h
     tol = 1e-7 * (1.0 + float(form.coefficient_l1()) * 1.5 ** (2 * form.m))
     for i in range(X.shape[1]):
         e = np.zeros(X.shape[1])
         e[i] = h
-        central = (obj.value(X + e) - obj.value(X - e)) / (2 * h)
+        central = (obj.value(X + e, len(X)) - obj.value(X - e, len(X))) / (2 * h)
         assert np.all(np.abs(grad[:, i] - central) <= tol), i
 
 
