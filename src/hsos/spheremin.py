@@ -121,7 +121,7 @@ class _Objective:
         table = np.concatenate([table, deriv], axis=1).reshape(len(X), -1)
         mono = np.multiply.reduce(table.take(self.all_lists, axis=1), axis=2)
         za, zb = mono.take(self.index, axis=1).transpose(1, 0, 2)
-        # dbar_k f for the rows k of dindex, 2^20 / (n K B) of them at a time
+        # dbar_k f for the rows k of dindex, 2^20 / (n K B) of them at a time to bound dbar's memory
         g = np.empty((self.n, len(X)), dtype=complex)
         block = max(1, (1 << 20) // max(1, self.dindex.size * len(X)))
         for k in range(0, self.n, block):
